@@ -92,7 +92,7 @@ struct Cell {
 
 /// One glb.tenants object: the foreground isolation curves over the
 /// background-intensity grid. Deterministic for fixed flags and any
-/// --jobs / --shards value.
+/// --jobs value.
 void WriteTenantsManifest(std::ostream& os, bool pretty, std::uint32_t iters,
                           const std::vector<Cell>& cells) {
   json::Writer w(os, pretty);

@@ -69,13 +69,9 @@ class Observability {
 /// Parses --jobs for sweep benches: default 1 (serial), 0 or negative
 /// means "all hardware threads". Tracing uses a process-global sink
 /// that is not safe under concurrent runs, so an active --trace session
-/// forces the sweep back to serial with a note. When the runs
-/// themselves are sharded (--shards N), the jobs x shards product is
-/// clamped to the host's hardware threads.
+/// forces the sweep back to serial with a note.
 inline int JobsFromFlags(const Flags& flags, const Observability& obs) {
-  const auto shards = static_cast<std::uint32_t>(flags.GetInt("shards", 0));
-  int jobs = harness::NormalizeJobs(static_cast<int>(flags.GetInt("jobs", 1)),
-                                    shards);
+  int jobs = harness::NormalizeJobs(static_cast<int>(flags.GetInt("jobs", 1)));
   if (obs.tracing() && jobs > 1) {
     std::cerr << "note: --trace uses a process-global sink; forcing --jobs 1\n";
     jobs = 1;
@@ -219,9 +215,7 @@ inline std::vector<std::string> WorkloadListFromFlags(
 /// per point while single-machine benches go through ConfigFromFlags.
 inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
   auto cfg = cmp::CmpConfig::WithCores(cores);
-  // Host-parallel sharded execution and compute fast-forward (see
-  // cmp::CmpConfig for the determinism contract of both).
-  cfg.shards = static_cast<std::uint32_t>(flags.GetInt("shards", 0));
+  // Compute fast-forward (see cmp::CmpConfig for its exactness contract).
   cfg.fast_forward = flags.GetBool("fast-forward", false);
   // Fault campaign / resilience knobs (all off by default).
   cfg.fault = fault::PlanFromFlags(flags);
@@ -265,9 +259,9 @@ class CommonFlags;
 CommonFlags ParseCommonFlags(const Flags& flags);
 
 /// One parse of the flag families every bench binary repeats:
-/// observability (--trace / --log-level), host parallelism (--jobs x
-/// --shards), the --json manifest destination, and the machine
-/// configuration (--cores / --fast-forward / the --fault_* family).
+/// observability (--trace / --log-level), host parallelism (--jobs), the
+/// --json manifest destination, and the machine configuration (--cores /
+/// --fast-forward / the --fault_* family).
 /// Construct via ParseCommonFlags right after Flags and keep it alive
 /// for the whole run — it owns the Observability (and therefore the
 /// --trace file session). Borrows the Flags, which must outlive it.
@@ -278,8 +272,8 @@ class CommonFlags {
   const Observability& obs() const { return obs_; }
   bool tracing() const { return obs_.tracing(); }
 
-  /// Normalized --jobs x --shards (see JobsFromFlags; 1 when absent,
-  /// serial-forced under --trace).
+  /// Normalized --jobs (see JobsFromFlags; 1 when absent, serial-forced
+  /// under --trace).
   int jobs() const { return jobs_; }
 
   /// --json was passed at all (bare or with a path).

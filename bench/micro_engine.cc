@@ -176,44 +176,6 @@ void BM_CoherentLoadHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherentLoadHit);
 
-// One conservative-window round trip per item: tiles ping-pong events
-// across the shard boundary at exactly the window latency, exercising
-// the outbox collection, canonical-order commit and per-window
-// synchronization that every windowed run pays. Arg = shard count
-// (1 = the windowed machinery alone). Uses the kAuto threading policy,
-// so this measures worker rendezvous on multi-core hosts and the
-// serial pass loop on 1-CPU hosts — whatever a real run would pay.
-void BM_ShardedWindow(benchmark::State& state) {
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  constexpr std::uint32_t kTiles = 32;
-  constexpr Cycle kWindow = 4;
-  sim::Engine hub;
-  sim::ShardedDomainConfig cfg;
-  cfg.num_tiles = kTiles;
-  cfg.num_shards = shards;
-  cfg.window = kWindow;
-  sim::ShardedDomain dom(hub, cfg);
-  constexpr int kHops = 256;
-  for (auto _ : state) {
-    auto hop = std::make_shared<std::function<void(std::uint32_t, int)>>();
-    *hop = [&dom, hop](std::uint32_t tile, int left) {
-      if (left == 0) return;
-      const std::uint32_t dst = (tile + kTiles / 2) % kTiles;
-      dom.PostToTile(tile, dst, dom.EngineFor(tile).Now() + kWindow,
-                     [hop, dst, left]() { (*hop)(dst, left - 1); });
-    };
-    for (std::uint32_t t = 0; t < kTiles; ++t) {
-      dom.EngineFor(t).ScheduleAt(dom.EngineFor(t).Now(),
-                                  [hop, t]() { (*hop)(t, kHops); });
-    }
-    benchmark::DoNotOptimize(dom.RunUntilIdleStatus().idle);
-    *hop = nullptr;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(kTiles) * kHops *
-                          state.iterations());
-}
-BENCHMARK(BM_ShardedWindow)->Arg(1)->Arg(2)->Arg(4);
-
 // Fast-forward replay cost: what one skipped compute phase costs the
 // host (one FastForwardAwaiter event + breakdown fold) versus the
 // hundreds of load/store/compute events the measured phase would run.

@@ -55,41 +55,16 @@ rm -f BENCH_straggler.json
 ./build/bench/ablate_straggler --cores 64 --iters 10 \
   --jobs "$(nproc)" --json BENCH_straggler.json > /dev/null
 
-# Sharded conservative-window smoke (docs/PERFORMANCE.md §6): bounded
-# 1024-core OCEAN and UNSTRUCTURED runs at the smallest legal scaled
-# inputs, once per shard count. The glb.run manifests must be
-# byte-identical across shard counts after the host-side fields
-# (host_wall_ms / host_events_per_sec / host_events) are masked — the
-# whole point of the canonical (cycle, src_tile, seq) commit order. CI
-# publishes the manifests as artifacts.
-echo "=== 1024-core sharded smoke ==="
-rm -f BENCH_shard_smoke_s1.json BENCH_shard_smoke_s2.json
-for shards in 1 2; do
-  out="BENCH_shard_smoke_s${shards}.json"
-  ./build/tools/glbsim --workload OCEAN --barrier GLH --cores 1024 \
-    --scale-cores 1024 --ocean-grid 1026 --ocean-iters 1 \
-    --shards "$shards" --json "$out" > /dev/null
-  ./build/tools/glbsim --workload UNSTRUCTURED --barrier GLH --cores 1024 \
-    --scale-cores 1024 --unstr-nodes 1024 --unstr-edges 2048 --unstr-steps 2 \
-    --shards "$shards" --json "$out" > /dev/null
-done
-mask_host() { sed -E 's/"host_[a-z_]+":[0-9.eE+-]+/"host_masked":0/g' "$1"; }
-if ! diff <(mask_host BENCH_shard_smoke_s1.json) \
-          <(mask_host BENCH_shard_smoke_s2.json) > /dev/null; then
-  echo "FAIL: sharded manifests differ between --shards 1 and --shards 2" >&2
-  exit 1
-fi
-
-# ... and the windowed family must reproduce the checked-in baseline
-# exactly (deterministic fields only): any drift in the conservative
-# window, the canonical commit order, or fast-forward replay is a hard
-# failure on any machine.
-rm -f BENCH_shard_gate.json
+# EM3D smoke: a bounded 64-core gl-hier EM3D run must reproduce the
+# checked-in glb.run baseline exactly (deterministic fields only), so
+# any drift in the NoC, coherence or hierarchical-barrier timing of a
+# remote-read-heavy workload is a hard failure on any machine.
+echo "=== EM3D smoke ==="
+rm -f BENCH_em3d_gate.json
 ./build/tools/glbsim --workload EM3D --barrier GLH --cores 64 \
-  --scale-cores 64 --em3d-steps 3 --shards 2 \
-  --json BENCH_shard_gate.json > /dev/null
+  --scale-cores 64 --em3d-steps 3 --json BENCH_em3d_gate.json > /dev/null
 ./build/tools/glb_bench_diff --no-time \
-  bench/baselines/shard_smoke.json BENCH_shard_gate.json
+  bench/baselines/em3d_smoke.json BENCH_em3d_gate.json
 
 # Observability + perf-regression gate (docs/OBSERVABILITY.md):
 #  1. the bounded fig5 sweeps must reproduce the checked-in baseline
@@ -191,12 +166,7 @@ if [ "$RUN_TSAN" = "1" ]; then
   echo "=== tsan parallel sweeps ==="
   cmake --preset tsan
   cmake --build --preset tsan -j -t fault_campaign -t fig5_barrier_latency \
-    -t ablate_straggler -t glbsim
-  # Sharded-domain worker rendezvous under TSan: a small windowed run
-  # with real cross-shard traffic (64-core gl-hier EM3D on 4 shards).
-  TSAN_OPTIONS=halt_on_error=1 \
-    ./build-tsan/tools/glbsim --workload EM3D --barrier GLH --cores 64 \
-      --scale-cores 64 --em3d-steps 3 --shards 4 > /dev/null
+    -t ablate_straggler
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/bench/fault_campaign --seeds 6 --episodes 10 --jobs 4 > /dev/null
   TSAN_OPTIONS=halt_on_error=1 \

@@ -1,7 +1,6 @@
 #include "cmp/cmp_system.h"
 
 #include "common/check.h"
-#include "trace/trace.h"
 
 namespace glb::cmp {
 
@@ -11,29 +10,6 @@ noc::MeshConfig MeshConfigFor(const CmpConfig& cfg) {
   m.rows = cfg.rows;
   m.cols = cfg.cols;
   return m;
-}
-
-/// Faults a windowed run can carry: straggler knobs only. Everything
-/// probabilistic draws from one shared RNG stream at event time, whose
-/// draw order would depend on the shard layout; scripted entries mutate
-/// shared injector state from shard threads. Both would silently break
-/// the byte-identity guarantee, so they are refused loudly instead.
-bool WindowedCompatible(const fault::FaultPlan& f) {
-  return f.gline_drop_rate == 0 && f.gline_dup_rate == 0 &&
-         f.csma_corrupt_rate == 0 && f.core_freeze_rate == 0 &&
-         f.noc_delay_rate == 0 && f.noc_drop_rate == 0 && f.script.empty();
-}
-
-std::unique_ptr<sim::ExecutionDomain> MakeDomain(const CmpConfig& cfg,
-                                                 sim::Engine& hub) {
-  if (cfg.shards == 0) return std::make_unique<sim::SingleDomain>(hub);
-  sim::ShardedDomainConfig dc;
-  dc.num_tiles = cfg.num_cores();
-  dc.num_shards = cfg.shards;
-  // Conservative window = the minimum latency of a cross-tile mesh
-  // handoff: 1 cycle of serialization (>= 1 flit) + wire + router.
-  dc.window = 1 + cfg.noc.link_latency + cfg.noc.router_latency;
-  return std::make_unique<sim::ShardedDomain>(hub, dc);
 }
 }  // namespace
 
@@ -52,22 +28,11 @@ CmpConfig CmpConfig::WithCores(std::uint32_t n) {
 
 CmpSystem::CmpSystem(const CmpConfig& cfg)
     : cfg_(cfg),
-      domain_(MakeDomain(cfg, engine_)),
       backing_(cfg.coherence.line_bytes),
       alloc_(cfg.coherence.line_bytes),
       mesh_(engine_, MeshConfigFor(cfg), stats_),
-      fabric_(engine_, mesh_, backing_, cfg.coherence, cfg.l1, cfg.l2, stats_,
-              domain_.get()),
+      fabric_(engine_, mesh_, backing_, cfg.coherence, cfg.l1, cfg.l2, stats_),
       gline_(engine_, cfg.rows, cfg.cols, cfg.gline, stats_) {
-  if (cfg.shards >= 1) {
-    sharded_ = static_cast<sim::ShardedDomain*>(domain_.get());
-    GLB_CHECK(!cfg.gline.resilient())
-        << "--shards does not support the resilient G-line fallback "
-           "(fallback health probes are probabilistic at event time)";
-    GLB_CHECK(WindowedCompatible(cfg.fault))
-        << "--shards supports only the core_slow/work_skew fault knobs";
-  }
-  mesh_.SetDomain(domain_.get());
   if (cfg.hier.enabled) {
     hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
         engine_, cfg.rows, cfg.cols, cfg.hier, stats_);
@@ -81,11 +46,9 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
   chip_dev_ = dev;
   cores_.reserve(cfg.num_cores());
   for (CoreId c = 0; c < cfg.num_cores(); ++c) {
-    cores_.push_back(std::make_unique<core::Core>(domain_->EngineFor(c),
-                                                  fabric_.l1(c), c, cfg.core,
-                                                  stats_));
+    cores_.push_back(
+        std::make_unique<core::Core>(engine_, fabric_.l1(c), c, cfg.core, stats_));
     cores_.back()->SetBarrierDevice(dev);
-    cores_.back()->SetDomain(domain_.get());
   }
 
   if (cfg.gline.resilient()) {
@@ -107,18 +70,14 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
 
   if (cfg.fault.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(engine_, cfg.fault, stats_);
-    if (sharded_ == nullptr) {
-      // Arm whichever network the cores are actually wired to; in hier
-      // mode the hooks land on every node at every level. Windowed runs
-      // skip the hooks entirely: only straggler knobs are allowed there
-      // (checked above), and those never consult the event-time RNG.
-      if (hier_ != nullptr) {
-        injector_->Arm(*hier_);
-      } else {
-        injector_->Arm(gline_);
-      }
-      injector_->Arm(mesh_);
+    // Arm whichever network the cores are actually wired to; in hier
+    // mode the hooks land on every node at every level.
+    if (hier_ != nullptr) {
+      injector_->Arm(*hier_);
+    } else {
+      injector_->Arm(gline_);
     }
+    injector_->Arm(mesh_);
     if (cfg.fault.stragglers()) {
       // Straggler sites stretch compute phases at the core, not the
       // network; the hook costs nothing on cores the plan leaves alone.
@@ -134,14 +93,10 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
 
 sim::RunStatus CmpSystem::RunProgramsStatus(
     const std::function<core::Task(core::Core&, CoreId)>& make, Cycle max_cycles) {
-  GLB_CHECK(sharded_ == nullptr || !trace::Active())
-      << "--trace is unsupported with --shards (the sink is not thread-safe)";
   for (CoreId c = 0; c < num_cores(); ++c) {
     cores_[c]->Run(make(*cores_[c], c));
   }
-  const sim::RunStatus status = sharded_ != nullptr
-                                    ? sharded_->RunUntilIdleStatus(max_cycles)
-                                    : engine_.RunUntilIdleStatus(max_cycles);
+  const sim::RunStatus status = engine_.RunUntilIdleStatus(max_cycles);
   if (status.idle) {
     for (CoreId c = 0; c < num_cores(); ++c) {
       GLB_CHECK(cores_[c]->done())

@@ -23,9 +23,7 @@
 #include "mem/addr_allocator.h"
 #include "mem/backing_store.h"
 #include "noc/mesh.h"
-#include "sim/domain.h"
 #include "sim/engine.h"
-#include "sim/sharded_domain.h"
 #include "sync/hybrid_barrier.h"
 
 namespace glb::cmp {
@@ -45,15 +43,6 @@ struct CmpConfig {
   core::CoreConfig core{};
   /// Fault campaign (disabled by default: no hooks are installed).
   fault::FaultPlan fault{};
-  /// Host-parallel sharded execution. 0 = the legacy single-threaded
-  /// engine, byte-identical to pre-sharding builds. N >= 1 = the
-  /// conservative-window ShardedDomain with N shard threads; every
-  /// N >= 1 produces byte-identical manifests to N = 1 (the windowed
-  /// schedule differs slightly from the legacy one, so compare windowed
-  /// runs with windowed baselines). Incompatible with --trace, the
-  /// resilient G-line fallback, and all fault sites except
-  /// core_slow/work_skew.
-  std::uint32_t shards = 0;
   /// Compute fast-forward (exact steady-state replay; see
   /// src/cmp/fastforward.h). Refused automatically when the fault plan
   /// carries scripted entries, which can edit mid-phase state.
@@ -118,17 +107,6 @@ class CmpSystem {
   /// (workloads use it to report/replay phases).
   FastForwardController* fast_forward() { return ff_.get(); }
 
-  /// The execution domain (SingleDomain unless cfg.shards >= 1).
-  sim::ExecutionDomain& domain() { return *domain_; }
-
-  /// Total host-side events processed: the hub engine plus, under
-  /// sharding, every shard engine.
-  std::uint64_t HostEvents() const {
-    std::uint64_t n = engine_.events_processed();
-    if (sharded_ != nullptr) n += sharded_->ShardEventsProcessed();
-    return n;
-  }
-
   /// Cycle at which the last core finished its program.
   Cycle LastFinish() const;
   /// Aggregate time breakdown over all cores.
@@ -137,11 +115,6 @@ class CmpSystem {
  private:
   CmpConfig cfg_;
   sim::Engine engine_;
-  /// Execution domain over engine_ (as hub) and, when cfg.shards >= 1,
-  /// the per-shard tile engines. Declared before every component that
-  /// binds per-tile engines at construction.
-  std::unique_ptr<sim::ExecutionDomain> domain_;
-  sim::ShardedDomain* sharded_ = nullptr;  // domain_ downcast, iff windowed
   StatSet stats_;
   mem::BackingStore backing_;
   mem::AddrAllocator alloc_;

@@ -129,7 +129,7 @@ void FastForwardController::OnIterationEnd() {
       iter_delta_.hists.emplace(name, d);
     }
     replay_iters_ = 0;
-    replaying_.store(true, std::memory_order_relaxed);
+    replaying_ = true;
     return;
   }
 

@@ -28,7 +28,6 @@
 // episode clock never ticks).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -59,16 +58,14 @@ class FastForwardController {
 
   /// Reports a measured phase: core `core` spent `cycles` between
   /// leaving the previous barrier and arriving at the next one, with
-  /// time-category delta `delta`. Called from the core's coroutine
-  /// (its shard thread under a windowed domain; slots are per-core, so
-  /// writers never collide).
+  /// time-category delta `delta`. Called from the core's coroutine.
   void RecordPhase(CoreId core, std::uint32_t phase, Cycle cycles,
                    const core::TimeBreakdown& delta);
 
   /// True once engaged: the workload must stop executing phase bodies
   /// and await FastForward(PhaseCycles(id, p), PhaseDelta(id, p))
   /// instead.
-  bool replaying() const { return replaying_.load(std::memory_order_relaxed); }
+  bool replaying() const { return replaying_; }
 
   Cycle PhaseCycles(CoreId core, std::uint32_t phase) const;
   const core::TimeBreakdown* PhaseDelta(CoreId core, std::uint32_t phase) const;
@@ -132,7 +129,7 @@ class FastForwardController {
   std::vector<PhaseRecord> cur_, prev_;
   std::deque<Snapshot> snaps_;  // last 3 iteration-boundary snapshots
 
-  std::atomic<bool> replaying_{false};
+  bool replaying_ = false;
   bool engaged_ = false;
   std::vector<PhaseRecord> table_;  // memoized phases once engaged
   Snapshot base_;                   // registry at engagement

@@ -98,19 +98,17 @@ bool Rect::Parse(std::string_view s, Rect* out) {
 
 /// Timing decorator: in_flight_ gates Resize/Teardown, the histogram
 /// feeds the per-tenant manifest block and the isolation ablation.
-/// Atomics throughout — under --shards the member coroutines run on
-/// shard threads.
 class Tenant::TimedBarrier final : public sync::Barrier {
  public:
   explicit TimedBarrier(Tenant& t) : t_(t) {}
 
   core::Task Wait(core::Core& core) override {
     const Cycle start = core.engine().Now();
-    t_.in_flight_.fetch_add(1, std::memory_order_relaxed);
+    ++t_.in_flight_;
     co_await t_.inner_->Wait(core);
     t_.wait_cycles_->Record(core.engine().Now() - start);
     t_.waits_->Inc();
-    t_.in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    --t_.in_flight_;
   }
 
   const char* name() const override { return t_.inner_->name(); }
@@ -121,8 +119,6 @@ class Tenant::TimedBarrier final : public sync::Barrier {
 
 Tenant::Tenant(CmpSystem& sys, const TenantConfig& cfg)
     : sys_(sys), cfg_(cfg), prefix_("tenant." + cfg.name) {
-  // Stat pointers are created up front on the hub thread: StatSet
-  // creation is not thread-safe, only the bumps are.
   waits_ = sys_.stats().GetCounter(prefix_ + ".barrier_waits");
   wait_cycles_ = sys_.stats().GetHistogram(prefix_ + ".wait_cycles");
   Attach();

@@ -39,7 +39,6 @@
 // reserved for caller bugs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -139,7 +138,7 @@ class Tenant {
 
   /// True while any member core is inside barrier().Wait — the window
   /// in which Resize/Teardown are refused.
-  bool busy() const { return in_flight_.load(std::memory_order_relaxed) > 0; }
+  bool busy() const { return in_flight_ > 0; }
 
   /// Completed tenant barrier waits (counter "tenant.<name>.barrier_waits"
   /// divided by the member count gives episodes).
@@ -170,7 +169,7 @@ class Tenant {
   std::string prefix_;
   Counter* waits_ = nullptr;
   Histogram* wait_cycles_ = nullptr;
-  std::atomic<std::uint32_t> in_flight_{0};
+  std::uint32_t in_flight_ = 0;
 
   // Hardware kinds only: the rect-local network plus the global->local
   // id adapter wired into the member cores.

@@ -24,7 +24,7 @@ std::string TxnTraceName(bool is_recall, MsgType type, Addr line_addr) {
 }  // namespace
 
 DirController::DirController(Fabric& fabric, CoreId tile, const mem::CacheGeometry& geo)
-    : fabric_(fabric), engine_(fabric.engine(tile)), tile_(tile), array_(geo) {
+    : fabric_(fabric), engine_(fabric.engine()), tile_(tile), array_(geo) {
   auto& stats = fabric_.stats();
   requests_ = stats.GetCounter("l2.requests");
   l2_misses_ = stats.GetCounter("l2.misses");

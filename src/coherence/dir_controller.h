@@ -116,7 +116,7 @@ class DirController {
   void WriteLineToBacking(const Cache::Line* line);
 
   Fabric& fabric_;
-  /// This tile's engine (see L1Controller::engine_).
+  /// The fabric's engine (see L1Controller::engine_).
   sim::Engine& engine_;
   const CoreId tile_;
   Cache array_;

@@ -7,10 +7,8 @@ namespace glb::coherence {
 
 Fabric::Fabric(sim::Engine& engine, noc::Mesh& mesh, mem::BackingStore& backing,
                const CoherenceConfig& cfg, const mem::CacheGeometry& l1_geo,
-               const mem::CacheGeometry& l2_geo, StatSet& stats,
-               sim::ExecutionDomain* domain)
+               const mem::CacheGeometry& l2_geo, StatSet& stats)
     : engine_(engine),
-      domain_(domain),
       mesh_(mesh),
       backing_(backing),
       cfg_(cfg),
@@ -28,12 +26,6 @@ Fabric::Fabric(sim::Engine& engine, noc::Mesh& mesh, mem::BackingStore& backing,
   for (CoreId c = 0; c < n; ++c) {
     l1s_.push_back(std::make_unique<L1Controller>(*this, c, l1_geo));
     dirs_.push_back(std::make_unique<DirController>(*this, c, l2_geo));
-  }
-  if (domain_ != nullptr && domain_->windowed()) {
-    for (std::size_t t = 0; t < kNumMsgTypes; ++t) {
-      sent_by_type_[t] = stats.GetCounter(std::string("coh.sent.") +
-                                          ToString(static_cast<MsgType>(t)));
-    }
   }
 }
 

@@ -15,20 +15,15 @@
 #include "mem/backing_store.h"
 #include "mem/cache_array.h"
 #include "noc/mesh.h"
-#include "sim/domain.h"
 #include "sim/engine.h"
 
 namespace glb::coherence {
 
 class Fabric {
  public:
-  /// `domain`, when given, assigns each tile's controllers to the
-  /// tile's shard engine; nullptr keeps everything on `engine` (the
-  /// standalone-test configuration, identical to the pre-domain fabric).
   Fabric(sim::Engine& engine, noc::Mesh& mesh, mem::BackingStore& backing,
          const CoherenceConfig& cfg, const mem::CacheGeometry& l1_geo,
-         const mem::CacheGeometry& l2_geo, StatSet& stats,
-         sim::ExecutionDomain* domain = nullptr);
+         const mem::CacheGeometry& l2_geo, StatSet& stats);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
@@ -59,10 +54,6 @@ class Fabric {
   }
 
   sim::Engine& engine() { return engine_; }
-  /// Engine that tile `c`'s controllers schedule on.
-  sim::Engine& engine(CoreId c) {
-    return domain_ != nullptr ? domain_->EngineFor(c) : engine_;
-  }
   mem::BackingStore& backing() { return backing_; }
   const CoherenceConfig& config() const { return cfg_; }
   StatSet& stats() { return stats_; }
@@ -83,7 +74,6 @@ class Fabric {
   }
 
   sim::Engine& engine_;
-  sim::ExecutionDomain* domain_;
   noc::Mesh& mesh_;
   mem::BackingStore& backing_;
   CoherenceConfig cfg_;
@@ -92,10 +82,7 @@ class Fabric {
   std::vector<std::unique_ptr<DirController>> dirs_;
   /// Per-MsgType send counters, resolved once instead of a
   /// string-concat + map lookup per message (the coherence hot path).
-  /// Lazily bound in serial runs to preserve the legacy manifest's
-  /// counter set (only types actually sent appear); pre-bound for all
-  /// types under a windowed domain, where lazy registration from shard
-  /// threads would race on the StatSet map.
+  /// Bound lazily so the manifest lists only the types actually sent.
   std::array<Counter*, kNumMsgTypes> sent_by_type_{};
 };
 

@@ -29,7 +29,7 @@ std::string HexAddr(Addr a) {
 }  // namespace
 
 L1Controller::L1Controller(Fabric& fabric, CoreId core, const mem::CacheGeometry& geo)
-    : fabric_(fabric), engine_(fabric.engine(core)), core_(core), cache_(geo) {
+    : fabric_(fabric), engine_(fabric.engine()), core_(core), cache_(geo) {
   auto& stats = fabric_.stats();
   hits_ = stats.GetCounter("l1.hits");
   misses_ = stats.GetCounter("l1.misses");

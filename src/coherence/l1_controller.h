@@ -144,9 +144,8 @@ class L1Controller {
   void Send(Message msg);
 
   Fabric& fabric_;
-  /// This tile's engine (== the fabric's single engine in serial runs,
-  /// the tile's shard engine under a windowed domain). Cached at
-  /// construction: the L1 hot path schedules on it constantly.
+  /// The fabric's engine, cached at construction: the L1 hot path
+  /// schedules on it constantly.
   sim::Engine& engine_;
   const CoreId core_;
   Cache cache_;

@@ -3,8 +3,11 @@
 // Accepts "--name=value", "--name value" and bare "--name" (boolean
 // true). A repeated flag keeps its last value for the scalar getters
 // (historical behavior) and every value, in order, for GetStrings
-// (repeatable flags like glbsim's --tenant). Unknown flags are
-// collected so a caller can reject them.
+// (repeatable flags like glbsim's --tenant). Nothing checks names:
+// a flag no caller reads is silently ignored, so a typo'd or retired
+// flag leaves the default in place and the run still exits 0.
+// Rejecting unknown flags needs a declared per-binary flag schema
+// (ROADMAP.md item 7).
 #pragma once
 
 #include <cstdint>

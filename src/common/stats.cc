@@ -6,9 +6,9 @@
 namespace glb {
 
 double Histogram::PercentileApprox(double p) const {
-  const std::uint64_t cnt = count();
-  const std::uint64_t mn = min_.load(std::memory_order_relaxed);
-  const std::uint64_t mx = max_.load(std::memory_order_relaxed);
+  const std::uint64_t cnt = s_.count;
+  const std::uint64_t mn = s_.min_raw;
+  const std::uint64_t mx = s_.max_raw;
   if (cnt == 0) return 0.0;
   p = std::clamp(p, 0.0, 1.0);
   // The extremes are tracked exactly, so return them exactly: p=1.0
@@ -42,38 +42,13 @@ double Histogram::PercentileApprox(double p) const {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  const State s = other.GetState();
-  if (s.count == 0) return;
-  count_.fetch_add(s.count, std::memory_order_relaxed);
-  sum_.fetch_add(s.sum, std::memory_order_relaxed);
-  AtomicMin(min_, s.min_raw);
-  AtomicMax(max_, s.max_raw);
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[static_cast<std::size_t>(i)].fetch_add(s.buckets[static_cast<std::size_t>(i)],
-                                                    std::memory_order_relaxed);
-  }
-}
-
-Histogram::State Histogram::GetState() const {
-  State s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min_raw = min_.load(std::memory_order_relaxed);
-  s.max_raw = max_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(kBuckets); ++i) {
-    s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void Histogram::SetState(const State& s) {
-  count_.store(s.count, std::memory_order_relaxed);
-  sum_.store(s.sum, std::memory_order_relaxed);
-  min_.store(s.min_raw, std::memory_order_relaxed);
-  max_.store(s.max_raw, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(kBuckets); ++i) {
-    buckets_[i].store(s.buckets[i], std::memory_order_relaxed);
-  }
+  const State& o = other.s_;
+  if (o.count == 0) return;
+  s_.count += o.count;
+  s_.sum += o.sum;
+  s_.min_raw = std::min(s_.min_raw, o.min_raw);
+  s_.max_raw = std::max(s_.max_raw, o.max_raw);
+  for (std::size_t i = 0; i < s_.buckets.size(); ++i) s_.buckets[i] += o.buckets[i];
 }
 
 Counter* StatSet::GetCounter(std::string_view name) {

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -20,64 +19,23 @@
 
 namespace glb {
 
-/// Monotonic event counter. Increments are relaxed atomics so shard
-/// threads of one windowed run (src/sim/sharded_domain.h) may bump
-/// shared counters concurrently; sums are commutative, so final values
-/// stay deterministic for any shard count.
+/// Monotonic event counter. Each run owns its StatSet, so a plain
+/// integer suffices.
 class Counter {
  public:
-  void Inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  void Set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Inc(std::uint64_t n = 1) { value_ += n; }
+  void Set(std::uint64_t v) { value_ = v; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Scalar sample aggregator: count / sum / min / max / mean plus
 /// power-of-two bucket counts (bucket i holds samples in [2^i, 2^{i+1})).
-/// Thread-safe for concurrent Record (relaxed adds + CAS min/max), with
-/// the same determinism argument as Counter: every aggregate is a
-/// commutative fold over a deterministic sample multiset.
 class Histogram {
  public:
   static constexpr int kBuckets = 40;
-
-  Histogram() = default;
-  /// Value-snapshot copy through GetState/SetState (atomics delete the
-  /// defaults). Only meaningful while the source is quiescent — bench
-  /// aggregation code copies post-run histograms, never live ones.
-  Histogram(const Histogram& o) { SetState(o.GetState()); }
-  Histogram& operator=(const Histogram& o) {
-    if (this != &o) SetState(o.GetState());
-    return *this;
-  }
-
-  void Record(std::uint64_t sample) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(sample, std::memory_order_relaxed);
-    AtomicMin(min_, sample);
-    AtomicMax(max_, sample);
-    buckets_[static_cast<std::size_t>(BucketOf(sample))].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t min() const {
-    return count() ? min_.load(std::memory_order_relaxed) : 0;
-  }
-  std::uint64_t max() const {
-    return count() ? max_.load(std::memory_order_relaxed) : 0;
-  }
-  double mean() const {
-    const std::uint64_t c = count();
-    return c ? static_cast<double>(sum()) / static_cast<double>(c) : 0.0;
-  }
-  std::uint64_t bucket(int i) const {
-    GLB_CHECK(i >= 0 && i < kBuckets) << "bucket index " << i;
-    return buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-  }
 
   /// Raw value snapshot (fast-forward replay bookkeeping; min_raw/
   /// max_raw keep the "empty" sentinels so a restore round-trips).
@@ -88,8 +46,29 @@ class Histogram {
     std::uint64_t max_raw = 0;
     std::array<std::uint64_t, kBuckets> buckets{};
   };
-  State GetState() const;
-  void SetState(const State& s);
+
+  void Record(std::uint64_t sample) {
+    ++s_.count;
+    s_.sum += sample;
+    s_.min_raw = std::min(s_.min_raw, sample);
+    s_.max_raw = std::max(s_.max_raw, sample);
+    ++s_.buckets[static_cast<std::size_t>(BucketOf(sample))];
+  }
+
+  std::uint64_t count() const { return s_.count; }
+  std::uint64_t sum() const { return s_.sum; }
+  std::uint64_t min() const { return s_.count ? s_.min_raw : 0; }
+  std::uint64_t max() const { return s_.count ? s_.max_raw : 0; }
+  double mean() const {
+    return s_.count ? static_cast<double>(s_.sum) / static_cast<double>(s_.count) : 0.0;
+  }
+  std::uint64_t bucket(int i) const {
+    GLB_CHECK(i >= 0 && i < kBuckets) << "bucket index " << i;
+    return s_.buckets[static_cast<std::size_t>(i)];
+  }
+
+  const State& GetState() const { return s_; }
+  void SetState(const State& s) { s_ = s; }
 
   /// Approximate p-quantile (p in [0,1]) from the power-of-two buckets:
   /// linear rank interpolation inside the bucket that holds the target
@@ -110,24 +89,7 @@ class Histogram {
   }
 
  private:
-  static void AtomicMin(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-    std::uint64_t cur = slot.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  static void AtomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
-    std::uint64_t cur = slot.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{~0ull};
-  std::atomic<std::uint64_t> max_{0};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  State s_;
 };
 
 /// Named registry. Stable addresses: objects live in deques and are never

@@ -29,7 +29,6 @@
 #include "core/barrier_device.h"
 #include "core/task.h"
 #include "core/timebreak.h"
-#include "sim/domain.h"
 #include "sim/engine.h"
 #include "trace/trace.h"
 
@@ -56,13 +55,6 @@ class Core {
   /// Wires the hardware barrier (may be null if the program never uses
   /// GlBarrier()).
   void SetBarrierDevice(BarrierDevice* dev) { barrier_dev_ = dev; }
-
-  /// Attaches the execution domain. Under a windowed (sharded) domain
-  /// the barrier device lives on the hub engine, so GlBarrier() routes
-  /// its arrival through the domain's tile->hub channel; without one
-  /// (or under SingleDomain) the legacy direct call path is used
-  /// unchanged.
-  void SetDomain(sim::ExecutionDomain* d) { domain_ = d; }
 
   /// Straggler hook: maps the nominal duration of a compute phase to
   /// the one actually charged (DVFS slowdown, skewed partitions — see
@@ -196,30 +188,6 @@ class Core {
           << "GlBarrier() without a barrier device on core " << core.id_;
       core.BeginOp(TimeCat::kBarrier);
       core.NoteBarrier();
-      if (core.domain_ != nullptr && core.domain_->windowed()) {
-        // Sharded run: the barrier device is a hub-engine component.
-        // The arrival crosses the tile->hub channel at its own cycle
-        // (committed in canonical order, so the device sees arrivals in
-        // a layout-independent order); the release runs on the hub and
-        // schedules the resume straight onto this tile's engine — the
-        // hub pass is serial, so direct cross-engine inserts there are
-        // deterministic.
-        core.engine_.ScheduleIn(core.cfg_.gl_notify_overhead, [this, h]() {
-          core.domain_->PostToHub(core.id_, core.engine_.Now(), [this, h]() {
-            core.barrier_dev_->Arrive(core.id_, [this, h]() {
-              core.engine_.ScheduleAt(
-                  core.domain_->Hub().Now() + core.cfg_.gl_resume_overhead,
-                  [this, h]() {
-                    core.EndOp();
-                    // Post-release coroutine body is workload code.
-                    prof::Scope prof_scope(prof::Cat::kWorkload);
-                    h.resume();
-                  });
-            });
-          });
-        });
-        return;
-      }
       // `mov 1, bar_reg` reaches the controllers after the notify
       // overhead; the release is observed after the resume overhead.
       core.engine_.ScheduleIn(core.cfg_.gl_notify_overhead, [this, h]() {
@@ -329,7 +297,6 @@ class Core {
   CoreId rank_;  // == id_ until a partition renumbers this core
   CoreConfig cfg_;
   BarrierDevice* barrier_dev_ = nullptr;
-  sim::ExecutionDomain* domain_ = nullptr;
   ComputeFaultHook compute_fault_hook_;
 
   std::optional<Task> program_;

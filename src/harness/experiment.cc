@@ -74,9 +74,7 @@ RunMetrics CollectSystemMetrics(cmp::CmpSystem& sys, const sim::RunStatus& statu
   m.msgs_request = sys.stats().CounterValue("noc.msgs.request");
   m.msgs_reply = sys.stats().CounterValue("noc.msgs.reply");
   m.msgs_coherence = sys.stats().CounterValue("noc.msgs.coherence");
-  // Under sharding this sums the hub plus every shard engine; the total
-  // is deterministic even though its split across threads is not.
-  m.host_events = sys.HostEvents();
+  m.host_events = sys.engine().events_processed();
   m.wall_ms = wall_ms;
   m.events_per_sec =
       wall_ms > 0.0 ? static_cast<double>(m.host_events) / (wall_ms / 1000.0) : 0.0;

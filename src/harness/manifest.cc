@@ -172,14 +172,12 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
   w.Field("gl_notify_overhead", cfg.core.gl_notify_overhead);
   w.Field("gl_resume_overhead", cfg.core.gl_resume_overhead);
   w.EndObject();
-  // cfg.shards and cfg.fast_forward are deliberately NOT echoed: they
-  // are host-execution strategies, not machine configuration, and the
-  // simulated results are knob-independent by contract (any --shards N
-  // matches --shards 1 byte-for-byte; --fast-forward replays the
-  // measured steady state exactly). Echoing them would break that
-  // byte-identity across shard counts for no information gain — the
-  // host block (host_wall_ms, host_events_per_sec) already carries the
-  // non-deterministic host-side story.
+  // cfg.fast_forward is deliberately NOT echoed: it is a host-execution
+  // strategy, not machine configuration, and it replays the measured
+  // steady state exactly, so the simulated results do not depend on it.
+  // Echoing it would break manifest byte-identity between fast-forward
+  // on and off for no information gain — the host block (host_wall_ms,
+  // host_events_per_sec) already carries the host-side story.
   w.Key("fault");
   w.BeginObject();
   WriteFaultPlan(w, cfg.fault);

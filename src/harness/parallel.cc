@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iostream>
 #include <thread>
 
 namespace glb::harness {
@@ -11,23 +10,6 @@ int NormalizeJobs(int jobs) {
   if (jobs >= 1) return jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-int NormalizeJobs(int jobs, std::uint32_t shards_per_run) {
-  int j = NormalizeJobs(jobs);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || shards_per_run <= 1) return j;
-  const int cap = static_cast<int>(std::max(1u, hw / shards_per_run));
-  if (j > cap) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true, std::memory_order_relaxed)) {
-      std::cerr << "note: --jobs " << j << " x --shards " << shards_per_run
-                << " oversubscribes " << hw
-                << " host threads; clamping --jobs to " << cap << "\n";
-    }
-    j = cap;
-  }
-  return j;
 }
 
 void ParallelFor(std::size_t n, int jobs, const std::function<void(std::size_t)>& fn) {

@@ -27,13 +27,6 @@ namespace glb::harness {
 /// threads"; the result is always >= 1.
 int NormalizeJobs(int jobs);
 
-/// Like NormalizeJobs(jobs), but aware that every run spawns
-/// `shards_per_run` shard threads of its own (--shards): clamps the
-/// jobs x shards product to the host's hardware threads so composing
-/// the two levels of parallelism cannot oversubscribe the machine.
-/// Warns once to stderr when it clamps.
-int NormalizeJobs(int jobs, std::uint32_t shards_per_run);
-
 /// Runs fn(i) for every i in [0, n) across min(jobs, n) threads and
 /// returns when all indices completed. Indices are claimed in
 /// submission order from one atomic cursor. fn must confine itself to

@@ -18,7 +18,7 @@
 // stay byte-identical to older builds.
 //
 // Determinism: like every harness entry point, RunTenants output is
-// byte-identical for any --jobs and --shards value (pinned by
+// byte-identical for any --jobs value (pinned by
 // tenant_determinism_test.cc).
 #pragma once
 

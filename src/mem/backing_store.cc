@@ -4,11 +4,6 @@
 
 namespace glb::mem {
 
-// The mutex is held for the full duration of every public accessor:
-// LineRef hands back a reference into the map, so the lock must cover
-// both the lookup and the copy that follows it (shard threads hitting
-// different lines still share the map's buckets).
-
 std::vector<Word>& BackingStore::LineRef(Addr line_addr) {
   GLB_CHECK(line_addr == LineOf(line_addr)) << "unaligned line address";
   auto [it, inserted] = lines_.try_emplace(line_addr);
@@ -19,7 +14,6 @@ std::vector<Word>& BackingStore::LineRef(Addr line_addr) {
 void BackingStore::ReadLine(Addr line_addr, Word* out) const {
   GLB_CHECK(line_addr == (line_addr & ~static_cast<Addr>(line_bytes_ - 1)))
       << "unaligned line address";
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = lines_.find(line_addr);
   if (it == lines_.end()) {
     std::fill_n(out, words_per_line(), Word{0});
@@ -29,7 +23,6 @@ void BackingStore::ReadLine(Addr line_addr, Word* out) const {
 }
 
 void BackingStore::WriteLine(Addr line_addr, const Word* in) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto& line = LineRef(line_addr);
   std::copy_n(in, words_per_line(), line.begin());
 }
@@ -37,7 +30,6 @@ void BackingStore::WriteLine(Addr line_addr, const Word* in) {
 Word BackingStore::ReadWord(Addr a) const {
   GLB_CHECK(a % kWordBytes == 0) << "unaligned word read @" << a;
   const Addr line_addr = LineOf(a);
-  std::lock_guard<std::mutex> lk(mu_);
   auto it = lines_.find(line_addr);
   if (it == lines_.end()) return 0;
   return it->second[(a - line_addr) / kWordBytes];
@@ -46,7 +38,6 @@ Word BackingStore::ReadWord(Addr a) const {
 void BackingStore::WriteWord(Addr a, Word v) {
   GLB_CHECK(a % kWordBytes == 0) << "unaligned word write @" << a;
   const Addr line_addr = LineOf(a);
-  std::lock_guard<std::mutex> lk(mu_);
   LineRef(line_addr)[(a - line_addr) / kWordBytes] = v;
 }
 

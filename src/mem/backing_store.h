@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -42,20 +41,12 @@ class BackingStore {
   Word ReadWord(Addr a) const;
   void WriteWord(Addr a, Word v);
 
-  std::size_t resident_lines() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return lines_.size();
-  }
+  std::size_t resident_lines() const { return lines_.size(); }
 
  private:
   std::vector<Word>& LineRef(Addr line_addr);
 
   std::uint32_t line_bytes_;
-  /// Guards the line map. Directory controllers on different shard
-  /// threads of one windowed run touch disjoint addresses (home
-  /// interleaving), but the map's rehashes are shared state; the lock is
-  /// uncontended in the serial engine.
-  mutable std::mutex mu_;
   std::unordered_map<Addr, std::vector<Word>> lines_;
 };
 

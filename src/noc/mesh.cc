@@ -75,7 +75,7 @@ void Mesh::Send(Packet pkt) {
       << "packet endpoints out of range: " << pkt.src << "->" << pkt.dst;
   GLB_CHECK(pkt.deliver != nullptr) << "packet without delivery closure";
   const Cycle penalty = fault_ != nullptr ? fault_(pkt) : 0;
-  sim::Engine& eng = EngineAt(pkt.src);
+  sim::Engine& eng = engine_;
   InFlight flight{std::move(pkt), eng.Now()};
   if (flight.pkt.src == flight.pkt.dst) {
     local_msgs_->Inc();
@@ -106,14 +106,13 @@ void Mesh::Send(Packet pkt) {
 }
 
 void Mesh::DeliverLocal(InFlight flight, Cycle penalty) {
-  const CoreId node = flight.pkt.src;
-  EngineAt(node).ScheduleIn(cfg_.local_latency + penalty,
-                            [f = std::move(flight)]() mutable { f.pkt.deliver(); });
+  engine_.ScheduleIn(cfg_.local_latency + penalty,
+                     [f = std::move(flight)]() mutable { f.pkt.deliver(); });
 }
 
 void Mesh::RouteAt(CoreId node, InFlight flight) {
   prof::Scope prof_scope(prof::Cat::kNoc);
-  sim::Engine& eng = EngineAt(node);
+  sim::Engine& eng = engine_;
   router_flits_[node] += FlitsOf(flight.pkt.bytes);
   if (node == flight.pkt.dst) {
     latency_->Record(eng.Now() - flight.injected_at);
@@ -137,7 +136,7 @@ void Mesh::RouteAt(CoreId node, InFlight flight) {
 
 void Mesh::PumpLink(CoreId node, Dir d) {
   prof::Scope prof_scope(prof::Cat::kNoc);
-  sim::Engine& eng = EngineAt(node);
+  sim::Engine& eng = engine_;
   OutLink& link = routers_[node].out[d];
   if (link.transmitting) return;
 
@@ -179,20 +178,11 @@ void Mesh::PumpLink(CoreId node, Dir d) {
     PumpLink(node, d);
   });
   // Packet appears at the neighbour's routing stage after serialization,
-  // wire propagation, and that router's pipeline. This is the one
-  // cross-tile hop in the NoC, so it is the one that must cross the
-  // domain's tile->tile channel; its latency (>= 1+1+2 cycles with any
-  // config the harness accepts) is the lookahead that sizes the
-  // conservative window.
-  const Cycle at = eng.Now() + serialization + cfg_.link_latency + cfg_.router_latency;
-  auto hop = [this, next, f = std::move(flight)]() mutable {
-    RouteAt(next, std::move(f));
-  };
-  if (domain_ != nullptr) {
-    domain_->PostToTile(node, next, at, std::move(hop));
-  } else {
-    eng.ScheduleAt(at, std::move(hop));
-  }
+  // wire propagation, and that router's pipeline.
+  eng.ScheduleIn(serialization + cfg_.link_latency + cfg_.router_latency,
+                 [this, next, f = std::move(flight)]() mutable {
+                   RouteAt(next, std::move(f));
+                 });
 }
 
 }  // namespace glb::noc

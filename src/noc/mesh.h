@@ -25,7 +25,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "noc/message.h"
-#include "sim/domain.h"
 #include "sim/engine.h"
 
 namespace glb::noc {
@@ -65,13 +64,6 @@ class Mesh {
   /// nullptr clears.
   using FaultHook = std::function<Cycle(const Packet&)>;
   void SetFaultHook(FaultHook hook) { fault_ = std::move(hook); }
-
-  /// Attaches an execution domain: per-tile events run on the tile's
-  /// engine and neighbour handoffs go through the domain's cross-tile
-  /// channel (a plain ScheduleAt under SingleDomain; a window-boundary
-  /// commit under ShardedDomain). Without a domain, everything runs on
-  /// the constructor engine — the standalone-test configuration.
-  void SetDomain(sim::ExecutionDomain* d) { domain_ = d; }
 
   const MeshConfig& config() const { return cfg_; }
 
@@ -146,12 +138,7 @@ class Mesh {
   void PumpLink(CoreId node, Dir d);
   void DeliverLocal(InFlight flight, Cycle penalty);
 
-  sim::Engine& EngineAt(CoreId node) {
-    return domain_ != nullptr ? domain_->EngineFor(node) : engine_;
-  }
-
   sim::Engine& engine_;
-  sim::ExecutionDomain* domain_ = nullptr;
   MeshConfig cfg_;
   std::vector<Router> routers_;
   FaultHook fault_;

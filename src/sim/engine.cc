@@ -45,14 +45,14 @@ Engine::Node* Engine::AllocNode() {
 }
 
 void Engine::ScheduleAt(Cycle at, Callback fn) {
-  GLB_DCHECK(at >= floor_) << "scheduling into the past: at=" << at
-                           << " floor=" << floor_;
+  GLB_DCHECK(at >= now_) << "scheduling into the past: at=" << at
+                         << " now=" << now_;
   GLB_DCHECK(static_cast<bool>(fn)) << "null event callback";
   Node* n = AllocNode();
   n->next = nullptr;
   n->fn = std::move(fn);
   ++pending_;
-  if (at - floor_ < kRingCycles) {
+  if (at - now_ < kRingCycles) {
     // Near future: append to the cycle's FIFO bucket. No allocation, no
     // heap sift — the common case (mesh hops, cache latencies, G-line
     // flushes, even DRAM fills are all inside the ring window).
@@ -152,7 +152,6 @@ RunStatus Engine::RunUntilIdleStatus(Cycle max_cycles) {
                        .next_event_at = next};
     }
     now_ = next;
-    floor_ = next;
     RunCurrentCycle();
   }
   return RunStatus{.idle = true, .now = now_, .pending_events = 0,
@@ -165,27 +164,9 @@ void Engine::RunUntil(Cycle until) {
     const Cycle next = NextEventCycle();
     if (next > until) break;
     now_ = next;
-    floor_ = next;
     RunCurrentCycle();
   }
   now_ = until;
-  floor_ = until;
-}
-
-void Engine::RunWindow(Cycle limit) {
-  prof::Scope prof_scope(prof::Cat::kEngine);
-  GLB_DCHECK(now_ == floor_) << "RunWindow outside a BeginWindow";
-  while (pending_ > 0) {
-    const Cycle next = NextEventCycle();
-    if (next >= limit) break;
-    now_ = next;
-    RunCurrentCycle();
-  }
-  // Park the clock back at the floor: passes over the same window may
-  // still insert events at cycles this pass already passed, and
-  // NextEventCycle's ring scan starts at Now(). Invariant: outside
-  // RunWindow, Now() == floor.
-  now_ = floor_;
 }
 
 }  // namespace glb::sim

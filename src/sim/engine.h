@@ -85,32 +85,6 @@ class Engine {
   /// Runs all events with cycle <= `until`, then sets Now() to `until`.
   void RunUntil(Cycle until);
 
-  // --- conservative-window mode (sharded domain; docs/PERFORMANCE.md) --
-  //
-  // A window pass runs every event with cycle < limit, like RunUntil
-  // but exclusive and without advancing Now() past the last event. The
-  // sharded scheduler interleaves passes over the same window (shard
-  // threads, then the hub, repeated until the window drains), so events
-  // may be inserted for cycles the clock already passed within the
-  // window; BeginWindow rewinds Now() to the window base first. Ring
-  // placement is keyed off the window floor rather than Now(), which
-  // makes insertions at any cycle >= floor legal while keeping the
-  // <1024-cycle live span collision-free (all pre-window events are
-  // >= the previous window's end).
-
-  /// Rewinds the clock to the window base. Requires that every pending
-  /// event is at cycle >= `floor`.
-  void BeginWindow(Cycle floor) {
-    GLB_DCHECK(pending_ == 0 || NextEventCycle() >= floor)
-        << "BeginWindow below a pending event";
-    now_ = floor;
-    floor_ = floor;
-  }
-
-  /// Runs every pending event with cycle < `limit` (in the same
-  /// (cycle, insertion) order as the non-windowed loops).
-  void RunWindow(Cycle limit);
-
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t pending_events() const { return pending_; }
   bool idle() const { return pending_ == 0; }
@@ -191,11 +165,6 @@ class Engine {
   std::size_t carved_ = kNodesPerChunk;
 
   Cycle now_ = 0;
-  /// Ring-placement base: equal to now_ in the non-windowed loops, the
-  /// window start between BeginWindow and the window's completion.
-  /// ScheduleAt accepts any at >= floor_ and buckets at - floor_ <
-  /// kRingCycles into the ring.
-  Cycle floor_ = 0;
   std::size_t pending_ = 0;
   /// Subset of pending_ sitting in ring buckets (saves scanning the
   /// occupancy bitmap to learn the ring is empty).

@@ -96,7 +96,7 @@ core::Task TunedBarrier::Negotiate(core::Core& core) {
     core::CategoryScope scope(core, core::TimeCat::kBarrier);
     if (me == 0) {
       // Simulated time over the warmup episodes — deterministic for any
-      // --jobs/--shards split, unlike host-side arrival order.
+      // --jobs value, unlike host-side arrival order.
       const double period = static_cast<double>(core.engine().Now()) /
                             static_cast<double>(kWarmupEpisodes);
       const std::size_t idx = ChoiceIndex(num_cores_, period);

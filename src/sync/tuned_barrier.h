@@ -5,7 +5,7 @@
 // (DSW), which is robust at any core count. When core 0 returns for its
 // first post-warmup episode it computes the measured barrier period
 // (its local simulated cycle count / warmup episodes — simulated time,
-// so the measurement is deterministic for any --jobs/--shards split),
+// so the measurement is deterministic for any --jobs value),
 // looks up TunedChoice(cores, period), and publishes the winner through
 // a simulated memory word every other core spins on — the decision
 // propagates through the coherent fabric exactly like a real runtime's

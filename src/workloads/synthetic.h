@@ -6,8 +6,6 @@
 // runtime divided by 4*iterations. This is the Figure-5 workload.
 #pragma once
 
-#include <atomic>
-
 #include "workloads/workload.h"
 
 namespace glb::workloads {
@@ -30,10 +28,10 @@ class Synthetic final : public Workload {
     for (std::uint32_t it = 0; it < iterations_; ++it) {
       for (int b = 0; b < 4; ++b) {
         co_await barrier.Wait(core);
-        // Per-instance count (atomic: cores run on shard threads), so
-        // Validate holds when other tenants share the chip and the
-        // chip-global "core.barriers" counter mixes everyone's waits.
-        waits_.fetch_add(1, std::memory_order_relaxed);
+        // Per-instance count, so Validate holds when other tenants
+        // share the chip and the chip-global "core.barriers" counter
+        // mixes everyone's waits.
+        ++waits_;
       }
     }
   }
@@ -41,7 +39,7 @@ class Synthetic final : public Workload {
   std::string Validate(cmp::CmpSystem& sys) override {
     const std::uint64_t expected =
         std::uint64_t{4} * iterations_ * Participants(sys);
-    const std::uint64_t got = waits_.load(std::memory_order_relaxed);
+    const std::uint64_t got = waits_;
     if (got != expected) {
       return "barrier count mismatch: got " + std::to_string(got) + ", expected " +
              std::to_string(expected);
@@ -53,7 +51,7 @@ class Synthetic final : public Workload {
 
  private:
   std::uint32_t iterations_;
-  std::atomic<std::uint64_t> waits_{0};
+  std::uint64_t waits_ = 0;
 };
 
 }  // namespace glb::workloads

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "coherence/checker.h"
@@ -38,8 +39,12 @@ struct Params {
   /// Byte distance between consecutive pool lines. 64 = contiguous;
   /// larger strides aim every line at the same home bank and the same
   /// L1 set, maximizing evictions, recalls and message-overtake races.
-  std::uint32_t line_stride = 64;
+  std::uint64_t line_stride = 64;
 };
+
+// gtest names each instance after a byte dump of its Params; with no
+// padding bytes that dump is the same in every build and every launch.
+static_assert(std::has_unique_object_representations_v<Params>, "no padding");
 
 class RandomTraffic : public ::testing::TestWithParam<Params> {};
 

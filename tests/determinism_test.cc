@@ -157,20 +157,17 @@ TEST(Determinism, GlhPoint256ManifestIsByteIdenticalAcrossRuns) {
   EXPECT_NE(a.find("\"hier\""), std::string::npos);
 }
 
-/// A 1024-core (32x32) hierarchical-barrier EM3D run under the sharded
-/// conservative-window engine, serialized as the full JSON manifest.
-/// `work_skew` layers the deterministic straggler knob on top. All
-/// host-side fields are zeroed: wall clock and events/sec are
+/// A 1024-core (32x32) hierarchical-barrier EM3D run, serialized as the
+/// full JSON manifest. `work_skew` layers the deterministic straggler
+/// knob on top. All host-side fields are zeroed: wall clock and events/sec are
 /// non-deterministic by nature, and host_events depends on the
 /// execution strategy (fast-forward replays whole compute phases as
 /// single events — that is the point), while every simulated result
 /// must stay byte-identical.
-std::string Em3dShardedManifest(std::uint32_t shards, bool fast_forward,
-                                double work_skew) {
+std::string Em3dManifest(bool fast_forward, double work_skew) {
   std::ostringstream os;
   cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(1024);
   cfg.hier.enabled = true;
-  cfg.shards = shards;
   cfg.fast_forward = fast_forward;
   cfg.fault.work_skew = work_skew;
   cmp::CmpSystem sys(cfg);
@@ -200,69 +197,20 @@ std::string Em3dShardedManifest(std::uint32_t shards, bool fast_forward,
   return os.str();
 }
 
-TEST(Determinism, Em3d1024ManifestIsShardAndFastForwardInvariant) {
-  const std::string base = Em3dShardedManifest(1, false, 0.0);
+TEST(Determinism, Em3d1024ManifestIsFastForwardInvariant) {
+  const std::string base = Em3dManifest(false, 0.0);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(base, Em3dShardedManifest(2, false, 0.0));
-  EXPECT_EQ(base, Em3dShardedManifest(4, false, 0.0));
-  EXPECT_EQ(base, Em3dShardedManifest(1, true, 0.0));
-  EXPECT_EQ(base, Em3dShardedManifest(2, true, 0.0));
-  EXPECT_EQ(base, Em3dShardedManifest(4, true, 0.0));
+  EXPECT_EQ(base, Em3dManifest(true, 0.0));
 }
 
-TEST(Determinism, Em3d1024StragglerManifestIsShardInvariant) {
+TEST(Determinism, Em3d1024StragglerManifestIsFastForwardInvariant) {
   // Deterministic stragglers (work_skew stretches core i's compute by
-  // 1 + S*i/(n-1)) are the one fault family windowed runs support; the
-  // skewed schedule must stay layout-invariant too.
-  const std::string base = Em3dShardedManifest(1, false, 0.25);
+  // 1 + S*i/(n-1)) change every phase length; the replayed skewed
+  // schedule must still match the fully simulated one.
+  const std::string base = Em3dManifest(false, 0.25);
   ASSERT_FALSE(base.empty());
-  EXPECT_NE(base, Em3dShardedManifest(1, false, 0.0));  // the knob really bites
-  EXPECT_EQ(base, Em3dShardedManifest(4, false, 0.25));
-  EXPECT_EQ(base, Em3dShardedManifest(2, true, 0.25));
-}
-
-/// One 256-core Synthetic run of a zoo barrier, serialized as the full
-/// JSON run manifest, host-timing fields zeroed. shards=0 is the
-/// single-domain engine; >=1 the sharded conservative-window engine.
-std::string ZooManifest256(harness::BarrierKind kind, std::uint32_t shards) {
-  std::ostringstream os;
-  cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(256);
-  cfg.shards = shards;
-  cmp::CmpSystem sys(cfg);
-  workloads::Synthetic wl(10);
-  wl.Init(sys);
-  auto barrier = harness::MakeBarrier(kind, sys);
-  const sim::RunStatus status = sys.RunProgramsStatus(
-      [&](core::Core& core, CoreId id) { return wl.Body(core, id, *barrier); });
-  harness::RunMetrics m =
-      harness::CollectMetrics(sys, status, wl, harness::ToString(kind));
-  EXPECT_TRUE(m.completed) << harness::ToString(kind);
-  EXPECT_TRUE(m.validation.empty()) << m.validation;
-  m.wall_ms = 0.0;
-  m.events_per_sec = 0.0;
-  m.host_events = 0;
-  harness::ManifestOptions opts;
-  opts.tool = "determinism_test";
-  harness::WriteRunManifest(os, m, cfg, sys.stats(), opts);
-  return os.str();
-}
-
-/// Every zoo barrier (and the tuned meta-barrier, whose negotiation
-/// round-trips through simulated memory) must produce byte-identical
-/// manifests across shard counts on the sharded engine — the spin/flag
-/// protocols may not depend on host scheduling. (Like the EM3D shard
-/// contract above, this compares shards 1 vs 2, not legacy vs sharded:
-/// the window engine registers extra coherence counters and commits in
-/// canonical order, so its manifests differ from shards=0 by design.)
-TEST(Determinism, ZooBarriers256ManifestsAreShardInvariant) {
-  for (const auto kind :
-       {harness::BarrierKind::kRDBL, harness::BarrierKind::kBRUCK,
-        harness::BarrierKind::kTOURN, harness::BarrierKind::kRING,
-        harness::BarrierKind::kGALOIS, harness::BarrierKind::kTUNED}) {
-    const std::string base = ZooManifest256(kind, 1);
-    ASSERT_FALSE(base.empty());
-    EXPECT_EQ(base, ZooManifest256(kind, 2)) << harness::ToString(kind);
-  }
+  EXPECT_NE(base, Em3dManifest(false, 0.0));  // the knob really bites
+  EXPECT_EQ(base, Em3dManifest(true, 0.25));
 }
 
 /// The parallel-experiment harness (--jobs 2: two runs in flight on

@@ -16,7 +16,6 @@
 
 #include "common/rng.h"
 #include "sim/engine.h"
-#include "sim/sharded_domain.h"
 
 namespace glb::sim {
 namespace {
@@ -203,77 +202,6 @@ TEST(EngineStress, FarHeapEventsLandInRing) {
   EXPECT_TRUE(e.RunUntilIdle());
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(e.far_pending(), 0u);
-}
-
-/// Sharded conservative-window scenario with every handoff latency
-/// pinned to the structural edges of the window logic: exactly the
-/// window length W (the handoff lands exactly on the next window
-/// boundary t1, the earliest a cross-shard event can legally arrive),
-/// W+1, and 2W. Per-tile firing records must be identical for every
-/// shard count — the canonical (cycle, src_tile, seq) merge order makes
-/// the layout unobservable.
-std::vector<Trace> RunWindowBoundaryScenario(
-    std::uint32_t shards, ShardedDomainConfig::Threading threading) {
-  constexpr std::uint32_t kTiles = 8;
-  constexpr Cycle kWindow = 4;
-  Engine hub;
-  ShardedDomainConfig cfg;
-  cfg.num_tiles = kTiles;
-  cfg.num_shards = shards;
-  cfg.window = kWindow;
-  cfg.threading = threading;
-  ShardedDomain dom(hub, cfg);
-
-  // Tile-confined state only: each tile's trace and id counter are
-  // touched exclusively by that tile's shard thread.
-  std::vector<Trace> rec(kTiles);
-  std::vector<int> next_local(kTiles, 0);
-
-  auto fire = std::make_shared<std::function<void(std::uint32_t, int)>>();
-  *fire = [&dom, &rec, &next_local, fire](std::uint32_t tile, int depth) {
-    Engine& e = dom.EngineFor(tile);
-    const int id = static_cast<int>(tile) * 1000 + next_local[tile]++;
-    rec[tile].emplace_back(e.Now(), id);
-    if (depth == 0) return;
-    // Three handoffs to three tiles, hugging the window boundary.
-    const Cycle lat[] = {kWindow, kWindow + 1, 2 * kWindow};
-    for (int k = 0; k < 3; ++k) {
-      const auto dst = (tile + 1 + static_cast<std::uint32_t>(k)) % kTiles;
-      dom.PostToTile(tile, dst, e.Now() + lat[k],
-                     [fire, dst, depth]() { (*fire)(dst, depth - 1); });
-    }
-  };
-
-  for (std::uint32_t t = 0; t < kTiles; ++t) {
-    // Roots land mid-window and exactly on window boundaries.
-    dom.EngineFor(t).ScheduleAt(t % (kWindow + 1),
-                                [fire, t]() { (*fire)(t, 3); });
-  }
-  EXPECT_TRUE(dom.RunUntilIdleStatus().idle);
-  *fire = nullptr;  // break the shared_ptr self-reference cycle
-  return rec;
-}
-
-TEST(EngineStress, WindowBoundaryHandoffsAreShardCountInvariant) {
-  // Both host execution policies must match the 1-shard reference:
-  // kSerial (what a 1-CPU host runs) and kThreads (the cross-thread
-  // rendezvous, forced so it is exercised on any host).
-  const std::vector<Trace> one =
-      RunWindowBoundaryScenario(1, ShardedDomainConfig::Threading::kAuto);
-  std::size_t fired = 0;
-  for (const Trace& t : one) fired += t.size();
-  ASSERT_GT(fired, 8u * 10u) << "scenario degenerated";
-  for (const std::uint32_t shards : {2u, 3u, 4u, 8u}) {
-    for (const auto threading : {ShardedDomainConfig::Threading::kSerial,
-                                 ShardedDomainConfig::Threading::kThreads}) {
-      const std::vector<Trace> many =
-          RunWindowBoundaryScenario(shards, threading);
-      ASSERT_EQ(one, many)
-          << "divergence at shards=" << shards << " threading="
-          << (threading == ShardedDomainConfig::Threading::kSerial ? "serial"
-                                                                   : "threads");
-    }
-  }
 }
 
 TEST(EngineStress, HeapBeforeBucketAtSameCycle) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "cmp/cmp_system.h"
@@ -61,6 +62,12 @@ struct BarrierParam {
   std::uint32_t rows, cols;
   int episodes;
 };
+
+// Prints "CSW 2x2 x10" instead of gtest's raw byte dump, which embeds
+// the address of `kind` and so changes from one build to the next.
+void PrintTo(const BarrierParam& p, std::ostream* os) {
+  *os << p.kind << ' ' << p.rows << 'x' << p.cols << " x" << p.episodes;
+}
 
 class BarrierProperty : public ::testing::TestWithParam<BarrierParam> {};
 

@@ -1,8 +1,8 @@
 // Pins the multi-tenant determinism contract (harness/tenants.h): the
 // full JSON run manifest of a space-shared run — chip block, stats
 // (including every "tenant.<name>.*" counter/histogram) and the
-// tenants[] array — is byte-identical across repeated runs, across
-// --shards values, and RunTenantsParallel results are --jobs-invariant.
+// tenants[] array — is byte-identical across repeated runs, and
+// RunTenantsParallel results are --jobs-invariant.
 // Host-timing fields are zeroed before serialization: they are
 // wall-clock, explicitly outside the guarantee.
 #include <gtest/gtest.h>
@@ -22,10 +22,9 @@ namespace {
 /// on the left half, a recursive-doubling software tenant on the right.
 /// Exercises rect-local hardware construction, rank renumbering, and
 /// software barriers over the shared fabric in one manifest.
-harness::RunSpec SplitChipSpec(std::uint32_t shards) {
+harness::RunSpec SplitChipSpec() {
   harness::RunSpec spec;
   spec.cfg = cmp::CmpConfig::WithCores(256);  // 16x16
-  spec.cfg.shards = shards;
   harness::Scale scale;
   scale.synthetic_iters = 20;
   spec.tenants.push_back(harness::NamedTenant("fg", cmp::Rect{0, 0, 16, 8},
@@ -37,8 +36,8 @@ harness::RunSpec SplitChipSpec(std::uint32_t shards) {
   return spec;
 }
 
-std::string SplitChipManifest(std::uint32_t shards) {
-  const harness::RunSpec spec = SplitChipSpec(shards);
+std::string SplitChipManifest() {
+  const harness::RunSpec spec = SplitChipSpec();
   EXPECT_EQ(harness::ValidateRunSpec(spec), "");
   cmp::CmpSystem sys(spec.cfg);
   harness::MultiRunMetrics mm = harness::RunTenantsOn(sys, spec);
@@ -56,8 +55,8 @@ std::string SplitChipManifest(std::uint32_t shards) {
 }
 
 TEST(TenantDeterminism, SplitChipManifestIsByteIdenticalAcrossRuns) {
-  const std::string a = SplitChipManifest(1);
-  const std::string b = SplitChipManifest(1);
+  const std::string a = SplitChipManifest();
+  const std::string b = SplitChipManifest();
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   // The per-tenant surface really is in the manifest: the tenants[]
@@ -67,13 +66,6 @@ TEST(TenantDeterminism, SplitChipManifestIsByteIdenticalAcrossRuns) {
   EXPECT_NE(a.find("tenant.fg.wait_cycles"), std::string::npos);
   EXPECT_NE(a.find("tenant.fg.glh."), std::string::npos);
   EXPECT_NE(a.find("tenant.bg.wait_cycles"), std::string::npos);
-}
-
-TEST(TenantDeterminism, SplitChipManifestIsShardInvariant) {
-  const std::string one = SplitChipManifest(1);
-  const std::string two = SplitChipManifest(2);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, two);
 }
 
 TEST(TenantDeterminism, RunTenantsParallelIsJobsInvariant) {

@@ -61,12 +61,6 @@ void Usage() {
       "                           --tenant bg:4x4@0,4:Kernel3:RDBL --json\n"
       "host execution (simulated results are identical for every setting;\n"
       "see docs/PERFORMANCE.md):\n"
-      "  --shards N      run the simulation across N host threads with the\n"
-      "                  conservative-window engine; any N >= 1 is\n"
-      "                  byte-identical to --shards 1 (0 = legacy\n"
-      "                  single-threaded engine, the default). Incompatible\n"
-      "                  with --trace, resilient-G-line mode and all fault\n"
-      "                  knobs except --fault_slow/--fault_skew\n"
       "  --fast-forward  replay exactly periodic steady-state compute phases\n"
       "                  as single events once detected (barrier traffic and\n"
       "                  all stats stay exact; auto-refused for runs with\n"
@@ -300,7 +294,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
   power::Print(std::cout, energy);
   std::cout << "  validation      "
             << (mm.run.validation.empty() ? "ok" : mm.run.validation) << '\n';
-  std::cout << "  host events     " << sys.HostEvents() << '\n';
+  std::cout << "  host events     " << sys.engine().events_processed() << '\n';
   if (sampler.enabled()) {
     std::cout << "  timeseries      " << sampler.samples().size()
               << " samples @ " << sampler.interval() << " cycles\n";
@@ -512,7 +506,7 @@ int main(int argc, char** argv) {
   power::Print(std::cout, energy);
   std::cout << "  validation      " << (validation.empty() ? "ok" : validation)
             << '\n';
-  std::cout << "  host events     " << sys.HostEvents() << '\n';
+  std::cout << "  host events     " << sys.engine().events_processed() << '\n';
   if (want_profile) {
     std::cout << "  host profile    total "
               << static_cast<double>(prof_snap.total_ns()) / 1e6 << " ms:";
