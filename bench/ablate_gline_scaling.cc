@@ -37,7 +37,7 @@ Result RunBarrier(std::uint32_t rows, std::uint32_t cols) {
   std::vector<Cycle> released(n, 0);
   engine.ScheduleAt(100, [&]() {
     for (CoreId c = 0; c < n; ++c) {
-      net.Arrive(0, c, [&, c]() { released[c] = engine.Now(); });
+      net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
     }
   });
   engine.RunUntilIdle();

@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
                " episode (compute excluded).\nNo G-line faults are injected:"
                " every Timeout/Degraded entry is a FALSE degradation\n(the"
                " watchdog mistaking a straggler for a dead network); Rejoins"
-               " counts degraded\ncontexts that shadow-probed the healthy"
+               " counts degraded\nnetworks that shadow-probed the healthy"
                " hardware path and returned to it.\n";
 
   if (common.json()) {

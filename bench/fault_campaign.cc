@@ -114,9 +114,9 @@ RunResult RunOnce(bool hier, const fault::FaultPlan& base, double drop_rate,
   }
   auto arrive = [&](CoreId c, std::function<void()> cb) {
     if (hier) {
-      hnet->Arrive(0, c, std::move(cb));
+      hnet->Arrive(c, std::move(cb));
     } else {
-      flat->Arrive(0, c, std::move(cb));
+      flat->Arrive(c, std::move(cb));
     }
   };
 

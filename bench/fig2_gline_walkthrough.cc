@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   std::vector<Cycle> released(n, kCycleNever);
   engine.ScheduleAt(0, [&]() {
     for (CoreId c = 0; c < n; ++c) {
-      net.Arrive(0, c, [&, c]() { released[c] = engine.Now(); });
+      net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
     }
   });
 
@@ -47,13 +47,13 @@ int main(int argc, char** argv) {
     engine.RunUntil(t);
     std::cout << "Cycle " << t << ":\n";
     for (std::uint32_t r = 0; r < rows; ++r) {
-      std::cout << "  row " << r << ": MasterH=" << master_name(net.MasterHState(0, r))
-                << " ScntH=" << net.ScntH(0, r) << " Mcnt=" << net.McntH(0, r);
-      if (r > 0) std::cout << "  SlaveV=" << slave_name(net.SlaveVState(0, r));
+      std::cout << "  row " << r << ": MasterH=" << master_name(net.MasterHState(r))
+                << " ScntH=" << net.ScntH(r) << " Mcnt=" << net.McntH(r);
+      if (r > 0) std::cout << "  SlaveV=" << slave_name(net.SlaveVState(r));
       std::cout << '\n';
     }
-    std::cout << "  MasterV=" << master_name(net.MasterVState(0))
-              << " ScntV=" << net.ScntV(0) << '\n';
+    std::cout << "  MasterV=" << master_name(net.MasterVState())
+              << " ScntV=" << net.ScntV() << '\n';
     bool any = false;
     std::cout << "  released:";
     for (CoreId c = 0; c < n; ++c) {

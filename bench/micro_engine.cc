@@ -206,7 +206,7 @@ void BM_GlineBarrierEpisode(benchmark::State& state) {
     const Cycle t = engine.Now() + 1;
     engine.ScheduleAt(t, [&]() {
       for (CoreId c = 0; c < cores; ++c) {
-        net.Arrive(0, c, []() {});
+        net.Arrive(c, []() {});
       }
     });
     engine.RunUntilIdle();

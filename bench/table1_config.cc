@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   t.AddRow({"Router pipeline / link latency",
             std::to_string(cfg.noc.router_latency) + " / " +
                 std::to_string(cfg.noc.link_latency) + " cycles"});
-  t.AddRow({"G-line barrier contexts", std::to_string(cfg.gline.contexts)});
   t.AddRow({"G-line transmitter budget", std::to_string(cfg.gline.max_transmitters)});
 
   std::cout << "Table 1: CMP baseline configuration\n\n";
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
 
   // Derived G-line budget, per the paper's 2x(rows+1) formula.
   glb::cmp::CmpSystem sys(cfg);
-  std::cout << "\nG-lines deployed per barrier context: "
-            << sys.gline().total_lines() / cfg.gline.contexts << " (2 x (rows+1))\n";
+  std::cout << "\nG-lines deployed: " << sys.gline().total_lines()
+            << " (2 x (rows+1))\n";
   return 0;
 }

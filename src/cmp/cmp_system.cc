@@ -33,15 +33,15 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
       mesh_(engine_, MeshConfigFor(cfg), stats_),
       fabric_(engine_, mesh_, backing_, cfg.coherence, cfg.l1, cfg.l2, stats_),
       gline_(engine_, cfg.rows, cfg.cols, cfg.gline, stats_) {
+  core::BarrierDevice* dev = &gline_;
   if (cfg.hier.enabled) {
     hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
         engine_, cfg.rows, cfg.cols, cfg.hier, stats_);
+    dev = hier_.get();
   }
   if (cfg.fast_forward && cfg.fault.script.empty()) {
     ff_ = std::make_unique<FastForwardController>(stats_, cfg.num_cores());
   }
-  core::BarrierDevice* dev =
-      hier_ != nullptr ? hier_->Device(0) : gline_.Device(0);
   if (ff_ != nullptr) dev = ff_->Wrap(dev);
   chip_dev_ = dev;
   cores_.reserve(cfg.num_cores());
@@ -52,20 +52,14 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
   }
 
   if (cfg.gline.resilient()) {
-    // Degraded-mode fallback: a hybrid barrier unit per context at a
-    // central tile, reached over the coherent data NoC.
-    const CoreId home = mesh_.NodeAt(cfg.rows / 2, cfg.cols / 2);
-    for (std::uint32_t ctx = 0; ctx < cfg.gline.contexts; ++ctx) {
-      fallback_units_.push_back(std::make_unique<sync::HybridBarrierUnit>(
-          mesh_, home, cfg.num_cores(), stats_));
-    }
-    gline_.SetFallback(
-        [this](std::uint32_t ctx, CoreId core, std::function<void()> on_release) {
-          fallback_units_[ctx]->Arrive(core, std::move(on_release));
-        },
-        [this](std::uint32_t ctx, std::uint32_t expected) {
-          fallback_units_[ctx]->SetExpected(expected);
-        });
+    // Degraded-mode fallback: a hybrid barrier unit at a central tile,
+    // reached over the coherent data NoC.
+    fallback_unit_ = std::make_unique<sync::HybridBarrierUnit>(
+        mesh_, mesh_.NodeAt(cfg.rows / 2, cfg.cols / 2), cfg.num_cores(), stats_);
+    gline_.SetFallback([unit = fallback_unit_.get()](
+                           CoreId core, std::function<void()> on_release) {
+      unit->Arrive(core, std::move(on_release));
+    });
   }
 
   if (cfg.fault.enabled()) {

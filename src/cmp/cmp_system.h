@@ -77,7 +77,7 @@ class CmpSystem {
   /// The hierarchical network, or nullptr unless cfg.hier.enabled.
   gline::HierarchicalBarrierNetwork* hier() { return hier_.get(); }
   /// The chip-default barrier device every core is wired to at
-  /// construction (hier if enabled, else flat G-line context 0, behind
+  /// construction (hier if enabled, else the flat G-line network, behind
   /// the fast-forward wrapper when that is on). PartitionManager swaps
   /// member cores onto tenant devices and restores this on teardown.
   core::BarrierDevice* chip_barrier_device() { return chip_dev_; }
@@ -124,9 +124,9 @@ class CmpSystem {
   std::unique_ptr<gline::HierarchicalBarrierNetwork> hier_;
   std::vector<std::unique_ptr<core::Core>> cores_;
   core::BarrierDevice* chip_dev_ = nullptr;
-  /// Degraded-mode software fallback: one hybrid barrier unit per G-line
-  /// context, over the data NoC (built only in resilient mode).
-  std::vector<std::unique_ptr<sync::HybridBarrierUnit>> fallback_units_;
+  /// Degraded-mode software fallback: a hybrid barrier unit over the
+  /// data NoC (built only in resilient mode).
+  std::unique_ptr<sync::HybridBarrierUnit> fallback_unit_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<FastForwardController> ff_;
 };

@@ -159,14 +159,13 @@ void Tenant::Attach() {
   // and the cluster clamp makes unreachable for kGLH.
   if (cfg_.barrier == sync::BarrierKind::kGL) {
     gline::BarrierNetConfig net;
-    net.contexts = 1;
     net.max_transmitters = cfg_.max_transmitters;
     net.policy = gline::TxPolicy::kReject;
     net.stat_prefix = prefix_ + ".gl";
     gline_ = std::make_unique<gline::BarrierNetwork>(
         sys_.engine(), rect.rows, rect.cols, net, sys_.stats());
     rect_device_ = std::make_unique<RectDevice>(rect, sys_.config().cols,
-                                                gline_->Device(0));
+                                                gline_.get());
   } else if (cfg_.barrier == sync::BarrierKind::kGLH) {
     gline::HierConfig h;
     h.max_transmitters = cfg_.max_transmitters;
@@ -178,7 +177,7 @@ void Tenant::Attach() {
     hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
         sys_.engine(), rect.rows, rect.cols, h, sys_.stats());
     rect_device_ = std::make_unique<RectDevice>(rect, sys_.config().cols,
-                                                hier_->Device(0));
+                                                hier_.get());
   }
 
   // Renumber members to dense ranks 0..P-1 (row-major within the rect)

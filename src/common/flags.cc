@@ -31,7 +31,16 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  read_.insert(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Flags::Has(const std::string& name) const { return Find(name) != nullptr; }
+
 std::vector<std::string> Flags::GetStrings(const std::string& name) const {
+  read_.insert(name);
   std::vector<std::string> out;
   for (const auto& [n, v] : ordered_) {
     if (n == name) out.push_back(v);
@@ -40,24 +49,32 @@ std::vector<std::string> Flags::GetStrings(const std::string& name) const {
 }
 
 std::string Flags::GetString(const std::string& name, std::string def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? def : *v;
 }
 
 std::int64_t Flags::GetInt(const std::string& name, std::int64_t def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 0);
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 0);
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(name);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  return *v == "true" || *v == "1" || *v == "yes";
+}
+
+std::vector<std::string> Flags::Unread() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) out.push_back(name);
+  }
+  return out;
 }
 
 }  // namespace glb

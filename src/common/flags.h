@@ -3,16 +3,17 @@
 // Accepts "--name=value", "--name value" and bare "--name" (boolean
 // true). A repeated flag keeps its last value for the scalar getters
 // (historical behavior) and every value, in order, for GetStrings
-// (repeatable flags like glbsim's --tenant). Nothing checks names:
-// a flag no caller reads is silently ignored, so a typo'd or retired
-// flag leaves the default in place and the run still exits 0.
-// Rejecting unknown flags needs a declared per-binary flag schema
-// (ROADMAP.md item 7).
+// (repeatable flags like glbsim's --tenant). Every getter (and Has)
+// records the name it looked up, so a binary that has finished parsing
+// can reject what it never read: Unread() lists the passed flags no
+// lookup asked for — a typo or a retired flag. Binaries that never
+// call it still ignore unknown flags.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,7 +24,7 @@ class Flags {
  public:
   Flags(int argc, char** argv);
 
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  bool Has(const std::string& name) const;
 
   std::string GetString(const std::string& name, std::string def) const;
   std::int64_t GetInt(const std::string& name, std::int64_t def) const;
@@ -37,8 +38,17 @@ class Flags {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Passed flags that no getter or Has has looked up so far, in name
+  /// order.
+  std::vector<std::string> Unread() const;
+
  private:
+  /// Looks `name` up and records that it was read.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  /// Names looked up so far (passed or not).
+  mutable std::set<std::string> read_;
   /// Every (name, value) occurrence in command-line order.
   std::vector<std::pair<std::string, std::string>> ordered_;
   std::vector<std::string> positional_;

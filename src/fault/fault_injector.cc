@@ -99,18 +99,14 @@ void FaultInjector::Arm(gline::BarrierNetwork& net) {
   net.SetLineFaultHook([this](const gline::GLine& line, std::uint32_t count) {
     return AdjustCount(line, count);
   });
-  net.SetArrivalFaultHook([this](std::uint32_t ctx, CoreId core) {
-    return FreezeDelay(ctx, core);
-  });
+  net.SetArrivalFaultHook([this](CoreId core) { return FreezeDelay(core); });
 }
 
 void FaultInjector::Arm(gline::HierarchicalBarrierNetwork& net) {
   net.SetLineFaultHook([this](const gline::GLine& line, std::uint32_t count) {
     return AdjustCount(line, count);
   });
-  net.SetArrivalFaultHook([this](std::uint32_t ctx, CoreId core) {
-    return FreezeDelay(ctx, core);
-  });
+  net.SetArrivalFaultHook([this](CoreId core) { return FreezeDelay(core); });
 }
 
 void FaultInjector::Arm(noc::Mesh& mesh) {
@@ -176,8 +172,7 @@ std::uint32_t FaultInjector::AdjustCount(const gline::GLine& line,
   return count;
 }
 
-Cycle FaultInjector::FreezeDelay(std::uint32_t ctx, CoreId core) {
-  (void)ctx;
+Cycle FaultInjector::FreezeDelay(CoreId core) {
   std::int32_t mag = 0;
   bool freeze = ConsumeScript(FaultSite::kCoreFreeze, std::to_string(core), &mag);
   if (!freeze && plan_.core_freeze_rate > 0 &&

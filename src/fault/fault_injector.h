@@ -60,7 +60,7 @@ class FaultInjector {
 
   /// Cycles a core's bar_reg write is stalled before it reaches the
   /// controllers (0 = not frozen).
-  Cycle FreezeDelay(std::uint32_t ctx, CoreId core);
+  Cycle FreezeDelay(CoreId core);
 
   /// Extra cycles a NoC transfer suffers (delay and/or CRC-retransmit).
   Cycle LinkPenalty(const noc::Packet& pkt);

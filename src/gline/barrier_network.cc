@@ -13,229 +13,120 @@ namespace glb::gline {
 BarrierNetwork::BarrierNetwork(sim::Engine& engine, std::uint32_t rows,
                                std::uint32_t cols, const BarrierNetConfig& cfg,
                                StatSet& stats)
-    : engine_(engine), rows_(rows), cols_(cols), cfg_(cfg), stats_(stats) {
+    : engine_(engine), rows_(rows), cols_(cols), cfg_(cfg) {
   GLB_CHECK(rows > 0 && cols > 0) << "empty mesh";
-  GLB_CHECK(cfg.contexts > 0) << "need at least one barrier context";
   GLB_CHECK(!cfg.stat_prefix.empty()) << "empty stat prefix";
   const std::string& pfx = cfg_.stat_prefix;
   completed_ = stats.GetCounter(pfx + ".barriers_completed");
   signals_ = stats.GetCounter(pfx + ".signals");
   release_latency_ = stats.GetHistogram(pfx + ".release_latency");
   episode_span_ = stats.GetHistogram(pfx + ".episode_span");
+  const std::string ctx_pfx = pfx + ".ctx0.";
+  auto pair = [&](const std::string& name) {
+    return CounterPair{stats.GetCounter(ctx_pfx + name),
+                       stats.GetCounter(pfx + "." + name)};
+  };
   if (cfg.resilient()) {
-    timeouts_ = stats.GetCounter(pfx + ".timeouts");
-    retries_ = stats.GetCounter(pfx + ".retries");
-    miscounts_ = stats.GetCounter(pfx + ".miscounts");
-    degraded_episodes_ = stats.GetCounter(pfx + ".degraded_episodes");
+    timeouts_ = pair("timeouts");
+    retries_ = pair("retries");
+    miscounts_ = pair("miscounts");
+    degraded_episodes_ = pair("degraded_episodes");
+    recovery_latency_ = stats.GetHistogram(ctx_pfx + "recovery_latency");
   }
   if (cfg.rejoin_enabled()) {
-    probes_ = stats.GetCounter(pfx + ".probes");
-    probe_failures_ = stats.GetCounter(pfx + ".probe_failures");
-    rejoins_ = stats.GetCounter(pfx + ".rejoins");
+    probes_ = pair("probes");
+    probe_failures_ = pair("probe_failures");
+    rejoins_ = pair("rejoins");
+    rejoin_latency_ = stats.GetHistogram(ctx_pfx + "rejoin_latency");
   }
 
-  ctxs_.resize(cfg.contexts);
-  for (std::uint32_t ctx = 0; ctx < cfg.contexts; ++ctx) {
-    BuildContext(ctx);
-    devices_.push_back(std::make_unique<ContextDevice>(*this, ctx));
-  }
+  mh_.resize(rows_);
+  sh_.resize(num_cores());
+  sv_.resize(rows_);
+  release_cb_.resize(num_cores());
+  release_owed_.assign(num_cores(), false);
+  trace_.track = pfx + "/ctx0";
+  BuildLines(ctx_pfx);
 }
 
-core::BarrierDevice* BarrierNetwork::Device(std::uint32_t ctx) {
-  GLB_CHECK(ctx < devices_.size()) << "bad barrier context " << ctx;
-  return devices_[ctx].get();
-}
-
-void BarrierNetwork::BuildContext(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  c.mh.resize(rows_);
-  c.sh.resize(num_cores());
-  c.sv.resize(rows_);
-  c.participates.assign(num_cores(), true);
-  c.release_cb.resize(num_cores());
-  c.release_owed.assign(num_cores(), false);
-  c.trace.track = cfg_.stat_prefix + "/ctx" + std::to_string(ctx);
-  const std::string pfx = cfg_.stat_prefix + ".ctx" + std::to_string(ctx) + ".";
-  if (resilient()) {
-    c.timeouts = stats_.GetCounter(pfx + "timeouts");
-    c.retries = stats_.GetCounter(pfx + "retries");
-    c.miscounts = stats_.GetCounter(pfx + "miscounts");
-    c.degraded_episodes = stats_.GetCounter(pfx + "degraded_episodes");
-    c.recovery_latency = stats_.GetHistogram(pfx + "recovery_latency");
-  }
-  if (cfg_.rejoin_enabled()) {
-    c.probes = stats_.GetCounter(pfx + "probes");
-    c.probe_failures = stats_.GetCounter(pfx + "probe_failures");
-    c.rejoins = stats_.GetCounter(pfx + "rejoins");
-    c.rejoin_latency = stats_.GetHistogram(pfx + "rejoin_latency");
-  }
-
-  c.sgline_h.reserve(rows_);
-  c.mgline_h.reserve(rows_);
+void BarrierNetwork::BuildLines(const std::string& pfx) {
+  sgline_h_.reserve(rows_);
+  mgline_h_.reserve(rows_);
   for (std::uint32_t row = 0; row < rows_; ++row) {
     // Arrival line: cols-1 slave transmitters, master receives counts.
-    c.sgline_h.push_back(std::make_unique<GLine>(
+    sgline_h_.push_back(std::make_unique<GLine>(
         engine_, pfx + "sglineH" + std::to_string(row), cols_ - 1,
         cfg_.max_transmitters, cfg_.policy, signals_));
-    c.sgline_h.back()->AddReceiver([this, ctx, row](std::uint32_t count) {
-      Context& cc = ctxs_[ctx];
+    sgline_h_.back()->AddReceiver([this, row](std::uint32_t count) {
       // Stale wave from before the fallback took over — unless a
       // shadow-probe is deliberately exercising the gather path.
-      if (cc.degraded && !cc.probe_active) return;
-      MasterH& mh = cc.mh[row];
+      if (degraded_ && !probe_active_) return;
+      MasterH& mh = mh_[row];
       if (mh.state != MasterState::kAccounting) {
         GLB_CHECK(resilient())
             << "SglineH signal outside Accounting (row " << row << ")";
-        cc.miscounts->Inc();
-        miscounts_->Inc();
-        GLB_TRACE_EVENT(
-            trace::Sink().Instant(cc.trace.track, "miscount", engine_.Now()));
+        RecordMiscount();
         return;  // spurious/late signal; the watchdog owns recovery
       }
       mh.scnt += count;
-      if (mh.scnt > mh.expected) {
+      if (mh.scnt > cols_ - 1) {
         GLB_CHECK(resilient()) << "ScntH overflow in row " << row;
-        cc.miscounts->Inc();
-        miscounts_->Inc();
-        GLB_TRACE_EVENT(
-            trace::Sink().Instant(cc.trace.track, "miscount", engine_.Now()));
+        RecordMiscount();
         // Clamp: if the over-count completes the gather early, the
         // release guard in StartRelease detects it and recovers.
-        mh.scnt = mh.expected;
+        mh.scnt = cols_ - 1;
       }
-      CheckRowComplete(ctx, row);
+      CheckRowComplete(row);
     });
     // Release line: one master transmitter, every slave node listens.
-    c.mgline_h.push_back(std::make_unique<GLine>(
+    mgline_h_.push_back(std::make_unique<GLine>(
         engine_, pfx + "mglineH" + std::to_string(row), 1, cfg_.max_transmitters,
         cfg_.policy, signals_));
     for (std::uint32_t col = 1; col < cols_; ++col) {
       const CoreId node = NodeAt(row, col);
-      c.mgline_h.back()->AddReceiver(
-          [this, ctx, node](std::uint32_t) { ReleaseRowNode(ctx, node); });
+      mgline_h_.back()->AddReceiver([this, node](std::uint32_t) { ReleaseRowNode(node); });
     }
   }
 
-  c.sgline_v = std::make_unique<GLine>(engine_, pfx + "sglineV", rows_ - 1,
-                                       cfg_.max_transmitters, cfg_.policy, signals_);
-  c.sgline_v->AddReceiver([this, ctx](std::uint32_t count) {
-    Context& cc = ctxs_[ctx];
-    if (cc.degraded && !cc.probe_active) return;
-    MasterV& mv = cc.mv;
-    if (mv.state != MasterState::kAccounting) {
+  sgline_v_ = std::make_unique<GLine>(engine_, pfx + "sglineV", rows_ - 1,
+                                      cfg_.max_transmitters, cfg_.policy, signals_);
+  sgline_v_->AddReceiver([this](std::uint32_t count) {
+    if (degraded_ && !probe_active_) return;
+    if (mv_.state != MasterState::kAccounting) {
       GLB_CHECK(resilient()) << "SglineV signal outside Accounting";
-      cc.miscounts->Inc();
-      miscounts_->Inc();
-      GLB_TRACE_EVENT(
-          trace::Sink().Instant(cc.trace.track, "miscount", engine_.Now()));
+      RecordMiscount();
       return;
     }
-    mv.scnt += count;
-    if (mv.scnt > mv.expected) {
+    mv_.scnt += count;
+    if (mv_.scnt > rows_ - 1) {
       GLB_CHECK(resilient()) << "ScntV overflow";
-      cc.miscounts->Inc();
-      miscounts_->Inc();
-      GLB_TRACE_EVENT(
-          trace::Sink().Instant(cc.trace.track, "miscount", engine_.Now()));
-      mv.scnt = mv.expected;
+      RecordMiscount();
+      mv_.scnt = rows_ - 1;
     }
-    CheckVerticalComplete(ctx);
+    CheckVerticalComplete();
   });
 
-  c.mgline_v = std::make_unique<GLine>(engine_, pfx + "mglineV", 1,
-                                       cfg_.max_transmitters, cfg_.policy, signals_);
+  mgline_v_ = std::make_unique<GLine>(engine_, pfx + "mglineV", 1,
+                                      cfg_.max_transmitters, cfg_.policy, signals_);
   for (std::uint32_t row = 0; row < rows_; ++row) {
-    c.mgline_v->AddReceiver(
-        [this, ctx, row](std::uint32_t) { ReleaseColumnNode(ctx, row); });
-  }
-
-  RecomputeExpectations(c);
-}
-
-void BarrierNetwork::RecomputeExpectations(Context& c) {
-  c.expected_arrivals = 0;
-  for (std::uint32_t row = 0; row < rows_; ++row) {
-    MasterH& mh = c.mh[row];
-    mh.expected = 0;
-    for (std::uint32_t col = 1; col < cols_; ++col) {
-      if (c.participates[NodeAt(row, col)]) ++mh.expected;
-    }
-    mh.core_participates = c.participates[NodeAt(row, 0)];
-  }
-  c.mv.expected = rows_ - 1;  // every row relays, participating or not
-  for (CoreId n = 0; n < num_cores(); ++n) {
-    if (c.participates[n]) ++c.expected_arrivals;
+    mgline_v_->AddReceiver([this, row](std::uint32_t) { ReleaseColumnNode(row); });
   }
 }
 
-void BarrierNetwork::ResetControllers(Context& c) {
-  for (auto& mh : c.mh) mh = MasterH{.expected = mh.expected,
-                                     .core_participates = mh.core_participates};
-  for (auto& sh : c.sh) sh = SlaveH{};
-  for (auto& sv : c.sv) sv = SlaveV{};
-  const std::uint32_t expected = c.mv.expected;
-  c.mv = MasterV{};
-  c.mv.expected = expected;
-  for (auto& l : c.sgline_h) l->CancelPending();
-  for (auto& l : c.mgline_h) l->CancelPending();
-  c.sgline_v->CancelPending();
-  c.mgline_v->CancelPending();
+void BarrierNetwork::RecordMiscount() {
+  miscounts_.Inc();
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "miscount", engine_.Now()));
 }
 
-void BarrierNetwork::ResetContext(std::uint32_t ctx) {
-  GLB_CHECK(ctx < ctxs_.size()) << "bad barrier context " << ctx;
-  Context& c = ctxs_[ctx];
-  GLB_CHECK(c.arrived == 0) << "reset while a barrier is gathering";
-  for (const auto& cb : c.release_cb) {
-    GLB_CHECK(cb == nullptr) << "reset while a core awaits release";
-  }
-  ResetControllers(c);
-  if (resilient()) {
-    ++c.watchdog_token;  // cancel any in-flight watchdog
-    ++c.probe_token;     // and any in-flight probe timeout
-    c.retries_this_episode = 0;
-    c.release_inflight = false;
-    c.to_release = 0;
-    c.release_owed.assign(num_cores(), false);
-    c.recovering_since = kCycleNever;
-    c.fb_released = 0;
-    c.fb_arrived = 0;
-    c.fb_episodes_since_probe = 0;
-    c.probe_active = false;
-    c.probe_arrived = 0;
-    c.probe_streak = 0;
-    GLB_CHECK(c.internal_fb_waiters.empty()) << "reset while fallback gathering";
-    // `degraded` survives the reset: faulty hardware stays distrusted
-    // until a probe sequence clears it (or forever in v1 sticky mode).
-  }
-}
-
-void BarrierNetwork::SetParticipants(std::uint32_t ctx, const std::vector<bool>& mask) {
-  GLB_CHECK(ctx < ctxs_.size()) << "bad barrier context " << ctx;
-  Context& c = ctxs_[ctx];
-  GLB_CHECK(mask.size() == num_cores()) << "participation mask size mismatch";
-  ResetContext(ctx);
-  c.participates = mask;
-  RecomputeExpectations(c);
-  GLB_CHECK(c.expected_arrivals > 0) << "barrier with no participants";
-  if (c.degraded) {
-    if (fallback_reconfigure_ != nullptr) {
-      fallback_reconfigure_(ctx, c.expected_arrivals);
-    }
-    return;  // lines stay parked; the fallback handles everything
-  }
-  ArmAutonomousRows(ctx);
-}
-
-void BarrierNetwork::ArmAutonomousRows(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  for (std::uint32_t row = 0; row < rows_; ++row) {
-    const MasterH& mh = c.mh[row];
-    if (mh.state == MasterState::kAccounting && mh.expected == 0 &&
-        !mh.core_participates) {
-      CheckRowComplete(ctx, row);
-    }
-  }
+void BarrierNetwork::ResetControllers() {
+  for (auto& mh : mh_) mh = MasterH{};
+  for (auto& sh : sh_) sh = SlaveH{};
+  for (auto& sv : sv_) sv = SlaveV{};
+  mv_ = MasterV{};
+  for (auto& l : sgline_h_) l->CancelPending();
+  for (auto& l : mgline_h_) l->CancelPending();
+  sgline_v_->CancelPending();
+  mgline_v_->CancelPending();
 }
 
 // ---------------------------------------------------------------------------
@@ -243,325 +134,281 @@ void BarrierNetwork::ArmAutonomousRows(std::uint32_t ctx) {
 // ---------------------------------------------------------------------------
 
 void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
-  for (auto& c : ctxs_) {
-    for (auto& l : c.sgline_h) l->SetDeliverFaultHook(hook);
-    for (auto& l : c.mgline_h) l->SetDeliverFaultHook(hook);
-    c.sgline_v->SetDeliverFaultHook(hook);
-    c.mgline_v->SetDeliverFaultHook(hook);
-  }
+  for (auto& l : sgline_h_) l->SetDeliverFaultHook(hook);
+  for (auto& l : mgline_h_) l->SetDeliverFaultHook(hook);
+  sgline_v_->SetDeliverFaultHook(hook);
+  mgline_v_->SetDeliverFaultHook(hook);
 }
 
 void BarrierNetwork::SetArrivalFaultHook(ArrivalFaultHook hook) {
   arrival_fault_ = std::move(hook);
 }
 
-void BarrierNetwork::SetFallback(FallbackArrive arrive,
-                                 FallbackReconfigure reconfigure) {
-  for (const auto& c : ctxs_) {
-    GLB_CHECK(!c.degraded) << "fallback changed after a context degraded";
-  }
+void BarrierNetwork::SetFallback(FallbackArrive arrive) {
+  GLB_CHECK(!degraded_) << "fallback changed after the network degraded";
   fallback_arrive_ = std::move(arrive);
-  fallback_reconfigure_ = std::move(reconfigure);
 }
 
 // ---------------------------------------------------------------------------
 // Arrival / gather phase
 // ---------------------------------------------------------------------------
 
-void BarrierNetwork::Arrive(std::uint32_t ctx, CoreId core,
-                            std::function<void()> on_release) {
+void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
   prof::Scope prof_scope(prof::Cat::kBarrier);
-  GLB_CHECK(ctx < ctxs_.size()) << "bad barrier context " << ctx;
   GLB_CHECK(core < num_cores()) << "bad core id " << core;
   if (arrival_fault_ != nullptr) {
-    const Cycle stall = arrival_fault_(ctx, core);
+    const Cycle stall = arrival_fault_(core);
     if (stall > 0) {
       // A frozen core: its bar_reg write reaches the controllers late.
-      engine_.ScheduleIn(stall, [this, ctx, core,
-                                 cb = std::move(on_release)]() mutable {
-        DoArrive(ctx, core, std::move(cb));
+      engine_.ScheduleIn(stall, [this, core, cb = std::move(on_release)]() mutable {
+        DoArrive(core, std::move(cb));
       });
       return;
     }
   }
-  DoArrive(ctx, core, std::move(on_release));
+  DoArrive(core, std::move(on_release));
 }
 
-void BarrierNetwork::DoArrive(std::uint32_t ctx, CoreId core,
-                              std::function<void()> on_release) {
-  Context& c = ctxs_[ctx];
-  GLB_CHECK(c.participates[core]) << "core " << core << " is not a participant";
-  GLB_CHECK(c.release_cb[core] == nullptr)
+void BarrierNetwork::DoArrive(CoreId core, std::function<void()> on_release) {
+  GLB_CHECK(release_cb_[core] == nullptr)
       << "core " << core << " arrived twice at the same barrier";
   GLB_CHECK(on_release != nullptr) << "arrival without release callback";
 
-  if (c.degraded) {
-    if (cfg_.rejoin_enabled() && !c.probe_active &&
-        c.fb_episodes_since_probe >= cfg_.probe_after) {
-      // Probe only from a fresh episode boundary: every membership
-      // callback consumed means no arrival of this episode predates the
-      // probe, so the hardware count can reach the full membership.
+  if (degraded_) {
+    if (cfg_.rejoin_enabled() && !probe_active_ &&
+        fb_episodes_since_probe_ >= cfg_.probe_after) {
+      // Probe only from a fresh episode boundary: every release callback
+      // consumed means no arrival of this episode predates the probe, so
+      // the hardware count can reach the full core count.
       bool fresh = true;
       for (CoreId n = 0; n < num_cores() && fresh; ++n) {
-        if (c.release_cb[n] != nullptr) fresh = false;
+        if (release_cb_[n] != nullptr) fresh = false;
       }
-      if (fresh) StartProbe(ctx);
+      if (fresh) StartProbe();
     }
-    c.release_cb[core] = std::move(on_release);
-    if (c.fb_arrived++ == 0) c.first_arrival = engine_.Now();
+    release_cb_[core] = std::move(on_release);
+    if (fb_arrived_++ == 0) first_arrival_ = engine_.Now();
     GLB_TRACE(engine_.Now(), "gl",
-              "ctx " << ctx << " core " << core << " arrives (degraded, via fallback)");
-    if (trace::Active() && !c.trace.deg_active) {
-      c.trace.deg_active = true;
-      c.trace.deg_first = engine_.Now();
+              "core " << core << " arrives (degraded, via fallback)");
+    if (trace::Active() && !trace_.deg_active) {
+      trace_.deg_active = true;
+      trace_.deg_first = engine_.Now();
     }
-    if (c.probe_active) ProbeSignalArrival(ctx, core);
-    ForwardToFallback(ctx, core);
+    if (probe_active_) ProbeSignalArrival(core);
+    ForwardToFallback(core);
     return;
   }
 
-  c.release_cb[core] = std::move(on_release);
-  if (++c.arrived == 1) {
-    c.first_arrival = engine_.Now();
+  release_cb_[core] = std::move(on_release);
+  if (++arrived_ == 1) {
+    first_arrival_ = engine_.Now();
     // The previous episode's watchdog stays responsible while its
     // release wave is still in flight; the fresh window is armed in
     // OnEpisodeFullyReleased.
-    if (resilient() && !c.release_inflight) ArmWatchdog(ctx);
+    if (resilient() && !release_inflight_) ArmWatchdog();
   }
-  c.last_arrival = engine_.Now();
+  last_arrival_ = engine_.Now();
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " core " << core << " arrives (" << c.arrived << "/"
-                   << c.expected_arrivals << ")");
+            "core " << core << " arrives (" << arrived_ << "/" << num_cores() << ")");
 
   const std::uint32_t row = RowOf(core);
   if (ColOf(core) == 0) {
-    MasterH& mh = c.mh[row];
+    MasterH& mh = mh_[row];
     GLB_CHECK(mh.state == MasterState::kAccounting && !mh.mcnt)
         << "master-node arrival in a bad state (row " << row << ")";
     mh.mcnt = true;  // [Core(bar_reg=1)] / [Mcnt=1]
-    CheckRowComplete(ctx, row);
+    CheckRowComplete(row);
   } else {
-    SlaveH& sh = c.sh[core];
+    SlaveH& sh = sh_[core];
     GLB_CHECK(sh.state == SlaveState::kSignaling)
         << "slave arrival while Waiting (core " << core << ")";
-    c.sgline_h[row]->Assert();  // [Core(bar_reg=1)] / [SglineH=ON]
+    sgline_h_[row]->Assert();  // [Core(bar_reg=1)] / [SglineH=ON]
     sh.state = SlaveState::kWaiting;
   }
 }
 
-void BarrierNetwork::CheckRowComplete(std::uint32_t ctx, std::uint32_t row) {
-  Context& c = ctxs_[ctx];
-  if (c.degraded && !c.probe_active) return;
-  MasterH& mh = c.mh[row];
+void BarrierNetwork::CheckRowComplete(std::uint32_t row) {
+  if (degraded_ && !probe_active_) return;
+  MasterH& mh = mh_[row];
   if (mh.state != MasterState::kAccounting) return;
-  const bool mcnt_satisfied = mh.mcnt || !mh.core_participates;
-  if (!mcnt_satisfied || mh.scnt != mh.expected) return;
+  if (!mh.mcnt || mh.scnt != cols_ - 1) return;
   // [Mcnt=1 & Scnt=Max] / [MasterH(flag=1)]
   mh.flag = true;
   mh.state = MasterState::kWaiting;
   if (row == 0) {
-    c.mv.node0_flag = true;  // MasterV sees MasterH(flag=1) directly
-    CheckVerticalComplete(ctx);
+    mv_.node0_flag = true;  // MasterV sees MasterH(flag=1) directly
+    CheckVerticalComplete();
   } else {
-    SlaveV& sv = c.sv[row];
+    SlaveV& sv = sv_[row];
     GLB_CHECK(sv.state == SlaveState::kSignaling) << "SlaveV already Waiting";
-    c.sgline_v->Assert();  // [MasterH(flag=1)] / [SglineV=ON]
+    sgline_v_->Assert();  // [MasterH(flag=1)] / [SglineV=ON]
     sv.state = SlaveState::kWaiting;
   }
 }
 
-void BarrierNetwork::CheckVerticalComplete(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  if (c.degraded) {
-    if (!c.probe_active) return;
+void BarrierNetwork::CheckVerticalComplete() {
+  if (mv_.state != MasterState::kAccounting) return;
+  if (degraded_) {
+    if (!probe_active_) return;
     // Shadow-probe completion: the hardware gather finished. It is
-    // clean iff its count matches the full membership — and it must be
+    // clean iff its count matches every core — and it must be
     // intercepted HERE, before the completion hook or release wave,
     // because the fallback owns every in-flight episode.
-    MasterV& pmv = c.mv;
-    if (pmv.state != MasterState::kAccounting) return;
-    if (!pmv.node0_flag || pmv.scnt != pmv.expected) return;
-    EndProbe(ctx, c.probe_arrived == c.expected_arrivals);
+    if (!mv_.node0_flag || mv_.scnt != rows_ - 1) return;
+    EndProbe(probe_arrived_ == num_cores());
     return;
   }
-  MasterV& mv = c.mv;
-  if (mv.state != MasterState::kAccounting) return;
-  if (!mv.node0_flag || mv.scnt != mv.expected) return;
-  if (resilient() && c.completion_hook != nullptr &&
-      c.arrived != c.expected_arrivals) {
-    // An over-counted line completed the gather before every core
-    // arrived. With a completion hook installed the completion would
+  if (!mv_.node0_flag || mv_.scnt != rows_ - 1) return;
+  if (resilient() && completion_hook_ != nullptr && arrived_ != num_cores()) {
+    // With a completion hook installed an early completion would
     // propagate to an upper hierarchy level and release OTHER clusters
     // early, so it must be stopped here, not in StartRelease.
-    c.miscounts->Inc();
-    miscounts_->Inc();
-    if (c.recovering_since == kCycleNever) c.recovering_since = engine_.Now();
-    GLB_TRACE(engine_.Now(), "gl",
-              "ctx " << ctx << " early hooked completion detected (" << c.arrived
-                     << "/" << c.expected_arrivals << " arrived); recovering");
-    GLB_TRACE_EVENT(
-        trace::Sink().Instant(c.trace.track, "miscount", engine_.Now()));
-    HandleEpisodeFault(ctx);
+    HandleEarlyCompletion("early hooked completion");
     return;
   }
-  mv.state = MasterState::kWaiting;
-  if (c.completion_hook != nullptr) {
+  mv_.state = MasterState::kWaiting;
+  if (completion_hook_ != nullptr) {
     // Hierarchy: hold the release until the upper level says go.
-    c.release_pending = true;
-    c.completion_hook();
+    release_pending_ = true;
+    completion_hook_();
     return;
   }
-  StartRelease(ctx);
+  StartRelease();
 }
 
-void BarrierNetwork::SetCompletionHook(std::uint32_t ctx, std::function<void()> hook) {
-  GLB_CHECK(ctx < ctxs_.size()) << "bad barrier context " << ctx;
-  GLB_CHECK(!ctxs_[ctx].release_pending) << "hook changed while release pending";
-  ctxs_[ctx].completion_hook = std::move(hook);
+void BarrierNetwork::HandleEarlyCompletion(const char* what) {
+  if (recovering_since_ == kCycleNever) recovering_since_ = engine_.Now();
+  GLB_TRACE(engine_.Now(), "gl",
+            what << " detected (" << arrived_ << "/" << num_cores()
+                 << " arrived); recovering");
+  RecordMiscount();
+  HandleEpisodeFault();
 }
 
-void BarrierNetwork::TriggerRelease(std::uint32_t ctx) {
-  GLB_CHECK(ctx < ctxs_.size()) << "bad barrier context " << ctx;
-  Context& c = ctxs_[ctx];
-  GLB_CHECK(c.release_pending) << "TriggerRelease without a deferred completion";
-  c.release_pending = false;
-  StartRelease(ctx);
+void BarrierNetwork::SetCompletionHook(std::function<void()> hook) {
+  GLB_CHECK(!release_pending_) << "hook changed while release pending";
+  completion_hook_ = std::move(hook);
+}
+
+void BarrierNetwork::TriggerRelease() {
+  GLB_CHECK(release_pending_) << "TriggerRelease without a deferred completion";
+  release_pending_ = false;
+  StartRelease();
 }
 
 // ---------------------------------------------------------------------------
 // Release phase
 // ---------------------------------------------------------------------------
 
-void BarrierNetwork::StartRelease(std::uint32_t ctx) {
+void BarrierNetwork::StartRelease() {
   prof::Scope prof_scope(prof::Cat::kBarrier);
-  Context& c = ctxs_[ctx];
-  if (resilient() && c.arrived != c.expected_arrivals) {
+  if (resilient() && arrived_ != num_cores()) {
     // An over-counted line completed the gather before every core
     // arrived. The wave must not start — no core may be released early.
-    c.miscounts->Inc();
-    miscounts_->Inc();
-    if (c.recovering_since == kCycleNever) c.recovering_since = engine_.Now();
-    GLB_TRACE(engine_.Now(), "gl",
-              "ctx " << ctx << " early completion detected (" << c.arrived << "/"
-                     << c.expected_arrivals << " arrived); recovering");
-    GLB_TRACE_EVENT(
-        trace::Sink().Instant(c.trace.track, "miscount", engine_.Now()));
-    HandleEpisodeFault(ctx);
+    HandleEarlyCompletion("early completion");
     return;
   }
-  GLB_CHECK(c.arrived == c.expected_arrivals)
-      << "release with missing arrivals: " << c.arrived << "/" << c.expected_arrivals;
+  GLB_CHECK(arrived_ == num_cores())
+      << "release with missing arrivals: " << arrived_ << "/" << num_cores();
   completed_->Inc();
-  episode_span_->Record(engine_.Now() - c.first_arrival);
-  RecordEpisodeSpan(c, engine_.Now() - c.first_arrival);
-  GLB_TRACE(engine_.Now(), "gl", "ctx " << ctx << " release starts");
+  episode_span_->Record(engine_.Now() - first_arrival_);
+  RecordEpisodeSpan(engine_.Now() - first_arrival_);
+  GLB_TRACE(engine_.Now(), "gl", "release starts");
   if (trace::Active()) {
     // Snapshot the wave for EmitEpisodeTrace: the live gather fields
     // reset below while releases are still in flight.
-    c.trace.releasing = true;
-    c.trace.ep_first_arrival = c.first_arrival;
-    c.trace.ep_last_arrival = c.last_arrival;
-    c.trace.first_release = kCycleNever;
-    c.trace.outstanding = c.arrived;
-    c.trace.arrivals = c.arrived;
-    c.trace.retries = c.retries_this_episode;
+    trace_.releasing = true;
+    trace_.ep_first_arrival = first_arrival_;
+    trace_.ep_last_arrival = last_arrival_;
+    trace_.first_release = kCycleNever;
+    trace_.outstanding = arrived_;
+    trace_.arrivals = arrived_;
+    trace_.retries = retries_this_episode_;
   }
 
   if (resilient()) {
-    c.to_release = c.arrived;
-    c.release_inflight = true;
+    to_release_ = arrived_;
+    release_inflight_ = true;
     // Snapshot the wave membership: exactly these cores are owed a
     // release. Cores re-arriving for the next episode while this wave
     // is still in flight must not be confused with them.
     for (CoreId core = 0; core < num_cores(); ++core) {
-      c.release_owed[core] = c.release_cb[core] != nullptr;
+      release_owed_[core] = release_cb_[core] != nullptr;
     }
   }
   // [Scnt=Max & MasterH(flag=1)] / [MglineV=ON], and MasterV resets.
-  c.mv.state = MasterState::kAccounting;
-  c.mv.scnt = 0;
-  c.mv.node0_flag = false;
-  c.arrived = 0;
-  c.mgline_v->Assert();
+  mv_ = MasterV{};
+  arrived_ = 0;
+  mgline_v_->Assert();
 }
 
-void BarrierNetwork::ReleaseColumnNode(std::uint32_t ctx, std::uint32_t row) {
-  Context& c = ctxs_[ctx];
-  if (c.degraded) return;
+void BarrierNetwork::ReleaseColumnNode(std::uint32_t row) {
+  if (degraded_) return;
   if (row > 0) {
-    SlaveV& sv = c.sv[row];
+    SlaveV& sv = sv_[row];
     if (sv.state != SlaveState::kWaiting) {
       GLB_CHECK(resilient()) << "MglineV to a Signaling SlaveV";
     }
     sv.state = SlaveState::kSignaling;  // [MglineV=ON] / back to Signaling
   }
-  MasterH& mh = c.mh[row];
+  MasterH& mh = mh_[row];
   if (mh.state != MasterState::kWaiting) {
     GLB_CHECK(resilient()) << "release to an Accounting MasterH";
     return;  // spurious (duplicated) release signal; already re-armed
   }
-  mh.state = MasterState::kAccounting;
-  mh.scnt = 0;
-  mh.mcnt = false;
-  mh.flag = false;
-  c.mgline_h[row]->Assert();  // [flag=0] / [MglineH=ON]
-  const CoreId node = NodeAt(row, 0);
-  if (c.participates[node]) ReleaseCore(ctx, node);
-  // A row with no participants immediately completes for the next
-  // episode (its controllers re-arm and signal autonomously).
-  if (mh.expected == 0 && !mh.core_participates) CheckRowComplete(ctx, row);
+  mh = MasterH{};
+  mgline_h_[row]->Assert();  // [flag=0] / [MglineH=ON]
+  ReleaseCore(NodeAt(row, 0));
 }
 
-void BarrierNetwork::ReleaseRowNode(std::uint32_t ctx, CoreId core) {
-  Context& c = ctxs_[ctx];
-  if (c.degraded) return;
-  SlaveH& sh = c.sh[core];
-  if (sh.state != SlaveState::kWaiting && c.participates[core]) {
+void BarrierNetwork::ReleaseRowNode(CoreId core) {
+  if (degraded_) return;
+  SlaveH& sh = sh_[core];
+  if (sh.state != SlaveState::kWaiting) {
     GLB_CHECK(resilient()) << "MglineH to a Signaling SlaveH (core " << core << ")";
     return;  // spurious release signal; this core was already released
   }
   sh.state = SlaveState::kSignaling;  // [MglineH=ON] / [bar_reg=0]
-  if (c.participates[core]) ReleaseCore(ctx, core);
+  ReleaseCore(core);
 }
 
-void BarrierNetwork::ReleaseCore(std::uint32_t ctx, CoreId core) {
-  Context& c = ctxs_[ctx];
-  if (c.release_cb[core] == nullptr) {
+void BarrierNetwork::ReleaseCore(CoreId core) {
+  if (release_cb_[core] == nullptr) {
     GLB_CHECK(resilient()) << "releasing core " << core << " which never arrived";
     return;  // duplicated release signal; the core already left
   }
-  if (resilient() && !c.release_owed[core]) {
+  if (resilient() && !release_owed_[core]) {
     // The callback belongs to the core's NEXT episode: it re-arrived
     // while this wave was still in flight. Not ours to run.
     return;
   }
-  release_latency_->Record(engine_.Now() - c.last_arrival);
-  if (trace::Active() && c.trace.releasing) {
-    if (c.trace.first_release == kCycleNever) c.trace.first_release = engine_.Now();
-    if (--c.trace.outstanding == 0) EmitEpisodeTrace(c);
+  release_latency_->Record(engine_.Now() - last_arrival_);
+  if (trace::Active() && trace_.releasing) {
+    if (trace_.first_release == kCycleNever) trace_.first_release = engine_.Now();
+    if (--trace_.outstanding == 0) EmitEpisodeTrace();
   }
-  auto cb = std::move(c.release_cb[core]);
-  c.release_cb[core] = nullptr;
+  auto cb = std::move(release_cb_[core]);
+  release_cb_[core] = nullptr;
   if (resilient()) {
-    c.release_owed[core] = false;
-    GLB_CHECK(c.to_release > 0) << "release accounting underflow";
-    if (--c.to_release == 0) OnEpisodeFullyReleased(ctx);
+    release_owed_[core] = false;
+    GLB_CHECK(to_release_ > 0) << "release accounting underflow";
+    if (--to_release_ == 0) OnEpisodeFullyReleased();
   }
   cb();
 }
 
-void BarrierNetwork::EmitEpisodeTrace(Context& c) {
-  auto& t = c.trace;
+void BarrierNetwork::EmitEpisodeTrace() {
+  auto& t = trace_;
   t.releasing = false;
   const Cycle last_release = engine_.Now();
   auto& sink = trace::Sink();
-  // Async nestable events (one id per episode): consecutive episodes on
-  // a context may overlap — the first cores released re-arrive while the
-  // release wave still drains — so plain "X" spans would nest badly.
+  // Async nestable events (one id per episode): consecutive episodes
+  // may overlap — the first cores released re-arrive while the release
+  // wave still drains — so plain "X" spans would nest badly.
   const std::uint64_t id = sink.NextId();
   sink.AsyncBegin(t.track, "episode", id, t.ep_first_arrival,
                   trace::Args()
-                      .Add("n", c.expected_arrivals)
+                      .Add("n", num_cores())
                       .Add("retries", t.retries)
                       .Add("degraded", false)
                       .json());
@@ -578,142 +425,123 @@ void BarrierNetwork::EmitEpisodeTrace(Context& c) {
 // Resilience: watchdog, retry, degraded mode
 // ---------------------------------------------------------------------------
 
-Cycle BarrierNetwork::WindowFor(const Context& c) const {
-  if (!cfg_.adaptive() || c.ewma_span <= 0.0) return cfg_.watchdog_timeout;
+Cycle BarrierNetwork::WatchdogWindow() const {
+  if (!cfg_.adaptive() || ewma_span_ <= 0.0) return cfg_.watchdog_timeout;
   const Cycle cap =
       cfg_.watchdog_max > 0 ? cfg_.watchdog_max : 64 * cfg_.watchdog_timeout;
-  const double w = cfg_.watchdog_mult * c.ewma_span;
+  const double w = cfg_.watchdog_mult * ewma_span_;
   if (w <= static_cast<double>(cfg_.watchdog_timeout)) return cfg_.watchdog_timeout;
   if (w >= static_cast<double>(cap)) return cap;
   return static_cast<Cycle>(w);
 }
 
-void BarrierNetwork::RecordEpisodeSpan(Context& c, Cycle span) {
+void BarrierNetwork::RecordEpisodeSpan(Cycle span) {
   if (!cfg_.adaptive()) return;
   const double s = static_cast<double>(span);
-  c.ewma_span = c.ewma_span == 0.0
-                    ? s
-                    : (1.0 - cfg_.watchdog_alpha) * c.ewma_span +
-                          cfg_.watchdog_alpha * s;
+  ewma_span_ = ewma_span_ == 0.0
+                   ? s
+                   : (1.0 - cfg_.watchdog_alpha) * ewma_span_ + cfg_.watchdog_alpha * s;
 }
 
-void BarrierNetwork::ArmWatchdog(std::uint32_t ctx) {
-  if (!resilient()) return;
-  Context& c = ctxs_[ctx];
-  if (c.degraded) return;
-  const std::uint64_t token = ++c.watchdog_token;
-  engine_.ScheduleIn(WindowFor(c),
-                     [this, ctx, token]() { OnWatchdog(ctx, token); });
+void BarrierNetwork::ArmWatchdog() {
+  if (!resilient() || degraded_) return;
+  const std::uint64_t token = ++watchdog_token_;
+  engine_.ScheduleIn(WatchdogWindow(), [this, token]() { OnWatchdog(token); });
 }
 
-void BarrierNetwork::OnWatchdog(std::uint32_t ctx, std::uint64_t token) {
+void BarrierNetwork::OnWatchdog(std::uint64_t token) {
   prof::Scope prof_scope(prof::Cat::kBarrier);
-  Context& c = ctxs_[ctx];
-  if (c.degraded || token != c.watchdog_token) return;  // episode finished
-  c.timeouts->Inc();
-  timeouts_->Inc();
-  if (c.recovering_since == kCycleNever) c.recovering_since = engine_.Now();
+  if (degraded_ || token != watchdog_token_) return;  // episode finished
+  timeouts_.Inc();
+  if (recovering_since_ == kCycleNever) recovering_since_ = engine_.Now();
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " BarrierTimeout: episode stuck (" << c.arrived << "/"
-                   << c.expected_arrivals << " arrived, " << c.to_release
-                   << " releases owed)");
-  GLB_TRACE_EVENT(trace::Sink().Instant(
-      c.trace.track, "BarrierTimeout", engine_.Now(),
-      trace::Args()
-          .Add("arrived", c.arrived)
-          .Add("expected", c.expected_arrivals)
-          .Add("releases_owed", c.to_release)
-          .json()));
-  HandleEpisodeFault(ctx);
+            "BarrierTimeout: episode stuck (" << arrived_ << "/" << num_cores()
+                                              << " arrived, " << to_release_
+                                              << " releases owed)");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "BarrierTimeout", engine_.Now(),
+                                        trace::Args()
+                                            .Add("arrived", arrived_)
+                                            .Add("expected", num_cores())
+                                            .Add("releases_owed", to_release_)
+                                            .json()));
+  HandleEpisodeFault();
 }
 
-void BarrierNetwork::HandleEpisodeFault(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  if (c.release_pending) {
+void BarrierNetwork::HandleEpisodeFault() {
+  if (release_pending_) {
     // Completion is deferred to an upper hierarchy level; progress is
     // theirs to make. Keep watching.
-    ArmWatchdog(ctx);
+    ArmWatchdog();
     return;
   }
-  if (c.release_inflight) {
+  if (release_inflight_) {
     // The gather legitimately completed, so the releases are owed
     // unconditionally; a (partially) lost wave is re-driven directly.
-    c.retries->Inc();
-    retries_->Inc();
-    RecoverRelease(ctx);
+    retries_.Inc();
+    RecoverRelease();
     return;
   }
-  if (c.retries_this_episode < cfg_.max_retries) {
-    ++c.retries_this_episode;
-    c.retries->Inc();
-    retries_->Inc();
-    c.health = Health::kRetrying;
-    RecoverGather(ctx);
-    ArmWatchdog(ctx);
+  if (retries_this_episode_ < cfg_.max_retries) {
+    ++retries_this_episode_;
+    retries_.Inc();
+    health_ = Health::kRetrying;
+    RecoverGather();
+    ArmWatchdog();
   } else {
-    Degrade(ctx);
+    Degrade();
   }
 }
 
-void BarrierNetwork::RecoverGather(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
+void BarrierNetwork::RecoverGather() {
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " hardware retry " << c.retries_this_episode << "/"
-                   << cfg_.max_retries << " (" << c.arrived << " arrivals held)");
-  GLB_TRACE_EVENT(trace::Sink().Instant(
-      c.trace.track, "retry", engine_.Now(),
-      trace::Args()
-          .Add("attempt", c.retries_this_episode)
-          .Add("max", cfg_.max_retries)
-          .json()));
+            "hardware retry " << retries_this_episode_ << "/" << cfg_.max_retries
+                              << " (" << arrived_ << " arrivals held)");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "retry", engine_.Now(),
+                                        trace::Args()
+                                            .Add("attempt", retries_this_episode_)
+                                            .Add("max", cfg_.max_retries)
+                                            .json()));
   // Hardware reset: every controller to its initial state, every
   // in-flight batch discarded.
-  ResetControllers(c);
+  ResetControllers();
   // Re-signal the held arrivals. bar_reg is level-coded in each core, so
   // the controllers can re-read it; the re-asserted batches run through
   // the fault hooks again — a persistent fault keeps the watchdog busy
   // until the retry budget runs out.
   for (CoreId core = 0; core < num_cores(); ++core) {
-    if (c.release_cb[core] == nullptr) continue;
+    if (release_cb_[core] == nullptr) continue;
     const std::uint32_t row = RowOf(core);
     if (ColOf(core) == 0) {
-      c.mh[row].mcnt = true;
+      mh_[row].mcnt = true;
     } else {
-      c.sgline_h[row]->Assert();
-      c.sh[core].state = SlaveState::kWaiting;
+      sgline_h_[row]->Assert();
+      sh_[core].state = SlaveState::kWaiting;
     }
   }
-  // Rows whose condition is already satisfied (master-only rows and
-  // autonomous rows) complete now; the rest complete as counts land.
-  for (std::uint32_t row = 0; row < rows_; ++row) CheckRowComplete(ctx, row);
+  // Rows whose condition is already satisfied (master-only rows)
+  // complete now; the rest complete as counts land.
+  for (std::uint32_t row = 0; row < rows_; ++row) CheckRowComplete(row);
 }
 
-void BarrierNetwork::RecoverRelease(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
+void BarrierNetwork::RecoverRelease() {
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " re-driving lost release wave (" << c.to_release
-                   << " owed)");
-  GLB_TRACE_EVENT(trace::Sink().Instant(
-      c.trace.track, "release-redrive", engine_.Now(),
-      trace::Args().Add("owed", c.to_release).json()));
+            "re-driving lost release wave (" << to_release_ << " owed)");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "release-redrive", engine_.Now(),
+                                        trace::Args().Add("owed", to_release_).json()));
   for (std::uint32_t row = 0; row < rows_; ++row) {
-    MasterH& mh = c.mh[row];
     // Only cores from the wave's membership snapshot are owed; a core
     // with a fresh callback but no owed release already re-arrived for
     // the next episode and must be left gathering.
     bool row_stuck = false;
     for (std::uint32_t col = 0; col < cols_; ++col) {
-      if (c.release_owed[NodeAt(row, col)]) row_stuck = true;
+      if (release_owed_[NodeAt(row, col)]) row_stuck = true;
     }
-    // An autonomous row still Waiting missed the wave too: re-arm it so
-    // it relays for the next episode.
-    const bool autonomous = mh.expected == 0 && !mh.core_participates;
-    if (!row_stuck && !(autonomous && mh.state == MasterState::kWaiting)) continue;
+    if (!row_stuck) continue;
     for (std::uint32_t col = 0; col < cols_; ++col) {
       const CoreId core = NodeAt(row, col);
-      if (!c.release_owed[core]) continue;
-      if (col > 0) c.sh[core].state = SlaveState::kSignaling;
-      ReleaseCore(ctx, core);
+      if (!release_owed_[core]) continue;
+      if (col > 0) sh_[core].state = SlaveState::kSignaling;
+      ReleaseCore(core);
     }
     // Rebuild the row's gather state from current truth. Everything the
     // old episode left behind is residue — including a mid-gather
@@ -722,271 +550,203 @@ void BarrierNetwork::RecoverRelease(std::uint32_t ctx) {
     // releases its slaves atomically or not at all), so after releasing
     // them the only legitimate row state is: no counts, and Mcnt iff
     // the master core already re-arrived for the next episode.
-    mh.state = MasterState::kAccounting;
-    mh.scnt = 0;
-    mh.flag = false;
-    mh.mcnt =
-        mh.core_participates && c.release_cb[NodeAt(row, 0)] != nullptr;
-    if (row > 0) c.sv[row].state = SlaveState::kSignaling;
-    c.sgline_h[row]->CancelPending();
-    CheckRowComplete(ctx, row);
+    mh_[row] = MasterH{.mcnt = release_cb_[NodeAt(row, 0)] != nullptr};
+    if (row > 0) sv_[row].state = SlaveState::kSignaling;
+    sgline_h_[row]->CancelPending();
+    CheckRowComplete(row);
   }
   // Whatever survives of the lost wave must not fire later.
-  for (auto& l : c.mgline_h) l->CancelPending();
-  c.mgline_v->CancelPending();
+  for (auto& l : mgline_h_) l->CancelPending();
+  mgline_v_->CancelPending();
 }
 
-void BarrierNetwork::Degrade(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " retries exhausted; degrading to software fallback");
-  GLB_TRACE_EVENT(trace::Sink().Instant(c.trace.track, "degraded", engine_.Now()));
-  if (trace::Active() && !c.trace.deg_active && c.arrived > 0) {
+void BarrierNetwork::Degrade() {
+  GLB_TRACE(engine_.Now(), "gl", "retries exhausted; degrading to software fallback");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "degraded", engine_.Now()));
+  if (trace::Active() && !trace_.deg_active && arrived_ > 0) {
     // The stranded gather becomes the first degraded episode; keep its
     // true start so the span covers the whole (slow) episode.
-    c.trace.deg_active = true;
-    c.trace.deg_first = c.first_arrival;
+    trace_.deg_active = true;
+    trace_.deg_first = first_arrival_;
   }
-  c.degraded = true;
-  c.health = Health::kDegraded;
-  c.degraded_since = engine_.Now();
-  c.fb_arrived = 0;
-  c.fb_episodes_since_probe = 0;
-  c.probe_streak = 0;
-  ++c.watchdog_token;  // no more watchdogs for this context
-  ResetControllers(c);
-  c.release_pending = false;
-  c.arrived = 0;
-  c.release_inflight = false;
-  c.to_release = 0;
-  c.release_owed.assign(num_cores(), false);
-  if (!c.fallback_configured) {
-    if (fallback_reconfigure_ != nullptr) {
-      fallback_reconfigure_(ctx, c.expected_arrivals);
-    }
-    c.fallback_configured = true;
-  }
+  degraded_ = true;
+  health_ = Health::kDegraded;
+  degraded_since_ = engine_.Now();
+  fb_arrived_ = 0;
+  fb_episodes_since_probe_ = 0;
+  probe_streak_ = 0;
+  ++watchdog_token_;  // no more watchdogs while degraded
+  ResetControllers();
+  release_pending_ = false;
+  arrived_ = 0;
+  release_inflight_ = false;
+  to_release_ = 0;
+  release_owed_.assign(num_cores(), false);
   // Hand the stranded arrivals to the fallback; late arrivals follow
   // through DoArrive's degraded path.
   for (CoreId core = 0; core < num_cores(); ++core) {
-    if (c.release_cb[core] != nullptr) ForwardToFallback(ctx, core);
+    if (release_cb_[core] != nullptr) ForwardToFallback(core);
   }
 }
 
-void BarrierNetwork::ForwardToFallback(std::uint32_t ctx, CoreId core) {
-  auto on_release = [this, ctx, core]() { OnFallbackRelease(ctx, core); };
+void BarrierNetwork::ForwardToFallback(CoreId core) {
+  auto on_release = [this, core]() { OnFallbackRelease(core); };
   if (fallback_arrive_ != nullptr) {
-    fallback_arrive_(ctx, core, std::move(on_release));
+    fallback_arrive_(core, std::move(on_release));
   } else {
-    InternalFallbackArrive(ctx, core, std::move(on_release));
+    InternalFallbackArrive(core, std::move(on_release));
   }
 }
 
-void BarrierNetwork::InternalFallbackArrive(std::uint32_t ctx, CoreId core,
+void BarrierNetwork::InternalFallbackArrive(CoreId core,
                                             std::function<void()> on_release) {
-  Context& c = ctxs_[ctx];
-  c.internal_fb_waiters.emplace_back(core, std::move(on_release));
-  if (c.internal_fb_waiters.size() < c.expected_arrivals) return;
-  // All participants present: model one software-barrier episode as a
-  // flat latency, then release everyone.
-  auto waiters = std::move(c.internal_fb_waiters);
-  c.internal_fb_waiters.clear();
+  internal_fb_waiters_.emplace_back(core, std::move(on_release));
+  if (internal_fb_waiters_.size() < num_cores()) return;
+  // All cores present: model one software-barrier episode as a flat
+  // latency, then release everyone.
+  auto waiters = std::move(internal_fb_waiters_);
+  internal_fb_waiters_.clear();
   engine_.ScheduleIn(cfg_.fallback_latency, [waiters = std::move(waiters)]() {
     for (const auto& [w_core, w_cb] : waiters) w_cb();
   });
 }
 
-void BarrierNetwork::OnFallbackRelease(std::uint32_t ctx, CoreId core) {
-  Context& c = ctxs_[ctx];
-  GLB_CHECK(c.release_cb[core] != nullptr)
+void BarrierNetwork::OnFallbackRelease(CoreId core) {
+  GLB_CHECK(release_cb_[core] != nullptr)
       << "fallback released core " << core << " which never arrived";
-  auto cb = std::move(c.release_cb[core]);
-  c.release_cb[core] = nullptr;
-  ++c.fb_released;
-  if (c.fb_released >= c.expected_arrivals) {
-    c.fb_released = 0;
-    c.fb_arrived = 0;
-    ++c.fb_episodes_since_probe;
-    RecordEpisodeSpan(c, engine_.Now() - c.first_arrival);
+  auto cb = std::move(release_cb_[core]);
+  release_cb_[core] = nullptr;
+  if (++fb_released_ >= num_cores()) {
+    fb_released_ = 0;
+    fb_arrived_ = 0;
+    ++fb_episodes_since_probe_;
+    RecordEpisodeSpan(engine_.Now() - first_arrival_);
     completed_->Inc();
-    c.degraded_episodes->Inc();
-    degraded_episodes_->Inc();
-    if (c.recovering_since != kCycleNever) {
-      c.recovery_latency->Record(engine_.Now() - c.recovering_since);
-      c.recovering_since = kCycleNever;
+    degraded_episodes_.Inc();
+    if (recovering_since_ != kCycleNever) {
+      recovery_latency_->Record(engine_.Now() - recovering_since_);
+      recovering_since_ = kCycleNever;
     }
-    if (trace::Active() && c.trace.deg_active) {
-      c.trace.deg_active = false;
+    if (trace::Active() && trace_.deg_active) {
+      trace_.deg_active = false;
       auto& sink = trace::Sink();
       const std::uint64_t id = sink.NextId();
-      sink.AsyncBegin(c.trace.track, "episode", id, c.trace.deg_first,
-                      trace::Args()
-                          .Add("n", c.expected_arrivals)
-                          .Add("degraded", true)
-                          .json());
-      sink.AsyncEnd(c.trace.track, "episode", id, engine_.Now());
+      sink.AsyncBegin(trace_.track, "episode", id, trace_.deg_first,
+                      trace::Args().Add("n", num_cores()).Add("degraded", true).json());
+      sink.AsyncEnd(trace_.track, "episode", id, engine_.Now());
     }
   }
   cb();
 }
 
-void BarrierNetwork::OnEpisodeFullyReleased(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  c.release_inflight = false;
-  c.retries_this_episode = 0;
-  if (c.health == Health::kRetrying) {
-    c.health = c.ever_rejoined ? Health::kRejoined : Health::kHealthy;
+void BarrierNetwork::OnEpisodeFullyReleased() {
+  release_inflight_ = false;
+  retries_this_episode_ = 0;
+  if (health_ == Health::kRetrying) {
+    health_ = ever_rejoined_ ? Health::kRejoined : Health::kHealthy;
   }
-  ++c.watchdog_token;  // the episode's watchdog is obsolete
-  if (c.recovering_since != kCycleNever) {
-    c.recovery_latency->Record(engine_.Now() - c.recovering_since);
-    c.recovering_since = kCycleNever;
+  ++watchdog_token_;  // the episode's watchdog is obsolete
+  if (recovering_since_ != kCycleNever) {
+    recovery_latency_->Record(engine_.Now() - recovering_since_);
+    recovering_since_ = kCycleNever;
   }
   // Cores released early in the wave may already be gathering again;
   // give the young episode its own watchdog window.
-  if (c.arrived > 0) ArmWatchdog(ctx);
+  if (arrived_ > 0) ArmWatchdog();
 }
 
 // ---------------------------------------------------------------------------
 // Rejoin: shadow-probing the degraded hardware path
 // ---------------------------------------------------------------------------
 
-void BarrierNetwork::StartProbe(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
-  c.probe_active = true;
-  c.probe_arrived = 0;
-  c.health = Health::kProbing;
-  c.probes->Inc();
-  probes_->Inc();
+void BarrierNetwork::StartProbe() {
+  probe_active_ = true;
+  probe_arrived_ = 0;
+  health_ = Health::kProbing;
+  probes_.Inc();
   // Clean slate for the automata: whatever residue the degradation (or
   // the previous probe) left behind must not leak into this count.
-  ResetControllers(c);
+  ResetControllers();
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " shadow-probing the hardware path (streak "
-                   << c.probe_streak << "/" << cfg_.probe_successes << ")");
-  GLB_TRACE_EVENT(trace::Sink().Instant(
-      c.trace.track, "probe", engine_.Now(),
-      trace::Args()
-          .Add("streak", c.probe_streak)
-          .Add("needed", cfg_.probe_successes)
-          .json()));
-  const std::uint64_t token = ++c.probe_token;
-  engine_.ScheduleIn(WindowFor(c),
-                     [this, ctx, token]() { OnProbeTimeout(ctx, token); });
-  // Rows with no participating cores must relay on their own, exactly
-  // as in a live gather.
-  ArmAutonomousRows(ctx);
+            "shadow-probing the hardware path (streak " << probe_streak_ << "/"
+                                                        << cfg_.probe_successes << ")");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "probe", engine_.Now(),
+                                        trace::Args()
+                                            .Add("streak", probe_streak_)
+                                            .Add("needed", cfg_.probe_successes)
+                                            .json()));
+  const std::uint64_t token = ++probe_token_;
+  engine_.ScheduleIn(WatchdogWindow(), [this, token]() { OnProbeTimeout(token); });
 }
 
-void BarrierNetwork::ProbeSignalArrival(std::uint32_t ctx, CoreId core) {
-  Context& c = ctxs_[ctx];
-  ++c.probe_arrived;
+void BarrierNetwork::ProbeSignalArrival(CoreId core) {
+  ++probe_arrived_;
   // Tolerant re-implementation of the gather arrival: a fault-corrupted
   // automaton state aborts the signal instead of CHECK-failing — the
   // probe then simply times out and counts as dirty.
   const std::uint32_t row = RowOf(core);
   if (ColOf(core) == 0) {
-    MasterH& mh = c.mh[row];
+    MasterH& mh = mh_[row];
     if (mh.state == MasterState::kAccounting && !mh.mcnt) {
       mh.mcnt = true;
-      CheckRowComplete(ctx, row);
+      CheckRowComplete(row);
     }
   } else {
-    SlaveH& sh = c.sh[core];
+    SlaveH& sh = sh_[core];
     if (sh.state == SlaveState::kSignaling) {
-      c.sgline_h[row]->Assert();
+      sgline_h_[row]->Assert();
       sh.state = SlaveState::kWaiting;
     }
   }
 }
 
-void BarrierNetwork::OnProbeTimeout(std::uint32_t ctx, std::uint64_t token) {
-  Context& c = ctxs_[ctx];
-  if (!c.probe_active || token != c.probe_token) return;
-  EndProbe(ctx, false);
+void BarrierNetwork::OnProbeTimeout(std::uint64_t token) {
+  if (!probe_active_ || token != probe_token_) return;
+  EndProbe(false);
 }
 
-void BarrierNetwork::EndProbe(std::uint32_t ctx, bool clean) {
-  Context& c = ctxs_[ctx];
-  c.probe_active = false;
-  ++c.probe_token;  // cancel the pending timeout
-  ResetControllers(c);
-  c.fb_episodes_since_probe = 0;  // full window before the next probe
+void BarrierNetwork::EndProbe(bool clean) {
+  probe_active_ = false;
+  ++probe_token_;  // cancel the pending timeout
+  ResetControllers();
+  fb_episodes_since_probe_ = 0;  // full window before the next probe
   if (!clean) {
-    c.probe_streak = 0;
-    c.health = Health::kDegraded;
-    c.probe_failures->Inc();
-    probe_failures_->Inc();
-    GLB_TRACE(engine_.Now(), "gl",
-              "ctx " << ctx << " probe failed; hardware stays distrusted");
-    GLB_TRACE_EVENT(
-        trace::Sink().Instant(c.trace.track, "probe-fail", engine_.Now()));
+    probe_streak_ = 0;
+    health_ = Health::kDegraded;
+    probe_failures_.Inc();
+    GLB_TRACE(engine_.Now(), "gl", "probe failed; hardware stays distrusted");
+    GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "probe-fail", engine_.Now()));
     return;
   }
-  ++c.probe_streak;
+  ++probe_streak_;
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " probe clean (" << c.probe_streak << "/"
-                   << cfg_.probe_successes << ")");
-  GLB_TRACE_EVENT(
-      trace::Sink().Instant(c.trace.track, "probe-ok", engine_.Now()));
-  if (c.probe_streak >= cfg_.probe_successes) {
-    Rejoin(ctx);
+            "probe clean (" << probe_streak_ << "/" << cfg_.probe_successes << ")");
+  GLB_TRACE_EVENT(trace::Sink().Instant(trace_.track, "probe-ok", engine_.Now()));
+  if (probe_streak_ >= cfg_.probe_successes) {
+    Rejoin();
   } else {
-    c.health = Health::kDegraded;
+    health_ = Health::kDegraded;
   }
 }
 
-void BarrierNetwork::Rejoin(std::uint32_t ctx) {
-  Context& c = ctxs_[ctx];
+void BarrierNetwork::Rejoin() {
   // Safe to flip mid-drain: every arrival of the probed episode is
   // already with the fallback, which will release it; a core re-arrives
   // only after consuming its own release callback, so post-rejoin
   // arrivals land on the (now clean) hardware path with no overlap.
-  c.degraded = false;
-  c.health = Health::kRejoined;
-  c.ever_rejoined = true;
-  c.probe_streak = 0;
-  ++c.rejoin_count;
-  c.rejoins->Inc();
-  rejoins_->Inc();
-  c.rejoin_latency->Record(engine_.Now() - c.degraded_since);
+  degraded_ = false;
+  health_ = Health::kRejoined;
+  ever_rejoined_ = true;
+  probe_streak_ = 0;
+  ++rejoin_count_;
+  rejoins_.Inc();
+  rejoin_latency_->Record(engine_.Now() - degraded_since_);
   GLB_TRACE(engine_.Now(), "gl",
-            "ctx " << ctx << " REJOINED the hardware path after "
-                   << engine_.Now() - c.degraded_since << " cycles degraded");
+            "REJOINED the hardware path after " << engine_.Now() - degraded_since_
+                                                << " cycles degraded");
   GLB_TRACE_EVENT(trace::Sink().Instant(
-      c.trace.track, "rejoin", engine_.Now(),
-      trace::Args()
-          .Add("degraded_cycles", engine_.Now() - c.degraded_since)
-          .json()));
-}
-
-// ---------------------------------------------------------------------------
-// Introspection
-// ---------------------------------------------------------------------------
-
-BarrierNetwork::MasterState BarrierNetwork::MasterHState(std::uint32_t ctx,
-                                                         std::uint32_t row) const {
-  return ctxs_.at(ctx).mh.at(row).state;
-}
-BarrierNetwork::MasterState BarrierNetwork::MasterVState(std::uint32_t ctx) const {
-  return ctxs_.at(ctx).mv.state;
-}
-BarrierNetwork::SlaveState BarrierNetwork::SlaveHState(std::uint32_t ctx,
-                                                       CoreId core) const {
-  return ctxs_.at(ctx).sh.at(core).state;
-}
-BarrierNetwork::SlaveState BarrierNetwork::SlaveVState(std::uint32_t ctx,
-                                                       std::uint32_t row) const {
-  return ctxs_.at(ctx).sv.at(row).state;
-}
-std::uint32_t BarrierNetwork::ScntH(std::uint32_t ctx, std::uint32_t row) const {
-  return ctxs_.at(ctx).mh.at(row).scnt;
-}
-std::uint32_t BarrierNetwork::ScntV(std::uint32_t ctx) const {
-  return ctxs_.at(ctx).mv.scnt;
-}
-bool BarrierNetwork::McntH(std::uint32_t ctx, std::uint32_t row) const {
-  return ctxs_.at(ctx).mh.at(row).mcnt;
+      trace_.track, "rejoin", engine_.Now(),
+      trace::Args().Add("degraded_cycles", engine_.Now() - degraded_since_).json()));
 }
 
 const char* ToString(BarrierNetwork::Health health) {

@@ -1,14 +1,14 @@
 // The G-line-based barrier network (the paper's contribution, §3).
 //
-// Architecture (Figure 1), per barrier context:
+// Architecture (Figure 1), one whole-chip barrier per network:
 //   * every mesh row has two G-lines: SglineH (slaves -> master, arrival)
 //     and MglineH (master -> slaves, release);
 //   * the first column has two more: SglineV and MglineV;
 //   * the node in column 0 of each row hosts a MasterH controller, all
 //     other nodes host a SlaveH; nodes in column 0 of rows > 0 also host
 //     a SlaveV, and node (0,0) hosts the MasterV.
-// Total lines per context: 2 x (rows + 1) — the paper's 2x(sqrt(N)+1)
-// for square meshes.
+// Total lines: 2 x (rows + 1) — the paper's 2x(sqrt(N)+1) for square
+// meshes.
 //
 // Synchronization (Figure 2, all-arrived at cycle T):
 //   T   : each arriving SlaveH asserts its row's SglineH; MasterH nodes
@@ -26,16 +26,18 @@
 // (states Signaling/Waiting for slaves, Accounting/Waiting for masters),
 // with every transition CHECK-guarded.
 //
-// Extensions beyond the paper's evaluation, both from its §5 future
-// work: multiple independent barrier contexts (each with its own line
-// set and controllers), and partial-participation barriers via a core
-// mask per context (controllers always relay; expected S-CSMA counts
-// are derived from the mask, and rows with no participating cores
-// complete autonomously).
+// Every core of the mesh takes part in every episode, so the expected
+// S-CSMA counts are constants: cols-1 per row, rows-1 for MasterV. A
+// barrier over a subset of cores is a separate network over that
+// subset's rectangle (see cmp::PartitionManager).
+//
+// Stat, line and trace names keep a "ctx0" infix ("gl.ctx0.sglineH0",
+// track "gl/ctx0") from when one network could carry several barriers,
+// so stat dumps and traces stay comparable across versions.
 //
 // Resilience extension (off by default; see BarrierNetConfig): the
 // paper assumes perfect wires and a perfect S-CSMA count. With
-// `watchdog_timeout` set, each context gains an episode watchdog that
+// `watchdog_timeout` set, the network gains an episode watchdog that
 // detects a stuck episode (lost assertion, miscount, frozen core),
 // retries in hardware up to `max_retries` times (full controller reset +
 // re-signal of every outstanding arrival — legal because arrivals are
@@ -46,7 +48,7 @@
 // the gather had legitimately completed, so the releases are owed
 // unconditionally. The invariant maintained under any fault plan:
 // every episode completes (possibly degraded) and no core is released
-// before all participants arrived.
+// before all cores arrived.
 //
 // Self-healing v2 (both opt-in, defaults preserve v1 behavior bit-for-
 // bit):
@@ -57,13 +59,13 @@
 //     instead of tripping spurious degradation, while the floor keeps
 //     real drops recovering as fast as v1.
 //   * Hardware rejoin: with `probe_after` > 0 the degraded flag is no
-//     longer sticky. Every `probe_after` fallback episodes the context
+//     longer sticky. Every `probe_after` fallback episodes the network
 //     shadow-probes the idle hardware gather path: arrivals keep
 //     completing through the fallback, but are also re-signaled through
-//     the G-line automata; if the hardware count matches the membership
+//     the G-line automata; if the hardware count matches the core count
 //     within one watchdog window the probe is clean. After
-//     `probe_successes` consecutive clean probes the context rejoins
-//     the hardware path. Per-context health walks
+//     `probe_successes` consecutive clean probes the network rejoins
+//     the hardware path. Its health walks
 //       healthy -> retrying -> degraded -> probing -> rejoined
 //     and the probe can never release a core (the fallback owns every
 //     in-flight episode until the rejoin takes effect).
@@ -84,8 +86,6 @@
 namespace glb::gline {
 
 struct BarrierNetConfig {
-  /// Independent hardware barriers (each gets its own G-line set).
-  std::uint32_t contexts = 1;
   /// Transmitter budget per line (paper: six).
   std::uint32_t max_transmitters = 6;
   TxPolicy policy = TxPolicy::kRelaxed;
@@ -99,11 +99,11 @@ struct BarrierNetConfig {
   // --- resilience (0 = off: the network behaves exactly as the paper's
   // fault-free design, with no extra events, stats or state) ----------
   /// Episode watchdog: if an episode (first arrival to last release) has
-  /// not finished this many cycles after it started, the context assumes
+  /// not finished this many cycles after it started, the network assumes
   /// a transient fault and recovers instead of hanging. Must comfortably
   /// exceed the worst-case arrival skew of the workload.
   Cycle watchdog_timeout = 0;
-  /// Hardware retries (reset + re-signal) per episode before the context
+  /// Hardware retries (reset + re-signal) per episode before the network
   /// trips its sticky `degraded` flag and falls back to software.
   std::uint32_t max_retries = 2;
   /// Modeled cost of one episode of the built-in software fallback,
@@ -122,7 +122,7 @@ struct BarrierNetConfig {
   /// Hardware rejoin: fallback episodes between shadow-probes of the
   /// degraded hardware path. 0 keeps the v1 sticky degradation.
   std::uint32_t probe_after = 0;
-  /// Consecutive clean probes required before the context rejoins.
+  /// Consecutive clean probes required before the network rejoins.
   std::uint32_t probe_successes = 2;
 
   bool resilient() const { return watchdog_timeout > 0; }
@@ -130,15 +130,15 @@ struct BarrierNetConfig {
   bool rejoin_enabled() const { return resilient() && probe_after > 0; }
 };
 
-class BarrierNetwork {
+class BarrierNetwork final : public core::BarrierDevice {
  public:
   // Figure-4 automaton states.
   enum class SlaveState : std::uint8_t { kSignaling, kWaiting };
   enum class MasterState : std::uint8_t { kAccounting, kWaiting };
 
-  /// Per-context self-healing state machine (v2). kRejoined behaves
-  /// like kHealthy but records that the context recovered the hardware
-  /// path after a degradation.
+  /// Self-healing state machine (v2). kRejoined behaves like kHealthy
+  /// but records that the network recovered the hardware path after a
+  /// degradation.
   enum class Health : std::uint8_t {
     kHealthy,
     kRetrying,
@@ -153,97 +153,73 @@ class BarrierNetwork {
   BarrierNetwork(const BarrierNetwork&) = delete;
   BarrierNetwork& operator=(const BarrierNetwork&) = delete;
 
-  /// bar_reg view of context `ctx` for wiring into cores.
-  core::BarrierDevice* Device(std::uint32_t ctx = 0);
+  /// Core `core` wrote bar_reg := 1; `on_release` runs when the hardware
+  /// clears the register.
+  void Arrive(CoreId core, std::function<void()> on_release) override;
 
-  /// Restricts context `ctx` to a subset of cores (extension). The
-  /// context is hardware-reset first, so reconfiguration between
-  /// episodes is legal; at least one core must remain, and no core may
-  /// be waiting at the barrier.
-  void SetParticipants(std::uint32_t ctx, const std::vector<bool>& mask);
+  /// Defers the release: when the gather completes, `hook` runs instead
+  /// of the release wave, and the network holds until TriggerRelease.
+  /// This is how hierarchical (multi-level) G-line networks chain
+  /// cluster networks under a top-level one (paper §5 future work).
+  /// Pass nullptr to restore auto-release.
+  void SetCompletionHook(std::function<void()> hook);
 
-  /// Hardware reset of one context: all controllers return to their
-  /// initial Figure-4 states and in-flight line batches are discarded.
-  /// Illegal while any core is waiting at the context's barrier.
-  void ResetContext(std::uint32_t ctx);
-
-  /// Core `core` wrote bar_reg := 1 in context `ctx`; `on_release` runs
-  /// when the hardware clears the register.
-  void Arrive(std::uint32_t ctx, CoreId core, std::function<void()> on_release);
-
-  /// Defers the release of context `ctx`: when the gather completes,
-  /// `hook` runs instead of the release wave, and the context holds
-  /// until TriggerRelease. This is how hierarchical (multi-level)
-  /// G-line networks chain cluster networks under a top-level one
-  /// (paper §5 future work). Pass nullptr to restore auto-release.
-  void SetCompletionHook(std::uint32_t ctx, std::function<void()> hook);
-
-  /// Starts the deferred release wave of a completed context.
-  void TriggerRelease(std::uint32_t ctx);
+  /// Starts the deferred release wave of a completed gather.
+  void TriggerRelease();
 
   // --- fault-injection hooks (see fault::FaultInjector) ---------------
 
-  /// Installs `hook` on every G-line of every context (S-CSMA count
-  /// corruption / batch loss). nullptr clears.
+  /// Installs `hook` on every G-line (S-CSMA count corruption / batch
+  /// loss). nullptr clears.
   void SetLineFaultHook(GLine::DeliverFaultHook hook);
 
   /// Consulted once per bar_reg write; a nonzero return stalls the
   /// arrival that many cycles (a frozen core's write reaching the
   /// controllers late). nullptr clears.
-  using ArrivalFaultHook = std::function<Cycle(std::uint32_t ctx, CoreId core)>;
+  using ArrivalFaultHook = std::function<Cycle(CoreId core)>;
   void SetArrivalFaultHook(ArrivalFaultHook hook);
 
   // --- degraded-mode fallback ------------------------------------------
 
-  /// Software fallback transport used once a context degrades: `arrive`
-  /// forwards one arrival (the fallback must eventually run the release
-  /// callback, after all participants arrived), `reconfigure` announces
-  /// the expected arrival count before the first forward and after any
-  /// SetParticipants. When no fallback is installed, a built-in counting
-  /// barrier with `fallback_latency` release cost is used.
+  /// Software fallback transport used once the network degrades: it
+  /// receives one forwarded arrival per core and must run each release
+  /// callback once all num_cores() cores arrived. When no fallback is
+  /// installed, a built-in counting barrier with `fallback_latency`
+  /// release cost is used.
   using FallbackArrive =
-      std::function<void(std::uint32_t ctx, CoreId core, std::function<void()> on_release)>;
-  using FallbackReconfigure =
-      std::function<void(std::uint32_t ctx, std::uint32_t expected)>;
-  void SetFallback(FallbackArrive arrive, FallbackReconfigure reconfigure);
+      std::function<void(CoreId core, std::function<void()> on_release)>;
+  void SetFallback(FallbackArrive arrive);
 
-  /// True while the context completes episodes through the software
-  /// fallback (sticky unless cfg.probe_after re-enables rejoin).
-  bool degraded(std::uint32_t ctx) const { return ctxs_.at(ctx).degraded; }
+  /// True while episodes complete through the software fallback (sticky
+  /// unless cfg.probe_after re-enables rejoin).
+  bool degraded() const { return degraded_; }
   /// Hardware recovery attempts within the current episode.
-  std::uint32_t episode_retries(std::uint32_t ctx) const {
-    return ctxs_.at(ctx).retries_this_episode;
-  }
+  std::uint32_t episode_retries() const { return retries_this_episode_; }
   /// Current position in the healthy -> retrying -> degraded ->
   /// probing -> rejoined state machine.
-  Health health(std::uint32_t ctx) const { return ctxs_.at(ctx).health; }
-  /// Hardware rejoins of this context so far.
-  std::uint64_t rejoins(std::uint32_t ctx) const {
-    return ctxs_.at(ctx).rejoin_count;
-  }
+  Health health() const { return health_; }
+  /// Hardware rejoins so far.
+  std::uint64_t rejoins() const { return rejoin_count_; }
   /// Current adaptive-watchdog window (== cfg.watchdog_timeout until
   /// the EWMA is seeded, or always in fixed mode).
-  Cycle WatchdogWindow(std::uint32_t ctx) const {
-    return WindowFor(ctxs_.at(ctx));
-  }
+  Cycle WatchdogWindow() const;
 
   sim::Engine& engine() { return engine_; }
   std::uint32_t rows() const { return rows_; }
   std::uint32_t cols() const { return cols_; }
   std::uint32_t num_cores() const { return rows_ * cols_; }
-  std::uint32_t contexts() const { return static_cast<std::uint32_t>(ctxs_.size()); }
-  /// Total G-lines deployed (2*(rows+1) per context).
-  std::uint32_t total_lines() const { return contexts() * 2 * (rows_ + 1); }
+  /// Total G-lines deployed: 2*(rows+1).
+  std::uint32_t total_lines() const { return 2 * (rows_ + 1); }
   std::uint64_t barriers_completed() const { return completed_->value(); }
 
   // --- FSM introspection for tests -----------------------------------
-  MasterState MasterHState(std::uint32_t ctx, std::uint32_t row) const;
-  MasterState MasterVState(std::uint32_t ctx) const;
-  SlaveState SlaveHState(std::uint32_t ctx, CoreId core) const;
-  SlaveState SlaveVState(std::uint32_t ctx, std::uint32_t row) const;
-  std::uint32_t ScntH(std::uint32_t ctx, std::uint32_t row) const;
-  std::uint32_t ScntV(std::uint32_t ctx) const;
-  bool McntH(std::uint32_t ctx, std::uint32_t row) const;
+  MasterState MasterHState(std::uint32_t row) const { return mh_.at(row).state; }
+  MasterState MasterVState() const { return mv_.state; }
+  SlaveState SlaveHState(CoreId core) const { return sh_.at(core).state; }
+  SlaveState SlaveVState(std::uint32_t row) const { return sv_.at(row).state; }
+  std::uint32_t ScntH(std::uint32_t row) const { return mh_.at(row).scnt; }
+  std::uint32_t ScntV() const { return mv_.scnt; }
+  bool McntH(std::uint32_t row) const { return mh_.at(row).mcnt; }
 
  private:
   struct MasterH {
@@ -251,8 +227,6 @@ class BarrierNetwork {
     std::uint32_t scnt = 0;
     bool mcnt = false;
     bool flag = false;
-    std::uint32_t expected = 0;  // participating slaves in this row
-    bool core_participates = true;
   };
   struct SlaveH {
     SlaveState state = SlaveState::kSignaling;
@@ -264,211 +238,189 @@ class BarrierNetwork {
     MasterState state = MasterState::kAccounting;
     std::uint32_t scnt = 0;
     bool node0_flag = false;
-    std::uint32_t expected = 0;  // always rows-1: every row relays
   };
 
-  struct Context {
-    std::vector<MasterH> mh;  // one per row
-    std::vector<SlaveH> sh;   // one per core (unused at col 0)
-    std::vector<SlaveV> sv;   // one per row (unused at row 0)
-    MasterV mv;
-    // Lines are heap-allocated: in-flight Flush events capture the
-    // GLine's `this`, so lines must never move (see GLine).
-    std::vector<std::unique_ptr<GLine>> sgline_h;  // per row: slaves -> master
-    std::vector<std::unique_ptr<GLine>> mgline_h;  // per row: master -> slaves
-    std::unique_ptr<GLine> sgline_v;               // column 0: slaves -> master
-    std::unique_ptr<GLine> mgline_v;               // column 0: master -> slaves
-    std::vector<bool> participates;                // per core
-    std::vector<std::function<void()>> release_cb;  // per core
-    std::uint32_t arrived = 0;
-    std::uint32_t expected_arrivals = 0;
-    Cycle last_arrival = 0;
-    Cycle first_arrival = 0;
-    /// When set, completion defers the release wave (hierarchy hook).
-    std::function<void()> completion_hook;
-    bool release_pending = false;
-
-    // --- resilience state (inert unless cfg.resilient()) --------------
-    /// Invalidates in-flight watchdog events (bumped when the episode
-    /// fully completes, on recovery re-arm, degrade and reset).
-    std::uint64_t watchdog_token = 0;
-    std::uint32_t retries_this_episode = 0;
-    /// Releases still owed after a release wave started; > 0 means the
-    /// episode is in its release phase.
-    std::uint32_t to_release = 0;
-    bool release_inflight = false;
-    /// Per-core membership of the in-flight release wave. A core with a
-    /// release callback but no owed release already re-arrived for the
-    /// NEXT episode; recovery must never release it.
-    std::vector<bool> release_owed;
-    /// All episodes complete through the software fallback while set
-    /// (sticky in v1; cleared by a successful rejoin in v2).
-    bool degraded = false;
-    /// First fault detection of the current episode (kCycleNever =
-    /// healthy); recovery latency is measured from here to completion.
-    Cycle recovering_since = kCycleNever;
-    /// Degraded-mode bookkeeping: releases delivered by the fallback in
-    /// the current episode, and the built-in fallback's gathered waiters.
-    std::uint32_t fb_released = 0;
-    std::vector<std::pair<CoreId, std::function<void()>>> internal_fb_waiters;
-    bool fallback_configured = false;
-
-    // --- v2: adaptive watchdog + rejoin -------------------------------
-    Health health = Health::kHealthy;
-    /// EWMA of observed episode spans (0 = unseeded; cycles).
-    double ewma_span = 0.0;
-    /// When the context last degraded; rejoin latency runs from here.
-    Cycle degraded_since = 0;
-    /// Arrivals seen by the fallback in the current episode (episode-
-    /// boundary heuristic for seeding first_arrival while degraded).
-    std::uint32_t fb_arrived = 0;
-    /// Fallback episodes completed since the last probe (or degrade).
-    std::uint32_t fb_episodes_since_probe = 0;
-    /// A shadow-probe of the hardware gather path is in flight.
-    bool probe_active = false;
-    /// Arrivals re-signaled through the hardware during this probe.
-    std::uint32_t probe_arrived = 0;
-    /// Consecutive clean probes so far.
-    std::uint32_t probe_streak = 0;
-    /// Invalidates in-flight probe-timeout events.
-    std::uint64_t probe_token = 0;
-    std::uint64_t rejoin_count = 0;
-    bool ever_rejoined = false;
-
-    // Per-context resilience stats (created only in resilient mode;
-    // probe/rejoin stats additionally need rejoin to be enabled).
-    Counter* timeouts = nullptr;
-    Counter* retries = nullptr;
-    Counter* miscounts = nullptr;
-    Counter* degraded_episodes = nullptr;
-    Histogram* recovery_latency = nullptr;
-    Counter* probes = nullptr;
-    Counter* probe_failures = nullptr;
-    Counter* rejoins = nullptr;
-    Histogram* rejoin_latency = nullptr;
-
-    // --- tracing (only mutated under trace::Active(); the release-wave
-    // snapshot is taken in StartRelease because the live gather fields
-    // reset there while the wave is still in flight) ------------------
-    struct EpisodeTrace {
-      std::string track;  // "gl/ctx<N>", built once at construction
-      /// Release-wave snapshot; valid while `releasing`.
-      bool releasing = false;
-      Cycle ep_first_arrival = 0;
-      Cycle ep_last_arrival = 0;
-      Cycle first_release = kCycleNever;
-      std::uint32_t outstanding = 0;
-      std::uint32_t arrivals = 0;
-      std::uint32_t retries = 0;
-      /// Degraded episodes span first fallback arrival -> last fallback
-      /// release (approximate if arrivals for the next episode overlap
-      /// the drain; see docs/OBSERVABILITY.md).
-      bool deg_active = false;
-      Cycle deg_first = 0;
-    } trace;
-  };
-
-  class ContextDevice : public core::BarrierDevice {
-   public:
-    ContextDevice(BarrierNetwork& net, std::uint32_t ctx) : net_(net), ctx_(ctx) {}
-    void Arrive(CoreId core, std::function<void()> on_release) override {
-      net_.Arrive(ctx_, core, std::move(on_release));
+  /// A resilience counter registered under two names, the "ctx0." one
+  /// and the network-wide one; they always move together.
+  struct CounterPair {
+    Counter* ctx = nullptr;
+    Counter* net = nullptr;
+    void Inc() {
+      ctx->Inc();
+      net->Inc();
     }
-
-   private:
-    BarrierNetwork& net_;
-    std::uint32_t ctx_;
   };
 
   CoreId NodeAt(std::uint32_t row, std::uint32_t col) const { return row * cols_ + col; }
   std::uint32_t RowOf(CoreId c) const { return c / cols_; }
   std::uint32_t ColOf(CoreId c) const { return c % cols_; }
 
-  void BuildContext(std::uint32_t ctx);
-  void RecomputeExpectations(Context& c);
+  void BuildLines(const std::string& pfx);
+  /// Counts a spurious or over-counted S-CSMA delivery.
+  void RecordMiscount();
   bool resilient() const { return cfg_.resilient(); }
   /// The arrival proper, after any injected freeze delay.
-  void DoArrive(std::uint32_t ctx, CoreId core, std::function<void()> on_release);
-  /// Returns every controller to its initial Figure-4 state (keeping
-  /// expectations) and discards in-flight line batches.
-  void ResetControllers(Context& c);
+  void DoArrive(CoreId core, std::function<void()> on_release);
+  /// Returns every controller to its initial Figure-4 state and
+  /// discards in-flight line batches.
+  void ResetControllers();
   /// Schedules a fresh watchdog window for the current episode.
-  void ArmWatchdog(std::uint32_t ctx);
-  void OnWatchdog(std::uint32_t ctx, std::uint64_t token);
-  /// The window the next watchdog/probe timeout will use.
-  Cycle WindowFor(const Context& c) const;
+  void ArmWatchdog();
+  void OnWatchdog(std::uint64_t token);
   /// Folds a finished episode's span into the adaptive-window EWMA.
-  void RecordEpisodeSpan(Context& c, Cycle span);
+  void RecordEpisodeSpan(Cycle span);
   /// Starts a shadow-probe of the degraded hardware gather path at a
   /// fresh fallback-episode boundary.
-  void StartProbe(std::uint32_t ctx);
+  void StartProbe();
   /// Re-signals one fallback arrival through the (tolerant) hardware
   /// automata while a probe is active.
-  void ProbeSignalArrival(std::uint32_t ctx, CoreId core);
-  void OnProbeTimeout(std::uint32_t ctx, std::uint64_t token);
-  void EndProbe(std::uint32_t ctx, bool clean);
+  void ProbeSignalArrival(CoreId core);
+  void OnProbeTimeout(std::uint64_t token);
+  void EndProbe(bool clean);
   /// Clears the degraded flag: the hardware path is trusted again.
-  void Rejoin(std::uint32_t ctx);
+  void Rejoin();
   /// A fault was detected (watchdog expiry or S-CSMA miscount): retry
   /// in hardware while the budget lasts, then degrade.
-  void HandleEpisodeFault(std::uint32_t ctx);
+  void HandleEpisodeFault();
+  /// An over-counted line completed the gather before every core
+  /// arrived: count it and recover instead of releasing.
+  void HandleEarlyCompletion(const char* what);
   /// Hardware retry of the gather: reset + re-signal every outstanding
   /// arrival through the (possibly still faulty) lines.
-  void RecoverGather(std::uint32_t ctx);
+  void RecoverGather();
   /// A release wave was (partially) lost after a legitimate completion:
   /// re-deliver the releases still owed directly.
-  void RecoverRelease(std::uint32_t ctx);
-  /// Trips the sticky degraded flag and moves the context — outstanding
+  void RecoverRelease();
+  /// Trips the sticky degraded flag and moves the network — outstanding
   /// arrivals included — onto the software fallback.
-  void Degrade(std::uint32_t ctx);
-  void ForwardToFallback(std::uint32_t ctx, CoreId core);
-  void OnFallbackRelease(std::uint32_t ctx, CoreId core);
+  void Degrade();
+  void ForwardToFallback(CoreId core);
+  void OnFallbackRelease(CoreId core);
   /// Built-in counting fallback used when none is wired in.
-  void InternalFallbackArrive(std::uint32_t ctx, CoreId core,
-                              std::function<void()> on_release);
+  void InternalFallbackArrive(CoreId core, std::function<void()> on_release);
   /// Episode fully over (every owed release delivered).
-  void OnEpisodeFullyReleased(std::uint32_t ctx);
+  void OnEpisodeFullyReleased();
   /// Re-evaluates the MasterH completion condition for a row.
-  void CheckRowComplete(std::uint32_t ctx, std::uint32_t row);
-  void CheckVerticalComplete(std::uint32_t ctx);
-  void StartRelease(std::uint32_t ctx);
+  void CheckRowComplete(std::uint32_t row);
+  void CheckVerticalComplete();
+  void StartRelease();
   /// MglineV observed at a column-0 node.
-  void ReleaseColumnNode(std::uint32_t ctx, std::uint32_t row);
+  void ReleaseColumnNode(std::uint32_t row);
   /// MglineH observed at a non-master node.
-  void ReleaseRowNode(std::uint32_t ctx, CoreId core);
-  void ReleaseCore(std::uint32_t ctx, CoreId core);
+  void ReleaseRowNode(CoreId core);
+  void ReleaseCore(CoreId core);
   /// Emits the finished episode's phase spans (arrive / combine /
-  /// release) as nested async events on the context's trace track.
-  void EmitEpisodeTrace(Context& c);
-  /// Rows with no participating core complete on their own as soon as
-  /// the context (re-)arms.
-  void ArmAutonomousRows(std::uint32_t ctx);
+  /// release) as nested async events on the trace track.
+  void EmitEpisodeTrace();
 
   sim::Engine& engine_;
   std::uint32_t rows_;
   std::uint32_t cols_;
   BarrierNetConfig cfg_;
-  StatSet& stats_;
-  std::vector<Context> ctxs_;
-  std::vector<std::unique_ptr<ContextDevice>> devices_;
+
+  // --- Figure-4 controllers and lines ---------------------------------
+  std::vector<MasterH> mh_;  // one per row
+  std::vector<SlaveH> sh_;   // one per core (unused at col 0)
+  std::vector<SlaveV> sv_;   // one per row (unused at row 0)
+  MasterV mv_;
+  // Lines are heap-allocated: in-flight Flush events capture the
+  // GLine's `this`, so lines must never move (see GLine).
+  std::vector<std::unique_ptr<GLine>> sgline_h_;  // per row: slaves -> master
+  std::vector<std::unique_ptr<GLine>> mgline_h_;  // per row: master -> slaves
+  std::unique_ptr<GLine> sgline_v_;               // column 0: slaves -> master
+  std::unique_ptr<GLine> mgline_v_;               // column 0: master -> slaves
+  std::vector<std::function<void()>> release_cb_;  // per core
+  std::uint32_t arrived_ = 0;
+  Cycle last_arrival_ = 0;
+  Cycle first_arrival_ = 0;
+  /// When set, completion defers the release wave (hierarchy hook).
+  std::function<void()> completion_hook_;
+  bool release_pending_ = false;
+
+  // --- resilience state (inert unless cfg.resilient()) ----------------
+  /// Invalidates in-flight watchdog events (bumped when the episode
+  /// fully completes, on recovery re-arm and on degrade).
+  std::uint64_t watchdog_token_ = 0;
+  std::uint32_t retries_this_episode_ = 0;
+  /// Releases still owed after a release wave started; > 0 means the
+  /// episode is in its release phase.
+  std::uint32_t to_release_ = 0;
+  bool release_inflight_ = false;
+  /// Per-core membership of the in-flight release wave. A core with a
+  /// release callback but no owed release already re-arrived for the
+  /// NEXT episode; recovery must never release it.
+  std::vector<bool> release_owed_;
+  /// All episodes complete through the software fallback while set
+  /// (sticky in v1; cleared by a successful rejoin in v2).
+  bool degraded_ = false;
+  /// First fault detection of the current episode (kCycleNever =
+  /// healthy); recovery latency is measured from here to completion.
+  Cycle recovering_since_ = kCycleNever;
+  /// Degraded-mode bookkeeping: releases delivered by the fallback in
+  /// the current episode, and the built-in fallback's gathered waiters.
+  std::uint32_t fb_released_ = 0;
+  std::vector<std::pair<CoreId, std::function<void()>>> internal_fb_waiters_;
+
+  // --- v2: adaptive watchdog + rejoin ---------------------------------
+  Health health_ = Health::kHealthy;
+  /// EWMA of observed episode spans (0 = unseeded; cycles).
+  double ewma_span_ = 0.0;
+  /// When the network last degraded; rejoin latency runs from here.
+  Cycle degraded_since_ = 0;
+  /// Arrivals seen by the fallback in the current episode (episode-
+  /// boundary heuristic for seeding first_arrival while degraded).
+  std::uint32_t fb_arrived_ = 0;
+  /// Fallback episodes completed since the last probe (or degrade).
+  std::uint32_t fb_episodes_since_probe_ = 0;
+  /// A shadow-probe of the hardware gather path is in flight.
+  bool probe_active_ = false;
+  /// Arrivals re-signaled through the hardware during this probe.
+  std::uint32_t probe_arrived_ = 0;
+  /// Consecutive clean probes so far.
+  std::uint32_t probe_streak_ = 0;
+  /// Invalidates in-flight probe-timeout events.
+  std::uint64_t probe_token_ = 0;
+  std::uint64_t rejoin_count_ = 0;
+  bool ever_rejoined_ = false;
+
+  // --- tracing (only mutated under trace::Active(); the release-wave
+  // snapshot is taken in StartRelease because the live gather fields
+  // reset there while the wave is still in flight) --------------------
+  struct EpisodeTrace {
+    std::string track;  // "<stat_prefix>/ctx0", built once at construction
+    /// Release-wave snapshot; valid while `releasing`.
+    bool releasing = false;
+    Cycle ep_first_arrival = 0;
+    Cycle ep_last_arrival = 0;
+    Cycle first_release = kCycleNever;
+    std::uint32_t outstanding = 0;
+    std::uint32_t arrivals = 0;
+    std::uint32_t retries = 0;
+    /// Degraded episodes span first fallback arrival -> last fallback
+    /// release (approximate if arrivals for the next episode overlap
+    /// the drain; see docs/OBSERVABILITY.md).
+    bool deg_active = false;
+    Cycle deg_first = 0;
+  } trace_;
 
   ArrivalFaultHook arrival_fault_;
   FallbackArrive fallback_arrive_;
-  FallbackReconfigure fallback_reconfigure_;
 
   Counter* completed_ = nullptr;
   Counter* signals_ = nullptr;
   Histogram* release_latency_ = nullptr;
   Histogram* episode_span_ = nullptr;
-  // Aggregates over all contexts (created only in resilient mode).
-  Counter* timeouts_ = nullptr;
-  Counter* retries_ = nullptr;
-  Counter* miscounts_ = nullptr;
-  Counter* degraded_episodes_ = nullptr;
-  // Rejoin aggregates (created only when rejoin is enabled).
-  Counter* probes_ = nullptr;
-  Counter* probe_failures_ = nullptr;
-  Counter* rejoins_ = nullptr;
+  // Resilience stats (created only in resilient mode; probe/rejoin
+  // stats additionally need rejoin to be enabled).
+  CounterPair timeouts_;
+  CounterPair retries_;
+  CounterPair miscounts_;
+  CounterPair degraded_episodes_;
+  Histogram* recovery_latency_ = nullptr;
+  CounterPair probes_;
+  CounterPair probe_failures_;
+  CounterPair rejoins_;
+  Histogram* rejoin_latency_ = nullptr;
 };
 
 const char* ToString(BarrierNetwork::Health health);

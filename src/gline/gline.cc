@@ -51,8 +51,8 @@ void GLine::Flush(Cycle asserted_at, std::uint64_t epoch) {
     if (count == 0) return;  // the whole batch was lost on the wire
   }
   for (auto& r : receivers_) {
-    // A receiver's reaction may reset the line (barrier context
-    // reconfiguration mid-release-wave); the reset gates the remaining
+    // A receiver's reaction may reset the line (a recovery or probe
+    // end triggered by this very count); the reset gates the remaining
     // deliveries of this batch.
     if (epoch != epoch_) break;
     r(count);

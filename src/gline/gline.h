@@ -61,8 +61,8 @@ class GLine {
   void Assert();
 
   /// Hardware reset: discards every in-flight batch (their delivery
-  /// events become no-ops). Used when a barrier context is
-  /// reconfigured.
+  /// events become no-ops). Used by the barrier network's watchdog
+  /// recovery, degradation and rejoin probes.
   void CancelPending();
 
   bool has_pending() const { return !pending_.empty(); }

@@ -21,7 +21,6 @@ HierarchicalBarrierNetwork::HierarchicalBarrierNetwork(sim::Engine& engine,
     : engine_(engine), rows_(rows), cols_(cols), cfg_(cfg), stats_(stats) {
   GLB_CHECK(rows > 0 && cols > 0) << "empty mesh";
   GLB_CHECK(cfg.cluster_rows > 0 && cfg.cluster_cols > 0) << "empty clusters";
-  GLB_CHECK(cfg.contexts > 0) << "need at least one barrier context";
   GLB_CHECK(!cfg.stat_prefix.empty()) << "empty stat prefix";
   // A 1-wide cluster dimension cannot tile a larger mesh: the grid would
   // be as large as the mesh and the recursion would never terminate.
@@ -38,17 +37,12 @@ HierarchicalBarrierNetwork::HierarchicalBarrierNetwork(sim::Engine& engine,
       << " exceeds the " << cfg.max_transmitters << "-transmitter budget";
 
   completed_ = stats.GetCounter(cfg_.stat_prefix + ".barriers_completed");
-  released_.assign(cfg_.contexts, 0);
   BuildLevels(stats);
   ChainLevels();
-  for (std::uint32_t ctx = 0; ctx < cfg_.contexts; ++ctx) {
-    devices_.push_back(std::make_unique<HierDevice>(*this, ctx));
-  }
 }
 
 void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
   BarrierNetConfig sub;
-  sub.contexts = cfg_.contexts;
   sub.max_transmitters = cfg_.max_transmitters;
   sub.policy = TxPolicy::kReject;
   sub.watchdog_timeout = cfg_.watchdog_timeout;
@@ -94,7 +88,6 @@ void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
         sub.stat_prefix = n.prefix;
         n.net = std::make_unique<BarrierNetwork>(engine_, n.nrows, n.ncols, sub,
                                                  stats);
-        if (cfg_.resilient()) n.fb.resize(cfg_.contexts);
         lv.nodes.push_back(std::move(n));
       }
     }
@@ -127,39 +120,29 @@ void HierarchicalBarrierNetwork::ChainLevels() {
       BarrierNetwork* child = n.net.get();
       BarrierNetwork* parent = up.nodes[n.parent_node].net.get();
       const CoreId slot = n.parent_slot;
-      for (std::uint32_t ctx = 0; ctx < cfg_.contexts; ++ctx) {
-        // Chain: node completion arrives at the level above; the upper
-        // release triggers this node's deferred release wave.
-        child->SetCompletionHook(ctx, [child, parent, slot, ctx]() {
-          parent->Arrive(ctx, slot,
-                         [child, ctx]() { child->TriggerRelease(ctx); });
-        });
-      }
+      // Chain: node completion arrives at the level above; the upper
+      // release triggers this node's deferred release wave.
+      child->SetCompletionHook([child, parent, slot]() {
+        parent->Arrive(slot, [child]() { child->TriggerRelease(); });
+      });
       if (cfg_.resilient()) {
         // Degraded non-root nodes must keep deferring to the parent:
         // buffer local arrivals and forward ONE arrival upward when the
         // node is full; the parent's release releases the batch. The
         // batch is snapshotted before Arrive so releases delivered
         // synchronously cannot mix with next-episode arrivals.
-        child->SetFallback(
-            [this, k, i](std::uint32_t ctx, CoreId /*core*/,
-                         std::function<void()> on_release) {
-              Node& nn = levels_[k].nodes[i];
-              auto& fb = nn.fb[ctx];
-              fb.waiters.push_back(std::move(on_release));
-              if (fb.waiters.size() < fb.expected) return;
-              auto batch =
-                  std::make_shared<std::vector<std::function<void()>>>();
-              batch->swap(fb.waiters);
-              BarrierNetwork* up_net =
-                  levels_[k + 1].nodes[nn.parent_node].net.get();
-              up_net->Arrive(ctx, nn.parent_slot, [batch]() {
-                for (auto& cb : *batch) cb();
-              });
-            },
-            [this, k, i](std::uint32_t ctx, std::uint32_t expected) {
-              levels_[k].nodes[i].fb[ctx].expected = expected;
-            });
+        child->SetFallback([this, k, i](CoreId /*core*/,
+                                        std::function<void()> on_release) {
+          Node& nn = levels_[k].nodes[i];
+          nn.fb.push_back(std::move(on_release));
+          if (nn.fb.size() < nn.net->num_cores()) return;
+          auto batch = std::make_shared<std::vector<std::function<void()>>>();
+          batch->swap(nn.fb);
+          BarrierNetwork* up_net = levels_[k + 1].nodes[nn.parent_node].net.get();
+          up_net->Arrive(nn.parent_slot, [batch]() {
+            for (auto& cb : *batch) cb();
+          });
+        });
       }
     }
   }
@@ -168,30 +151,23 @@ void HierarchicalBarrierNetwork::ChainLevels() {
   // is safe because every arrival it sees is a fully-gathered subtree.
 }
 
-core::BarrierDevice* HierarchicalBarrierNetwork::Device(std::uint32_t ctx) {
-  GLB_CHECK(ctx < devices_.size()) << "bad barrier context " << ctx;
-  return devices_[ctx].get();
-}
-
-void HierarchicalBarrierNetwork::Arrive(std::uint32_t ctx, CoreId core,
+void HierarchicalBarrierNetwork::Arrive(CoreId core,
                                         std::function<void()> on_release) {
-  GLB_CHECK(ctx < cfg_.contexts) << "bad barrier context " << ctx;
   GLB_CHECK(core < num_cores()) << "bad core id " << core;
   GLB_CHECK(on_release != nullptr) << "arrival without release callback";
   if (arrival_fault_ != nullptr) {
-    const Cycle stall = arrival_fault_(ctx, core);
+    const Cycle stall = arrival_fault_(core);
     if (stall > 0) {
-      engine_.ScheduleIn(stall, [this, ctx, core,
-                                 cb = std::move(on_release)]() mutable {
-        DoArrive(ctx, core, std::move(cb));
+      engine_.ScheduleIn(stall, [this, core, cb = std::move(on_release)]() mutable {
+        DoArrive(core, std::move(cb));
       });
       return;
     }
   }
-  DoArrive(ctx, core, std::move(on_release));
+  DoArrive(core, std::move(on_release));
 }
 
-void HierarchicalBarrierNetwork::DoArrive(std::uint32_t ctx, CoreId core,
+void HierarchicalBarrierNetwork::DoArrive(CoreId core,
                                           std::function<void()> on_release) {
   const Level& l0 = levels_.front();
   const std::uint32_t r = core / cols_, c = core % cols_;
@@ -200,9 +176,9 @@ void HierarchicalBarrierNetwork::DoArrive(std::uint32_t ctx, CoreId core,
   // Count the global barrier on the LAST core release (not at the root's
   // completion): correct even when nodes complete through the degraded
   // fallback path, where the root's gather may be bypassed entirely.
-  leaf.net->Arrive(ctx, local, [this, ctx, cb = std::move(on_release)]() {
-    if (++released_[ctx] == num_cores()) {
-      released_[ctx] = 0;
+  leaf.net->Arrive(local, [this, cb = std::move(on_release)]() {
+    if (++released_ == num_cores()) {
+      released_ = 0;
       completed_->Inc();
     }
     cb();
@@ -260,9 +236,7 @@ std::vector<LevelWireSummary> HierarchicalBarrierNetwork::LevelSummaries() const
 bool HierarchicalBarrierNetwork::degraded_any() const {
   for (const auto& lv : levels_) {
     for (const auto& n : lv.nodes) {
-      for (std::uint32_t ctx = 0; ctx < cfg_.contexts; ++ctx) {
-        if (n.net->degraded(ctx)) return true;
-      }
+      if (n.net->degraded()) return true;
     }
   }
   return false;

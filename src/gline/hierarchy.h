@@ -21,15 +21,11 @@
 // paper's flat 4-cycle network, depth 2 covers 49x49 = 2401 cores at 8
 // cycles, depth 3 covers 343x343 at 12.
 //
-// Contexts: like the flat network, every level carries
-// `HierConfig::contexts` independent barrier contexts (barrier_mux
-// parity); Device(ctx) exposes each as a core::BarrierDevice.
-//
 // Stats: every node registers under its own prefix
 // "<stat_prefix>.l<level>.c<node>." so per-network counters never alias
 // in the shared StatSet; the network-wide "<stat_prefix>.barriers_completed"
 // counts each *global* barrier exactly once (it increments when the last
-// core of a context is released, which also holds in degraded mode).
+// core is released, which also holds in degraded mode).
 //
 // Resilience: with `watchdog_timeout` set every node runs the flat
 // network's watchdog/retry/degrade machinery. A degraded non-root node
@@ -80,8 +76,6 @@ struct HierConfig {
   std::uint32_t cluster_rows = 7;
   std::uint32_t cluster_cols = 7;
   std::uint32_t max_transmitters = 6;
-  /// Independent barrier contexts, carried through every level.
-  std::uint32_t contexts = 1;
   /// Root of every stat/trace name ("glh" -> "glh.barriers_completed",
   /// node prefixes "glh.l0.c3.*").
   std::string stat_prefix = "glh";
@@ -120,15 +114,8 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   HierarchicalBarrierNetwork(const HierarchicalBarrierNetwork&) = delete;
   HierarchicalBarrierNetwork& operator=(const HierarchicalBarrierNetwork&) = delete;
 
-  /// bar_reg view of context `ctx` for wiring into cores.
-  core::BarrierDevice* Device(std::uint32_t ctx = 0);
-
   /// bar_reg write of a core (global id, row-major over the full mesh).
-  void Arrive(std::uint32_t ctx, CoreId core, std::function<void()> on_release);
-  /// BarrierDevice shorthand for context 0.
-  void Arrive(CoreId core, std::function<void()> on_release) override {
-    Arrive(0, core, std::move(on_release));
-  }
+  void Arrive(CoreId core, std::function<void()> on_release) override;
 
   // --- fault-injection hooks (see fault::FaultInjector) ---------------
 
@@ -142,7 +129,6 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   std::uint32_t rows() const { return rows_; }
   std::uint32_t cols() const { return cols_; }
   std::uint32_t num_cores() const { return rows_ * cols_; }
-  std::uint32_t contexts() const { return cfg_.contexts; }
   /// Hierarchy depth (1 = the mesh fits one flat network).
   std::uint32_t num_levels() const {
     return static_cast<std::uint32_t>(levels_.size());
@@ -166,12 +152,13 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   /// first); signal/hand-off counts are read from the shared StatSet,
   /// so call after the run whose energy is being priced.
   std::vector<LevelWireSummary> LevelSummaries() const;
-  /// Global barriers completed (once per barrier, all contexts).
+  /// Global barriers completed (once per barrier).
   std::uint64_t barriers_completed() const { return completed_->value(); }
-  /// True if any node context has tripped its sticky degraded flag.
+  /// True if any node has tripped its sticky degraded flag.
   bool degraded_any() const;
   /// Sum of the per-node aggregate counter `suffix` (e.g. "timeouts")
-  /// over every node at every level. Per-ctx counters are not included.
+  /// over every node at every level. The "ctx0." duplicates are not
+  /// included.
   std::uint64_t AggregateCounter(const std::string& suffix) const;
 
  private:
@@ -183,12 +170,8 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
     std::uint32_t parent_node = 0;  // index within the level above
     CoreId parent_slot = 0;         // local id within the parent network
     /// Degraded-mode buffering (resilient non-root nodes only): local
-    /// releases owed per context, forwarded upward as one arrival.
-    struct FbCtx {
-      std::uint32_t expected = 0;
-      std::vector<std::function<void()>> waiters;
-    };
-    std::vector<FbCtx> fb;
+    /// releases owed, forwarded upward as one arrival.
+    std::vector<std::function<void()>> fb;
   };
   struct Level {
     std::uint32_t mesh_rows, mesh_cols;  // the mesh this level tiles
@@ -197,22 +180,9 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
     std::vector<Node> nodes;
   };
 
-  class HierDevice : public core::BarrierDevice {
-   public:
-    HierDevice(HierarchicalBarrierNetwork& net, std::uint32_t ctx)
-        : net_(net), ctx_(ctx) {}
-    void Arrive(CoreId core, std::function<void()> on_release) override {
-      net_.Arrive(ctx_, core, std::move(on_release));
-    }
-
-   private:
-    HierarchicalBarrierNetwork& net_;
-    std::uint32_t ctx_;
-  };
-
   void BuildLevels(StatSet& stats);
   void ChainLevels();
-  void DoArrive(std::uint32_t ctx, CoreId core, std::function<void()> on_release);
+  void DoArrive(CoreId core, std::function<void()> on_release);
   /// Node index within `level` covering mesh position (r, c).
   static std::uint32_t NodeIndexAt(const Level& level, std::uint32_t r,
                                    std::uint32_t c);
@@ -222,10 +192,9 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   HierConfig cfg_;
   StatSet& stats_;
   std::vector<Level> levels_;  // [0] = leaves over cores, back() = root
-  std::vector<std::unique_ptr<HierDevice>> devices_;
-  /// Per-context releases delivered in the current global episode; the
-  /// global completion counter increments when this wraps at num_cores.
-  std::vector<std::uint32_t> released_;
+  /// Releases delivered in the current global episode; the global
+  /// completion counter increments when this wraps at num_cores.
+  std::uint32_t released_ = 0;
   BarrierNetwork::ArrivalFaultHook arrival_fault_;
   Counter* completed_ = nullptr;
 };

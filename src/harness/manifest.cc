@@ -129,7 +129,6 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
   w.EndObject();
   w.Key("gline");
   w.BeginObject();
-  w.Field("contexts", cfg.gline.contexts);
   w.Field("max_transmitters", cfg.gline.max_transmitters);
   w.Field("relaxed_tx_policy", cfg.gline.policy == gline::TxPolicy::kRelaxed);
   w.Field("watchdog_timeout", cfg.gline.watchdog_timeout);
@@ -154,7 +153,6 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
     w.Field("cluster_rows", cfg.hier.cluster_rows);
     w.Field("cluster_cols", cfg.hier.cluster_cols);
     w.Field("max_transmitters", cfg.hier.max_transmitters);
-    w.Field("contexts", cfg.hier.contexts);
     w.Field("watchdog_timeout", cfg.hier.watchdog_timeout);
     w.Field("max_retries", cfg.hier.max_retries);
     w.Field("fallback_latency", cfg.hier.fallback_latency);

@@ -351,5 +351,18 @@ TEST(Flags, BoolSpellings) {
   EXPECT_FALSE(f.GetBool("f1", true));
 }
 
+TEST(Flags, UnreadListsPassedFlagsNoLookupAskedFor) {
+  const char* argv[] = {"prog", "pos", "--seen=1", "--probed", "--many=a",
+                        "--typo", "3", "--many=b"};
+  Flags f(8, const_cast<char**>(argv));
+  EXPECT_EQ(f.Unread(), (std::vector<std::string>{"many", "probed", "seen", "typo"}));
+  EXPECT_EQ(f.GetInt("seen", 0), 1);
+  EXPECT_TRUE(f.Has("probed"));
+  EXPECT_EQ(f.GetStrings("many").size(), 2u);
+  EXPECT_EQ(f.GetInt("absent", 7), 7);
+  EXPECT_EQ(f.Unread(), std::vector<std::string>{"typo"})
+      << "positional arguments and never-passed lookups are not flags";
+}
+
 }  // namespace
 }  // namespace glb

@@ -37,17 +37,17 @@ std::string Fig2Walkthrough() {
   std::vector<Cycle> released(4, kCycleNever);
   engine.ScheduleAt(0, [&]() {
     for (CoreId c = 0; c < 4; ++c) {
-      net.Arrive(0, c, [&, c]() { released[c] = engine.Now(); });
+      net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
     }
   });
   for (Cycle t = 0; t <= 6; ++t) {
     engine.RunUntil(t);
     os << "cycle " << t << ":";
     for (std::uint32_t r = 0; r < 2; ++r) {
-      os << " ScntH" << r << "=" << net.ScntH(0, r) << " Mcnt" << r << "="
-         << net.McntH(0, r);
+      os << " ScntH" << r << "=" << net.ScntH(r) << " Mcnt" << r << "="
+         << net.McntH(r);
     }
-    os << " ScntV=" << net.ScntV(0) << "\n";
+    os << " ScntV=" << net.ScntV() << "\n";
   }
   engine.RunUntilIdle();
   for (CoreId c = 0; c < 4; ++c) os << "core" << c << "@" << released[c] << " ";

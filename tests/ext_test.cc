@@ -1,16 +1,11 @@
-// Tests for the extension layer: energy model, G-line context reset,
-// barrier multiplexing (time/space), the memory-mapped hybrid barrier,
-// and the generic Core::WaitFor suspension.
+// Tests for the extension layer: energy model, the memory-mapped hybrid
+// barrier, and the generic Core::WaitFor suspension.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "cmp/cmp_system.h"
-#include "common/rng.h"
-#include "gline/barrier_mux.h"
-#include "gline/barrier_network.h"
 #include "harness/experiment.h"
 #include "power/energy_model.h"
 #include "sync/hybrid_barrier.h"
@@ -68,198 +63,6 @@ TEST(Energy, GlRunCostsLessNetworkEnergyThanDsw) {
   EXPECT_GT(gl.gline_pj, 0.0) << "G-line energy is small but not free";
   EXPECT_LT(gl.gline_pj, dsw.noc_pj / 10.0)
       << "G-line signalling must be far cheaper than the NoC traffic it replaces";
-}
-
-// ---------------------------------------------------------------------------
-// Context reset / reconfiguration
-// ---------------------------------------------------------------------------
-
-struct NetFixture {
-  sim::Engine engine;
-  StatSet stats;
-  std::unique_ptr<gline::BarrierNetwork> net;
-
-  NetFixture(std::uint32_t rows, std::uint32_t cols, std::uint32_t contexts = 1) {
-    gline::BarrierNetConfig cfg;
-    cfg.contexts = contexts;
-    net = std::make_unique<gline::BarrierNetwork>(engine, rows, cols, cfg, stats);
-  }
-
-  std::vector<Cycle> RunEpisode(const std::vector<bool>& who, Cycle at,
-                                std::uint32_t ctx = 0) {
-    std::vector<Cycle> rel(net->num_cores(), kCycleNever);
-    for (CoreId c = 0; c < net->num_cores(); ++c) {
-      if (!who[c]) continue;
-      engine.ScheduleAt(at, [this, c, ctx, &rel]() {
-        net->Arrive(ctx, c, [this, c, &rel]() { rel[c] = engine.Now(); });
-      });
-    }
-    EXPECT_TRUE(engine.RunUntilIdle(1'000'000));
-    return rel;
-  }
-};
-
-TEST(ContextReset, ReconfigureMaskBetweenEpisodes) {
-  NetFixture f(2, 4);
-  const std::uint32_t n = 8;
-  // Episode 1: everyone.
-  auto rel = f.RunEpisode(std::vector<bool>(n, true), f.engine.Now() + 1);
-  for (CoreId c = 0; c < n; ++c) ASSERT_NE(rel[c], kCycleNever);
-  // Reconfigure to row 0 only and run again — the reset must clear the
-  // autonomous re-assertions of the previous mask.
-  std::vector<bool> row0(n, false);
-  for (CoreId c = 0; c < 4; ++c) row0[c] = true;
-  f.net->SetParticipants(0, row0);
-  rel = f.RunEpisode(row0, f.engine.Now() + 1);
-  for (CoreId c = 0; c < 4; ++c) EXPECT_NE(rel[c], kCycleNever);
-  // And back to a different subset.
-  std::vector<bool> col0(n, false);
-  col0[0] = col0[4] = true;
-  f.net->SetParticipants(0, col0);
-  rel = f.RunEpisode(col0, f.engine.Now() + 1);
-  EXPECT_NE(rel[0], kCycleNever);
-  EXPECT_NE(rel[4], kCycleNever);
-  EXPECT_EQ(f.net->barriers_completed(), 3u);
-}
-
-TEST(ContextReset, RepeatedReconfigurationStaysCorrect) {
-  NetFixture f(4, 4);
-  Rng rng(99);
-  for (int episode = 0; episode < 25; ++episode) {
-    std::vector<bool> mask(16, false);
-    std::uint32_t count = 0;
-    while (count == 0) {
-      for (CoreId c = 0; c < 16; ++c) {
-        mask[c] = rng.NextBool(0.5);
-        count += mask[c];
-      }
-    }
-    f.net->SetParticipants(0, mask);
-    const auto rel = f.RunEpisode(mask, f.engine.Now() + 2);
-    for (CoreId c = 0; c < 16; ++c) {
-      if (mask[c]) {
-        ASSERT_NE(rel[c], kCycleNever) << "episode " << episode << " core " << c;
-      } else {
-        ASSERT_EQ(rel[c], kCycleNever);
-      }
-    }
-  }
-}
-
-TEST(ContextResetDeath, ResetWhileGatheringAborts) {
-  NetFixture f(2, 2);
-  f.engine.ScheduleAt(0, [&]() {
-    f.net->Arrive(0, 1, []() {});
-    EXPECT_DEATH(f.net->ResetContext(0), "reset while");
-  });
-  f.engine.RunUntil(0);
-}
-
-// ---------------------------------------------------------------------------
-// Barrier multiplexer
-// ---------------------------------------------------------------------------
-
-TEST(BarrierMux, MoreLogicalBarriersThanContexts) {
-  NetFixture f(2, 4, /*contexts=*/1);
-  gline::BarrierMux mux(*f.net, f.stats);
-  // Two disjoint logical barriers (row 0, row 1) over ONE context.
-  std::vector<bool> row0(8, false), row1(8, false);
-  for (CoreId c = 0; c < 4; ++c) row0[c] = true;
-  for (CoreId c = 4; c < 8; ++c) row1[c] = true;
-  const auto a = mux.CreateBarrier(row0);
-  const auto b = mux.CreateBarrier(row1);
-
-  std::vector<Cycle> rel(8, kCycleNever);
-  f.engine.ScheduleAt(1, [&]() {
-    for (CoreId c = 0; c < 8; ++c) {
-      mux.Arrive(c < 4 ? a : b, c, [&, c]() { rel[c] = f.engine.Now(); });
-    }
-  });
-  ASSERT_TRUE(f.engine.RunUntilIdle(100'000));
-  for (CoreId c = 0; c < 8; ++c) {
-    EXPECT_NE(rel[c], kCycleNever) << "core " << c << " never released";
-  }
-  EXPECT_EQ(f.net->barriers_completed(), 2u);
-  EXPECT_GE(mux.rebinds(), 2u) << "the single context must be time-shared";
-}
-
-TEST(BarrierMux, StickyBindingSkipsReconfiguration) {
-  NetFixture f(2, 2, 2);
-  gline::BarrierMux mux(*f.net, f.stats);
-  const auto a = mux.CreateBarrier();
-  for (int episode = 0; episode < 5; ++episode) {
-    std::vector<Cycle> rel(4, kCycleNever);
-    const Cycle t = f.engine.Now() + 1;
-    for (CoreId c = 0; c < 4; ++c) {
-      f.engine.ScheduleAt(t, [&, c]() {
-        mux.Arrive(a, c, [&, c]() { rel[c] = f.engine.Now(); });
-      });
-    }
-    ASSERT_TRUE(f.engine.RunUntilIdle(100'000));
-    for (CoreId c = 0; c < 4; ++c) ASSERT_NE(rel[c], kCycleNever);
-  }
-  EXPECT_EQ(mux.rebinds(), 1u) << "no contention, so one bind serves all episodes";
-  EXPECT_EQ(mux.BoundContext(a), 0u);
-}
-
-TEST(BarrierMux, ConcurrentDisjointSubsetsUseBothContexts) {
-  NetFixture f(2, 4, 2);
-  gline::BarrierMux mux(*f.net, f.stats);
-  std::vector<bool> evens(8, false), odds(8, false);
-  for (CoreId c = 0; c < 8; ++c) (c % 2 == 0 ? evens : odds)[c] = true;
-  const auto a = mux.CreateBarrier(evens);
-  const auto b = mux.CreateBarrier(odds);
-  std::vector<Cycle> rel(8, kCycleNever);
-  f.engine.ScheduleAt(1, [&]() {
-    for (CoreId c = 0; c < 8; ++c) {
-      mux.Arrive(c % 2 == 0 ? a : b, c, [&, c]() { rel[c] = f.engine.Now(); });
-    }
-  });
-  ASSERT_TRUE(f.engine.RunUntilIdle(100'000));
-  for (CoreId c = 0; c < 8; ++c) ASSERT_NE(rel[c], kCycleNever);
-  EXPECT_NE(mux.BoundContext(a), mux.BoundContext(b));
-  // Both ran concurrently: neither had to wait for the other's release.
-  const Cycle max_rel = *std::max_element(rel.begin(), rel.end());
-  EXPECT_LE(max_rel, 1u + 8u) << "no time-multiplexing should have occurred";
-}
-
-TEST(BarrierMux, ManyLogicalsRoundRobinThroughContexts) {
-  NetFixture f(2, 2, 2);
-  gline::BarrierMux mux(*f.net, f.stats);
-  constexpr int kLogical = 6;
-  std::vector<gline::BarrierMux::LogicalId> ids;
-  for (int i = 0; i < kLogical; ++i) ids.push_back(mux.CreateBarrier());
-  int completed = 0;
-  // All six logical barriers gather concurrently; only two contexts
-  // exist, so four must queue and run as contexts free up.
-  f.engine.ScheduleAt(1, [&]() {
-    for (int i = 0; i < kLogical; ++i) {
-      auto remaining = std::make_shared<int>(4);
-      for (CoreId c = 0; c < 4; ++c) {
-        mux.Arrive(ids[static_cast<std::size_t>(i)], c, [&, remaining]() {
-          if (--*remaining == 0) ++completed;
-        });
-      }
-    }
-  });
-  ASSERT_TRUE(f.engine.RunUntilIdle(1'000'000));
-  EXPECT_EQ(completed, kLogical);
-  EXPECT_EQ(f.net->barriers_completed(), static_cast<std::uint64_t>(kLogical));
-}
-
-TEST(BarrierMux, CoresDriveLogicalBarriersViaDevice) {
-  CmpSystem sys(CmpConfig::WithCores(4));
-  gline::BarrierMux mux(sys.gline(), sys.stats());
-  const auto id = mux.CreateBarrier();
-  for (CoreId c = 0; c < 4; ++c) sys.core(c).SetBarrierDevice(mux.Device(id));
-  auto body = [](Core& c) -> Task {
-    for (int i = 0; i < 3; ++i) {
-      co_await c.Compute(5 * (c.id() + 1));
-      co_await c.GlBarrier();
-    }
-  };
-  ASSERT_TRUE(sys.RunPrograms([&](Core& c, CoreId) { return body(c); }));
-  EXPECT_EQ(sys.stats().CounterValue("gl.barriers_completed"), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -163,9 +163,9 @@ TEST(FaultInjectorUnit, FreezeDelayMatchesCoreTarget) {
   FaultPlan plan;
   plan.script = {{0, FaultSite::kCoreFreeze, "3", 75}};
   FaultInjector inj(e, plan, stats);
-  EXPECT_EQ(inj.FreezeDelay(0, 1), 0u);
-  EXPECT_EQ(inj.FreezeDelay(0, 3), 75u);
-  EXPECT_EQ(inj.FreezeDelay(0, 3), 0u) << "scripted freeze consumed";
+  EXPECT_EQ(inj.FreezeDelay(1), 0u);
+  EXPECT_EQ(inj.FreezeDelay(3), 75u);
+  EXPECT_EQ(inj.FreezeDelay(3), 0u) << "scripted freeze consumed";
 }
 
 TEST(FaultInjectorUnit, WorkSkewRampIsDeterministic) {
@@ -267,7 +267,7 @@ struct FaultNetFixture {
     for (CoreId c = 0; c < net->num_cores(); ++c) {
       if (arrival_cycles[c] == kCycleNever) continue;
       engine.ScheduleAt(arrival_cycles[c], [this, c, &released]() {
-        net->Arrive(0, c, [this, c, &released]() { released[c] = engine.Now(); });
+        net->Arrive(c, [this, c, &released]() { released[c] = engine.Now(); });
       });
     }
     EXPECT_TRUE(engine.RunUntilIdle(1'000'000)) << "episode hangs";
@@ -286,12 +286,12 @@ TEST(SelfHealing, DroppedArrivalRecoversViaWatchdogRetry) {
     EXPECT_GE(released[c], 110u);
     EXPECT_LE(released[c], 130u);
   }
-  EXPECT_FALSE(f.net->degraded(0));
+  EXPECT_FALSE(f.net->degraded());
   EXPECT_EQ(f.net->barriers_completed(), 1u);
   EXPECT_EQ(f.stats.CounterValue("gl.timeouts"), 1u);
   EXPECT_EQ(f.stats.CounterValue("gl.retries"), 1u);
   EXPECT_EQ(f.stats.CounterValue("gl.degraded_episodes"), 0u);
-  EXPECT_EQ(f.net->episode_retries(0), 0u) << "reset after a clean completion";
+  EXPECT_EQ(f.net->episode_retries(), 0u) << "reset after a clean completion";
 }
 
 TEST(SelfHealing, DuplicatedAssertionNeverReleasesEarly) {
@@ -308,7 +308,7 @@ TEST(SelfHealing, DuplicatedAssertionNeverReleasesEarly) {
     ASSERT_NE(released[c], kCycleNever);
     EXPECT_GE(released[c], 400u) << "core " << c << " released before core 2";
   }
-  EXPECT_FALSE(f.net->degraded(0));
+  EXPECT_FALSE(f.net->degraded());
   EXPECT_EQ(f.net->barriers_completed(), 1u);
   EXPECT_GE(f.stats.CounterValue("gl.miscounts"), 1u);
 }
@@ -338,7 +338,7 @@ TEST(SelfHealing, LostReleaseWaveIsRedriven) {
     ASSERT_NE(released[c], kCycleNever) << "core " << c << " stuck";
     EXPECT_GE(released[c], 110u);
   }
-  EXPECT_FALSE(f.net->degraded(0));
+  EXPECT_FALSE(f.net->degraded());
   EXPECT_EQ(f.net->barriers_completed(), 1u);
   EXPECT_EQ(f.stats.CounterValue("gl.timeouts"), 1u);
   // The network stays healthy for the next episode.
@@ -358,7 +358,7 @@ TEST(SelfHealing, PersistentFaultDegradesToFallbackAndSticks) {
   for (CoreId c = 0; c < 4; ++c) {
     ASSERT_NE(released[c], kCycleNever) << "degraded episode must complete";
   }
-  EXPECT_TRUE(f.net->degraded(0));
+  EXPECT_TRUE(f.net->degraded());
   EXPECT_EQ(f.net->barriers_completed(), 1u);
   EXPECT_EQ(f.stats.CounterValue("gl.retries"), 2u);
   EXPECT_EQ(f.stats.CounterValue("gl.timeouts"), 3u);
@@ -384,42 +384,18 @@ TEST(SelfHealing, ExternalFallbackIsUsedOnceDegraded) {
   FaultPlan plan;
   plan.gline_drop_rate = 1.0;
   FaultNetFixture f(2, 2, plan, /*watchdog=*/50, /*retries=*/0);
-  std::uint32_t reconfigured_expected = 0;
   std::vector<std::pair<CoreId, std::function<void()>>> waiters;
-  f.net->SetFallback(
-      [&](std::uint32_t ctx, CoreId core, std::function<void()> on_release) {
-        EXPECT_EQ(ctx, 0u);
-        waiters.emplace_back(core, std::move(on_release));
-        if (waiters.size() == reconfigured_expected) {
-          for (auto& [c, cb] : waiters) cb();
-          waiters.clear();
-        }
-      },
-      [&](std::uint32_t ctx, std::uint32_t expected) {
-        EXPECT_EQ(ctx, 0u);
-        reconfigured_expected = expected;
-      });
+  f.net->SetFallback([&](CoreId core, std::function<void()> on_release) {
+    waiters.emplace_back(core, std::move(on_release));
+    if (waiters.size() == f.net->num_cores()) {
+      for (auto& [c, cb] : waiters) cb();
+      waiters.clear();
+    }
+  });
   const auto released = f.RunOneBarrier(std::vector<Cycle>(4, 10));
-  EXPECT_EQ(reconfigured_expected, 4u);
   for (CoreId c = 0; c < 4; ++c) ASSERT_NE(released[c], kCycleNever);
-  EXPECT_TRUE(f.net->degraded(0));
+  EXPECT_TRUE(f.net->degraded());
   EXPECT_EQ(f.net->barriers_completed(), 1u);
-}
-
-TEST(SelfHealing, PartialParticipationReconfiguresTheFallback) {
-  FaultPlan plan;
-  plan.gline_drop_rate = 1.0;
-  FaultNetFixture f(2, 2, plan, /*watchdog=*/50, /*retries=*/0);
-  ASSERT_TRUE(f.RunOneBarrier(std::vector<Cycle>(4, 10)).size() == 4);
-  ASSERT_TRUE(f.net->degraded(0));
-  // Shrink to three cores; the degraded context must still complete.
-  f.net->SetParticipants(0, {true, true, true, false});
-  const Cycle t = f.engine.Now() + 10;
-  std::vector<Cycle> arrivals(4, t);
-  arrivals[3] = kCycleNever;
-  const auto released = f.RunOneBarrier(arrivals);
-  for (CoreId c = 0; c < 3; ++c) ASSERT_NE(released[c], kCycleNever);
-  EXPECT_EQ(released[3], kCycleNever);
 }
 
 TEST(SelfHealing, ResilientModeOffPreservesFourCycleLatency) {

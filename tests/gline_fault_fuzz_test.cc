@@ -2,9 +2,8 @@
 //
 // Companion to tests/gline_fuzz_test.cc: instead of checking exact
 // release cycles against the closed-form oracle (meaningless under
-// faults), this drives randomized fault plans over random meshes,
-// participation masks and contexts, and asserts the resilience
-// invariant from barrier_network.h:
+// faults), this drives randomized fault plans over random meshes and
+// asserts the resilience invariant from barrier_network.h:
 //
 //   every episode completes — cleanly, after hardware retries, or
 //   degraded through the software fallback — the simulation never
@@ -51,7 +50,6 @@ TEST_P(FaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   sim::Engine engine;
   StatSet stats;
   BarrierNetConfig cfg;
-  cfg.contexts = 1 + static_cast<std::uint32_t>(rng.NextBool(0.5));
   // Watchdog comfortably above the worst-case arrival skew (60) plus the
   // longest injected freeze, so a fault-free episode never times out.
   cfg.watchdog_timeout = 400;
@@ -71,75 +69,42 @@ TEST_P(FaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   inj.Arm(net);
 
   constexpr int kEpisodes = 10;
-  struct CtxRun {
-    std::uint32_t ctx = 0;
-    std::vector<CoreId> members;
-    int episode = 0;
-    std::uint32_t arrived = 0;   // bar_reg writes in the current episode
-    std::uint32_t released = 0;  // releases in the current episode
-    bool early_release = false;
-  };
-  std::vector<std::unique_ptr<CtxRun>> runs;
+  int episode = 0;
+  std::uint32_t arrived = 0;   // bar_reg writes in the current episode
+  std::uint32_t released = 0;  // releases in the current episode
+  bool early_release = false;
 
-  for (std::uint32_t ctx = 0; ctx < cfg.contexts; ++ctx) {
-    auto run = std::make_unique<CtxRun>();
-    run->ctx = ctx;
-    if (rng.NextBool(0.5)) {
-      // Random non-empty participation mask (partial-barrier extension).
-      std::vector<bool> mask(n, false);
-      while (run->members.empty()) {
-        for (CoreId c = 0; c < n; ++c) {
-          if (rng.NextBool(0.6) && !mask[c]) {
-            mask[c] = true;
-            run->members.push_back(c);
-          }
-        }
-      }
-      net.SetParticipants(ctx, mask);
-    } else {
-      for (CoreId c = 0; c < n; ++c) run->members.push_back(c);
-    }
-    runs.push_back(std::move(run));
-  }
-
-  // Sequential episode driver per context: the next episode starts only
-  // after every member of the previous one was released.
-  std::function<void(CtxRun*)> start_episode = [&](CtxRun* run) {
-    run->arrived = 0;
-    run->released = 0;
+  // Sequential episode driver: the next episode starts only after every
+  // core of the previous one was released.
+  std::function<void()> start_episode = [&]() {
+    arrived = 0;
+    released = 0;
     const Cycle now = engine.Now();
-    for (CoreId c : run->members) {
+    for (CoreId c = 0; c < n; ++c) {
       const Cycle at = now + 1 + rng.NextBelow(60);
-      engine.ScheduleAt(at, [&, run, c]() {
-        ++run->arrived;
-        net.Arrive(run->ctx, c, [&, run]() {
+      engine.ScheduleAt(at, [&, c]() {
+        ++arrived;
+        net.Arrive(c, [&]() {
           // The invariant under ANY fault plan: a release implies every
-          // participant already wrote bar_reg this episode.
-          if (run->arrived != run->members.size()) run->early_release = true;
-          if (++run->released == run->members.size()) {
-            if (++run->episode < kEpisodes) start_episode(run);
-          }
+          // core already wrote bar_reg this episode.
+          if (arrived != n) early_release = true;
+          if (++released == n && ++episode < kEpisodes) start_episode();
         });
       });
     }
   };
-  for (auto& run : runs) start_episode(run.get());
+  start_episode();
 
   ASSERT_TRUE(engine.RunUntilIdle(50'000'000))
       << "barrier network hung under fault plan seed " << GetParam() << " ("
       << rows << "x" << cols << ", drop=" << plan.gline_drop_rate
       << " dup=" << plan.gline_dup_rate << " csma=" << plan.csma_corrupt_rate
       << " freeze=" << plan.core_freeze_rate << ")";
-  for (auto& run : runs) {
-    EXPECT_EQ(run->episode, kEpisodes)
-        << "ctx " << run->ctx << " starved (seed " << GetParam() << ")";
-    EXPECT_FALSE(run->early_release)
-        << "ctx " << run->ctx << " released a core early (seed " << GetParam()
-        << ")";
-  }
+  EXPECT_EQ(episode, kEpisodes) << "starved (seed " << GetParam() << ")";
+  EXPECT_FALSE(early_release)
+      << "released a core early (seed " << GetParam() << ")";
   // Every episode was accounted for, clean or degraded.
-  EXPECT_EQ(net.barriers_completed(),
-            static_cast<std::uint64_t>(cfg.contexts) * kEpisodes);
+  EXPECT_EQ(net.barriers_completed(), static_cast<std::uint64_t>(kEpisodes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultFuzz, ::testing::Range<std::uint64_t>(1, 25));
@@ -165,7 +130,7 @@ TEST(FaultFuzzBaseline, ArmedButQuietPlanIsInert) {
       std::vector<Cycle> released(12, kCycleNever);
       for (CoreId c = 0; c < 12; ++c) {
         e.ScheduleAt(arrival[c], [&, c]() {
-          net.Arrive(0, c, [&, c]() { released[c] = e.Now(); });
+          net.Arrive(c, [&, c]() { released[c] = e.Now(); });
         });
       }
       EXPECT_TRUE(e.RunUntilIdle(1'000'000));
@@ -262,9 +227,9 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
 
   auto arrive = [&](CoreId c, std::function<void()> cb) {
     if (hier) {
-      tree->Arrive(0, c, std::move(cb));
+      tree->Arrive(c, std::move(cb));
     } else {
-      flat->Arrive(0, c, std::move(cb));
+      flat->Arrive(c, std::move(cb));
     }
   };
   std::uint64_t episodes_done = 0;
@@ -305,7 +270,7 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
     // scripted entry was consumed, so probes must eventually run clean
     // and every degraded context must return to the hardware path.
     auto degraded = [&]() {
-      return hier ? tree->degraded_any() : flat->degraded(0);
+      return hier ? tree->degraded_any() : flat->degraded();
     };
     int extra = 0;
     while (degraded() && extra < 40) {
@@ -320,7 +285,7 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
                                   ? tree->AggregateCounter("degraded_episodes")
                                   : stats.CounterValue("gl.degraded_episodes");
     const std::uint64_t rejoins =
-        hier ? tree->AggregateCounter("rejoins") : flat->rejoins(0);
+        hier ? tree->AggregateCounter("rejoins") : flat->rejoins();
     if (deg > 0) {
       EXPECT_GE(rejoins, 1u)
           << "episodes degraded but no rejoin recorded (seed " << GetParam()
@@ -356,7 +321,7 @@ TEST(StragglerRejoinRegression, FlatScriptedDropDegradesThenRejoins) {
     std::vector<Cycle> released(4, kCycleNever);
     for (CoreId c = 0; c < 4; ++c) {
       engine.ScheduleAt(start, [&, c]() {
-        net.Arrive(0, c, [&, c]() { released[c] = engine.Now(); });
+        net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
       });
     }
     EXPECT_TRUE(engine.RunUntilIdle(1'000'000));
@@ -367,23 +332,23 @@ TEST(StragglerRejoinRegression, FlatScriptedDropDegradesThenRejoins) {
   // Episode 1: the scripted drop eats a row gather; with no retry
   // budget the watchdog degrades the context straight to the fallback.
   episode(10);
-  ASSERT_TRUE(net.degraded(0));
-  EXPECT_EQ(net.health(0), BarrierNetwork::Health::kDegraded);
+  ASSERT_TRUE(net.degraded());
+  EXPECT_EQ(net.health(), BarrierNetwork::Health::kDegraded);
   EXPECT_EQ(stats.CounterValue("gl.degraded_episodes"), 1u);
 
   // Fallback episodes accumulate toward probe_after = 2; the next
   // episode's arrivals are then shadow-signaled through the (now
   // healthy) wires and one clean probe rejoins the hardware path.
   Cycle t = 1000;
-  while (net.degraded(0) && t < 20'000) {
+  while (net.degraded() && t < 20'000) {
     episode(t);
     t += 1000;
   }
-  EXPECT_FALSE(net.degraded(0));
-  EXPECT_EQ(net.health(0), BarrierNetwork::Health::kRejoined);
-  EXPECT_GE(net.rejoins(0), 1u);
+  EXPECT_FALSE(net.degraded());
+  EXPECT_EQ(net.health(), BarrierNetwork::Health::kRejoined);
+  EXPECT_GE(net.rejoins(), 1u);
   EXPECT_GE(stats.CounterValue("gl.probes"), 1u);
-  EXPECT_EQ(stats.CounterValue("gl.rejoins"), net.rejoins(0));
+  EXPECT_EQ(stats.CounterValue("gl.rejoins"), net.rejoins());
 
   // Post-rejoin episodes must run on hardware again: same release
   // cycles as a reference network that never saw a fault.
@@ -393,7 +358,7 @@ TEST(StragglerRejoinRegression, FlatScriptedDropDegradesThenRejoins) {
   std::vector<Cycle> ref_released(4, kCycleNever);
   for (CoreId c = 0; c < 4; ++c) {
     ref_engine.ScheduleAt(100, [&, c]() {
-      ref.Arrive(0, c, [&, c]() { ref_released[c] = ref_engine.Now(); });
+      ref.Arrive(c, [&, c]() { ref_released[c] = ref_engine.Now(); });
     });
   }
   EXPECT_TRUE(ref_engine.RunUntilIdle(1'000'000));
@@ -432,7 +397,7 @@ TEST(StragglerRejoinRegression, HierLeafNodeRejoinsAtDepth) {
     for (CoreId c = 0; c < kCores; ++c) {
       engine.ScheduleAt(start, [&, c]() {
         ++arrived;
-        net.Arrive(0, c, [&]() {
+        net.Arrive(c, [&]() {
           if (arrived != kCores) early = true;
           ++released;
         });
@@ -448,9 +413,9 @@ TEST(StragglerRejoinRegression, HierLeafNodeRejoinsAtDepth) {
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_TRUE(net.degraded_any());
   // The fault was confined to node l0.c0; its siblings stay healthy.
-  EXPECT_TRUE(net.node(0, 0).degraded(0));
-  EXPECT_FALSE(net.node(0, 1).degraded(0));
-  EXPECT_FALSE(net.node(1, 0).degraded(0));
+  EXPECT_TRUE(net.node(0, 0).degraded());
+  EXPECT_FALSE(net.node(0, 1).degraded());
+  EXPECT_FALSE(net.node(1, 0).degraded());
 
   Cycle t = 5000;
   while (net.degraded_any() && t < 100'000) {
@@ -459,7 +424,7 @@ TEST(StragglerRejoinRegression, HierLeafNodeRejoinsAtDepth) {
     t += 5000;
   }
   EXPECT_FALSE(net.degraded_any());
-  EXPECT_EQ(net.node(0, 0).health(0), BarrierNetwork::Health::kRejoined);
+  EXPECT_EQ(net.node(0, 0).health(), BarrierNetwork::Health::kRejoined);
   EXPECT_GE(net.AggregateCounter("rejoins"), 1u);
   EXPECT_GE(net.AggregateCounter("probes"), 1u);
   EXPECT_EQ(net.barriers_completed(), static_cast<std::uint64_t>(episodes));

@@ -1,5 +1,5 @@
 // Fuzz tests for the G-line barrier layer against an independent
-// closed-form oracle, plus randomized multiplexer workloads.
+// closed-form oracle.
 //
 // The oracle re-derives the release cycle of every core from first
 // principles (it shares no code with the FSM implementation):
@@ -17,12 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "gline/barrier_mux.h"
 #include "gline/barrier_network.h"
 #include "sim/engine.h"
 
@@ -83,7 +81,7 @@ TEST_P(ArrivalFuzz, SimulationMatchesClosedForm) {
       std::vector<Cycle> released(n, kCycleNever);
       for (CoreId c = 0; c < n; ++c) {
         engine.ScheduleAt(arrival[c], [&net, &engine, &released, c]() {
-          net.Arrive(0, c, [&engine, &released, c]() {
+          net.Arrive(c, [&engine, &released, c]() {
             released[c] = engine.Now();
           });
         });
@@ -100,83 +98,6 @@ TEST_P(ArrivalFuzz, SimulationMatchesClosedForm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArrivalFuzz, ::testing::Range<std::uint64_t>(1, 9));
-
-// ---------------------------------------------------------------------------
-// Multiplexer fuzz: random masks, more logical barriers than contexts,
-// episodes racing each other; every participant must be released
-// exactly once per episode and never before all its peers arrived.
-// ---------------------------------------------------------------------------
-
-class MuxFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MuxFuzz, RandomLogicalBarrierTraffic) {
-  Rng rng(GetParam() * 7919);
-  sim::Engine engine;
-  StatSet stats;
-  BarrierNetConfig cfg;
-  cfg.contexts = 2;
-  const std::uint32_t rows = 3, cols = 4, n = rows * cols;
-  BarrierNetwork net(engine, rows, cols, cfg, stats);
-  BarrierMux mux(net, stats);
-
-  constexpr int kLogical = 5;
-  constexpr int kEpisodes = 6;
-  struct LogicalRun {
-    BarrierMux::LogicalId id;
-    std::vector<CoreId> members;
-    int episode = 0;
-    std::uint32_t arrived = 0;   // arrivals in the current episode
-    std::uint32_t released = 0;  // releases in the current episode
-    bool violated = false;
-  };
-  std::vector<std::unique_ptr<LogicalRun>> runs;
-
-  for (int l = 0; l < kLogical; ++l) {
-    std::vector<bool> mask(n, false);
-    auto run = std::make_unique<LogicalRun>();
-    while (run->members.empty()) {
-      for (CoreId c = 0; c < n; ++c) {
-        if (rng.NextBool(0.4)) {
-          if (!mask[c]) run->members.push_back(c);
-          mask[c] = true;
-        }
-      }
-    }
-    run->id = mux.CreateBarrier(mask);
-    runs.push_back(std::move(run));
-  }
-
-  // Episode driver: schedule all arrivals for a run's current episode;
-  // when the last release lands, start the next episode.
-  std::function<void(LogicalRun*)> start_episode = [&](LogicalRun* run) {
-    run->arrived = 0;
-    run->released = 0;
-    const Cycle now = engine.Now();
-    for (CoreId c : run->members) {
-      const Cycle at = now + 1 + rng.NextBelow(40);
-      engine.ScheduleAt(at, [&, run, c]() {
-        ++run->arrived;
-        mux.Arrive(run->id, c, [&, run]() {
-          if (run->arrived != run->members.size()) run->violated = true;
-          if (++run->released == run->members.size()) {
-            if (++run->episode < kEpisodes) start_episode(run);
-          }
-        });
-      });
-    }
-  };
-  for (auto& run : runs) start_episode(run.get());
-
-  ASSERT_TRUE(engine.RunUntilIdle(10'000'000)) << "mux deadlocked";
-  for (auto& run : runs) {
-    EXPECT_EQ(run->episode, kEpisodes) << "logical " << run->id << " starved";
-    EXPECT_FALSE(run->violated) << "logical " << run->id << " released early";
-  }
-  EXPECT_EQ(net.barriers_completed(),
-            static_cast<std::uint64_t>(kLogical) * kEpisodes);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MuxFuzz, ::testing::Range<std::uint64_t>(1, 7));
 
 }  // namespace
 }  // namespace glb::gline

@@ -1,7 +1,6 @@
 // G-line barrier network tests: wire/S-CSMA behaviour, the Figure-4
 // FSMs, the 4-cycle synchronization walkthrough of Figure 2, skewed
-// arrivals, back-to-back barriers, transmitter-limit policies, and the
-// multi-context / partial-participation extensions.
+// arrivals, back-to-back barriers and transmitter-limit policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,15 +140,15 @@ struct NetFixture {
     net = std::make_unique<BarrierNetwork>(engine, rows, cols, cfg, stats);
   }
 
-  /// All cores in `mask` (default: everyone) arrive at `when`; returns
-  /// per-core release cycles (kCycleNever for non-participants).
-  std::vector<Cycle> RunOneBarrier(const std::vector<Cycle>& arrival_cycles,
-                                   std::uint32_t ctx = 0) {
+  /// Each core arrives at its `arrival_cycles` entry (kCycleNever: it
+  /// does not arrive); returns per-core release cycles (kCycleNever for
+  /// cores never released).
+  std::vector<Cycle> RunOneBarrier(const std::vector<Cycle>& arrival_cycles) {
     std::vector<Cycle> released(net->num_cores(), kCycleNever);
     for (CoreId c = 0; c < net->num_cores(); ++c) {
       if (arrival_cycles[c] == kCycleNever) continue;
-      engine.ScheduleAt(arrival_cycles[c], [this, c, ctx, &released]() {
-        net->Arrive(ctx, c, [this, c, &released]() { released[c] = engine.Now(); });
+      engine.ScheduleAt(arrival_cycles[c], [this, c, &released]() {
+        net->Arrive(c, [this, c, &released]() { released[c] = engine.Now(); });
       });
     }
     EXPECT_TRUE(engine.RunUntilIdle(1'000'000));
@@ -158,7 +157,7 @@ struct NetFixture {
 };
 
 TEST(BarrierNet, LineBudgetMatchesPaperFormula) {
-  // 2 x (rows + 1) lines per context; Figure 1's 16-core example: 10.
+  // 2 x (rows + 1) lines; Figure 1's 16-core example: 10.
   NetFixture f(4, 4);
   EXPECT_EQ(f.net->total_lines(), 10u);
 }
@@ -191,7 +190,7 @@ TEST(BarrierNet, FourCycleSynchronization4x4) {
 
 TEST(BarrierNet, SevenBySevenStillFourCycles) {
   // The largest configuration the 6-transmitter budget supports.
-  NetFixture f(7, 7, BarrierNetConfig{1, 6, TxPolicy::kReject});
+  NetFixture f(7, 7, BarrierNetConfig{6, TxPolicy::kReject});
   const std::vector<Cycle> arrivals(49, 50);
   const auto released = f.RunOneBarrier(arrivals);
   for (CoreId c = 0; c < 49; ++c) {
@@ -240,37 +239,37 @@ TEST(BarrierNet, FsmStatesFollowFigure4) {
   auto& e = f.engine;
   auto& net = *f.net;
   // Initially: masters Accounting, slaves Signaling.
-  EXPECT_EQ(net.MasterHState(0, 0), BarrierNetwork::MasterState::kAccounting);
-  EXPECT_EQ(net.MasterVState(0), BarrierNetwork::MasterState::kAccounting);
-  EXPECT_EQ(net.SlaveHState(0, 1), BarrierNetwork::SlaveState::kSignaling);
-  EXPECT_EQ(net.SlaveVState(0, 1), BarrierNetwork::SlaveState::kSignaling);
+  EXPECT_EQ(net.MasterHState(0), BarrierNetwork::MasterState::kAccounting);
+  EXPECT_EQ(net.MasterVState(), BarrierNetwork::MasterState::kAccounting);
+  EXPECT_EQ(net.SlaveHState(1), BarrierNetwork::SlaveState::kSignaling);
+  EXPECT_EQ(net.SlaveVState(1), BarrierNetwork::SlaveState::kSignaling);
 
   bool r1 = false, r3 = false;
   // Core 1 (SlaveH of row 0) arrives: Signaling -> Waiting immediately.
-  e.ScheduleAt(10, [&]() { net.Arrive(0, 1, [&]() { r1 = true; }); });
+  e.ScheduleAt(10, [&]() { net.Arrive(1, [&]() { r1 = true; }); });
   e.RunUntil(10);
-  EXPECT_EQ(net.SlaveHState(0, 1), BarrierNetwork::SlaveState::kWaiting);
-  EXPECT_EQ(net.ScntH(0, 0), 0u) << "count arrives one cycle later";
+  EXPECT_EQ(net.SlaveHState(1), BarrierNetwork::SlaveState::kWaiting);
+  EXPECT_EQ(net.ScntH(0), 0u) << "count arrives one cycle later";
   e.RunUntil(11);
-  EXPECT_EQ(net.ScntH(0, 0), 1u) << "S-CSMA count registered";
-  EXPECT_EQ(net.MasterHState(0, 0), BarrierNetwork::MasterState::kAccounting)
+  EXPECT_EQ(net.ScntH(0), 1u) << "S-CSMA count registered";
+  EXPECT_EQ(net.MasterHState(0), BarrierNetwork::MasterState::kAccounting)
       << "row 0 master still waits for its own core";
 
   // Core 0 (MasterH node of row 0) arrives: Mcnt set, row completes,
   // MasterH -> Waiting, MasterV sees node-0 flag.
-  e.ScheduleAt(20, [&]() { net.Arrive(0, 0, []() {}); });
+  e.ScheduleAt(20, [&]() { net.Arrive(0, []() {}); });
   e.RunUntil(20);
-  EXPECT_TRUE(net.McntH(0, 0));
-  EXPECT_EQ(net.MasterHState(0, 0), BarrierNetwork::MasterState::kWaiting);
-  EXPECT_EQ(net.MasterVState(0), BarrierNetwork::MasterState::kAccounting)
+  EXPECT_TRUE(net.McntH(0));
+  EXPECT_EQ(net.MasterHState(0), BarrierNetwork::MasterState::kWaiting);
+  EXPECT_EQ(net.MasterVState(), BarrierNetwork::MasterState::kAccounting)
       << "row 1 has not completed yet";
 
   // Row 1 completes: core 3 (slave), then core 2 (master node).
-  e.ScheduleAt(30, [&]() { net.Arrive(0, 3, [&]() { r3 = true; }); });
-  e.ScheduleAt(32, [&]() { net.Arrive(0, 2, []() {}); });
+  e.ScheduleAt(30, [&]() { net.Arrive(3, [&]() { r3 = true; }); });
+  e.ScheduleAt(32, [&]() { net.Arrive(2, []() {}); });
   e.RunUntil(32);
-  EXPECT_EQ(net.MasterHState(0, 1), BarrierNetwork::MasterState::kWaiting);
-  EXPECT_EQ(net.SlaveVState(0, 1), BarrierNetwork::SlaveState::kWaiting)
+  EXPECT_EQ(net.MasterHState(1), BarrierNetwork::MasterState::kWaiting);
+  EXPECT_EQ(net.SlaveVState(1), BarrierNetwork::SlaveState::kWaiting)
       << "SlaveV signalled and waits";
   EXPECT_FALSE(r1);
 
@@ -278,20 +277,20 @@ TEST(BarrierNet, FsmStatesFollowFigure4) {
   e.RunUntilIdle();
   EXPECT_TRUE(r1);
   EXPECT_TRUE(r3);
-  EXPECT_EQ(net.MasterHState(0, 0), BarrierNetwork::MasterState::kAccounting);
-  EXPECT_EQ(net.MasterHState(0, 1), BarrierNetwork::MasterState::kAccounting);
-  EXPECT_EQ(net.MasterVState(0), BarrierNetwork::MasterState::kAccounting);
-  EXPECT_EQ(net.SlaveHState(0, 1), BarrierNetwork::SlaveState::kSignaling);
-  EXPECT_EQ(net.SlaveVState(0, 1), BarrierNetwork::SlaveState::kSignaling);
-  EXPECT_EQ(net.ScntH(0, 0), 0u);
-  EXPECT_EQ(net.ScntV(0), 0u);
+  EXPECT_EQ(net.MasterHState(0), BarrierNetwork::MasterState::kAccounting);
+  EXPECT_EQ(net.MasterHState(1), BarrierNetwork::MasterState::kAccounting);
+  EXPECT_EQ(net.MasterVState(), BarrierNetwork::MasterState::kAccounting);
+  EXPECT_EQ(net.SlaveHState(1), BarrierNetwork::SlaveState::kSignaling);
+  EXPECT_EQ(net.SlaveVState(1), BarrierNetwork::SlaveState::kSignaling);
+  EXPECT_EQ(net.ScntH(0), 0u);
+  EXPECT_EQ(net.ScntV(), 0u);
 }
 
 TEST(BarrierNetDeath, DoubleArrivalAborts) {
   NetFixture f(2, 2);
   f.engine.ScheduleAt(0, [&]() {
-    f.net->Arrive(0, 1, []() {});
-    EXPECT_DEATH(f.net->Arrive(0, 1, []() {}), "arrived twice");
+    f.net->Arrive(1, []() {});
+    EXPECT_DEATH(f.net->Arrive(1, []() {}), "arrived twice");
   });
   f.engine.RunUntil(0);
 }
@@ -318,122 +317,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MeshSweep,
                                            std::pair{2, 4}, std::pair{4, 4},
                                            std::pair{4, 8}, std::pair{7, 7},
                                            std::pair{8, 8}));
-
-// ---------------------------------------------------------------------------
-// Extensions: multiple contexts, partial participation
-// ---------------------------------------------------------------------------
-
-TEST(BarrierNetExt, ContextsAreIndependent) {
-  NetFixture f(2, 2, BarrierNetConfig{2, 6, TxPolicy::kReject});
-  EXPECT_EQ(f.net->total_lines(), 12u);  // 2 contexts x 6 lines
-  std::vector<Cycle> rel0(4, kCycleNever), rel1(4, kCycleNever);
-  // Context 1 completes while context 0 is still gathering.
-  for (CoreId c = 0; c < 4; ++c) {
-    f.engine.ScheduleAt(10, [&, c]() {
-      f.net->Arrive(1, c, [&, c]() { rel1[c] = f.engine.Now(); });
-    });
-  }
-  for (CoreId c = 0; c < 3; ++c) {
-    f.engine.ScheduleAt(12, [&, c]() {
-      f.net->Arrive(0, c, [&, c]() { rel0[c] = f.engine.Now(); });
-    });
-  }
-  f.engine.ScheduleAt(200, [&]() {
-    f.net->Arrive(0, 3, [&]() { rel0[3] = f.engine.Now(); });
-  });
-  ASSERT_TRUE(f.engine.RunUntilIdle(10'000));
-  for (CoreId c = 0; c < 4; ++c) {
-    EXPECT_LE(rel1[c], 14u) << "ctx1 must not wait for ctx0";
-    EXPECT_GE(rel0[c], 200u);
-  }
-}
-
-TEST(BarrierNetExt, PartialParticipationSubsetOnly) {
-  NetFixture f(2, 4);
-  // Only row-0 cores participate.
-  std::vector<bool> mask(8, false);
-  for (CoreId c = 0; c < 4; ++c) mask[c] = true;
-  f.net->SetParticipants(0, mask);
-  std::vector<Cycle> arrivals(8, kCycleNever);
-  for (CoreId c = 0; c < 4; ++c) arrivals[c] = 10;
-  const auto released = f.RunOneBarrier(arrivals);
-  for (CoreId c = 0; c < 4; ++c) {
-    EXPECT_NE(released[c], kCycleNever) << "participant " << c << " stuck";
-    EXPECT_LE(released[c], 16u);
-  }
-  for (CoreId c = 4; c < 8; ++c) EXPECT_EQ(released[c], kCycleNever);
-  EXPECT_EQ(f.net->barriers_completed(), 1u);
-}
-
-TEST(BarrierNetExt, PartialParticipationRepeats) {
-  NetFixture f(4, 4);
-  std::vector<bool> mask(16, false);
-  // A scattered subset including master and slave nodes.
-  for (CoreId c : {0u, 3u, 5u, 9u, 14u}) mask[c] = true;
-  f.net->SetParticipants(0, mask);
-  for (int episode = 0; episode < 10; ++episode) {
-    const Cycle t = f.engine.Now() + 5;
-    std::vector<Cycle> arrivals(16, kCycleNever);
-    for (CoreId c : {0u, 3u, 5u, 9u, 14u}) arrivals[c] = t + c % 3;
-    const auto released = f.RunOneBarrier(arrivals);
-    for (CoreId c : {0u, 3u, 5u, 9u, 14u}) {
-      ASSERT_NE(released[c], kCycleNever) << "episode " << episode;
-    }
-  }
-  EXPECT_EQ(f.net->barriers_completed(), 10u);
-}
-
-TEST(BarrierNetExt, ResetThenReconfigureBetweenEpisodes) {
-  // Reset + reconfiguration between episodes is legal and leaves the
-  // network fully functional for a different participant set.
-  NetFixture f(2, 2);
-  const auto first = f.RunOneBarrier(std::vector<Cycle>(4, 10));
-  for (CoreId c = 0; c < 4; ++c) ASSERT_NE(first[c], kCycleNever);
-  f.net->ResetContext(0);
-  f.net->SetParticipants(0, {true, true, false, false});  // row 0 only
-  const Cycle t = f.engine.Now() + 5;
-  std::vector<Cycle> arrivals(4, kCycleNever);
-  arrivals[0] = t;
-  arrivals[1] = t + 1;
-  const auto second = f.RunOneBarrier(arrivals);
-  EXPECT_NE(second[0], kCycleNever);
-  EXPECT_NE(second[1], kCycleNever);
-  EXPECT_EQ(second[2], kCycleNever);
-  EXPECT_EQ(second[3], kCycleNever);
-  EXPECT_EQ(f.net->barriers_completed(), 2u);
-}
-
-TEST(BarrierNetExtDeath, ResetWhileGatheringAborts) {
-  NetFixture f(2, 2);
-  f.engine.ScheduleAt(0, [&]() {
-    f.net->Arrive(0, 1, []() {});
-    EXPECT_DEATH(f.net->ResetContext(0), "gathering");
-  });
-  f.engine.RunUntil(0);
-}
-
-TEST(BarrierNetExtDeath, ResetDuringReleaseWaveAborts) {
-  // All cores arrive at 10; at cycle 13 the release wave is mid-flight
-  // (column-0 cores released, the others still waiting on MglineH).
-  NetFixture f(2, 2);
-  for (CoreId c = 0; c < 4; ++c) {
-    f.engine.ScheduleAt(10, [&, c]() { f.net->Arrive(0, c, []() {}); });
-  }
-  f.engine.ScheduleAt(13, [&]() {
-    EXPECT_DEATH(f.net->ResetContext(0), "awaits release");
-  });
-  ASSERT_TRUE(f.engine.RunUntilIdle(1'000));
-}
-
-TEST(BarrierNetExtDeath, NonParticipantArrivalAborts) {
-  NetFixture f(2, 2);
-  std::vector<bool> mask{true, true, true, false};
-  f.net->SetParticipants(0, mask);
-  f.engine.ScheduleAt(0, [&]() {
-    EXPECT_DEATH(f.net->Arrive(0, 3, []() {}), "not a participant");
-  });
-  f.engine.RunUntil(0);
-}
 
 }  // namespace
 }  // namespace glb::gline

@@ -1,7 +1,7 @@
 // Hierarchical (multi-level) G-line barrier network tests — the §5
 // scheme for meshes beyond 7x7. Clustering recurses to arbitrary depth,
 // so these cover depth 1 (degenerate), 2 (up to 49x49), 3 (50x50+) and
-// a forced depth-4 configuration, plus contexts, stat aliasing and
+// a forced depth-4 configuration, plus stat aliasing and
 // fault resilience at every level.
 #include <gtest/gtest.h>
 
@@ -175,30 +175,6 @@ TEST(Hierarchy, DeepHierarchyFromTinyClusters) {
   EXPECT_EQ(hi, 50u + 4u * 4u);
 }
 
-TEST(Hierarchy, MultipleContextsAreIndependent) {
-  // barrier_mux parity: two contexts on the same 8x8 hierarchy; a
-  // straggler in context 1 must not hold up context 0.
-  HierConfig cfg;
-  cfg.contexts = 2;
-  Fixture f(8, 8, cfg);
-  std::vector<Cycle> rel0(64, kCycleNever), rel1(64, kCycleNever);
-  for (CoreId c = 0; c < 64; ++c) {
-    f.engine.ScheduleAt(10, [&f, c, &rel0]() {
-      f.net->Arrive(0, c, [&f, c, &rel0]() { rel0[c] = f.engine.Now(); });
-    });
-    const Cycle at1 = c == 63 ? 500 : 10;
-    f.engine.ScheduleAt(at1, [&f, c, &rel1]() {
-      f.net->Arrive(1, c, [&f, c, &rel1]() { rel1[c] = f.engine.Now(); });
-    });
-  }
-  ASSERT_TRUE(f.engine.RunUntilIdle(1'000'000));
-  for (CoreId c = 0; c < 64; ++c) {
-    EXPECT_LE(rel0[c], 10u + 12u) << "ctx0 stalled by ctx1's straggler";
-    EXPECT_GE(rel1[c], 500u) << "ctx1 released before its straggler";
-  }
-  EXPECT_EQ(f.net->barriers_completed(), 2u);
-}
-
 TEST(Hierarchy, StatPrefixesDoNotAlias) {
   // Regression: every level/cluster sub-network used to register its
   // counters under the same "gl." names, so one global barrier bumped
@@ -269,7 +245,6 @@ TEST_P(HierFaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   sim::Engine engine;
   StatSet stats;
   HierConfig cfg;
-  cfg.contexts = 1 + static_cast<std::uint32_t>(rng.NextBool(0.5));
   // Generous: an upper level's watchdog only starts at its first
   // cluster arrival, but a sibling cluster may burn its whole retry
   // budget (watchdog x retries) before forwarding anything.
@@ -288,51 +263,36 @@ TEST_P(HierFaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   inj.Arm(net);
 
   constexpr int kEpisodes = 6;
-  struct CtxRun {
-    std::uint32_t ctx = 0;
-    int episode = 0;
-    std::uint32_t arrived = 0;
-    std::uint32_t released = 0;
-    bool early_release = false;
-  };
-  std::vector<std::unique_ptr<CtxRun>> runs;
-  for (std::uint32_t ctx = 0; ctx < cfg.contexts; ++ctx) {
-    runs.push_back(std::make_unique<CtxRun>());
-    runs.back()->ctx = ctx;
-  }
+  int episode = 0;
+  std::uint32_t arrived = 0;
+  std::uint32_t released = 0;
+  bool early_release = false;
 
-  std::function<void(CtxRun*)> start_episode = [&](CtxRun* run) {
-    run->arrived = 0;
-    run->released = 0;
+  std::function<void()> start_episode = [&]() {
+    arrived = 0;
+    released = 0;
     const Cycle now = engine.Now();
     for (CoreId c = 0; c < n; ++c) {
-      engine.ScheduleAt(now + 1 + rng.NextBelow(60), [&, run, c]() {
-        ++run->arrived;
-        net.Arrive(run->ctx, c, [&, run]() {
-          if (run->arrived != n) run->early_release = true;
-          if (++run->released == n && ++run->episode < kEpisodes) {
-            start_episode(run);
-          }
+      engine.ScheduleAt(now + 1 + rng.NextBelow(60), [&, c]() {
+        ++arrived;
+        net.Arrive(c, [&]() {
+          if (arrived != n) early_release = true;
+          if (++released == n && ++episode < kEpisodes) start_episode();
         });
       });
     }
   };
-  for (auto& run : runs) start_episode(run.get());
+  start_episode();
 
   ASSERT_TRUE(engine.RunUntilIdle(50'000'000))
       << "hierarchical network hung under fault plan seed " << GetParam()
       << " (" << rows << "x" << cols << ", drop=" << plan.gline_drop_rate
       << " dup=" << plan.gline_dup_rate << " csma=" << plan.csma_corrupt_rate
       << " freeze=" << plan.core_freeze_rate << ")";
-  for (auto& run : runs) {
-    EXPECT_EQ(run->episode, kEpisodes)
-        << "ctx " << run->ctx << " starved (seed " << GetParam() << ")";
-    EXPECT_FALSE(run->early_release)
-        << "ctx " << run->ctx << " released a core early (seed " << GetParam()
-        << ")";
-  }
-  EXPECT_EQ(net.barriers_completed(),
-            static_cast<std::uint64_t>(cfg.contexts) * kEpisodes);
+  EXPECT_EQ(episode, kEpisodes) << "starved (seed " << GetParam() << ")";
+  EXPECT_FALSE(early_release)
+      << "released a core early (seed " << GetParam() << ")";
+  EXPECT_EQ(net.barriers_completed(), static_cast<std::uint64_t>(kEpisodes));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HierFaultFuzz,

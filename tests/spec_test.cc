@@ -314,24 +314,35 @@ TEST(HierEnergy, PerLevelTermsSumAndDominateFlatEquivalent) {
 // Weak-scaling sanity: each application runs to completion and
 // validates on the hierarchical network at 256 cores with the
 // ForCores problem sizes (iterations dialed down to keep the test
-// host-seconds; the sizes are the point).
-TEST(WeakScaling, ApplicationsValidateAt256CoresOnHier) {
+// host-seconds; the sizes are the point). One test per application,
+// so a failure names it.
+void ExpectValidatesAt256CoresOnHier(const char* name) {
   Scale scale = Scale::ForCores(256);
   scale.ocean_iters = 1;
   scale.em3d_steps = 1;
   scale.unstr_steps = 1;
-  for (const char* name : {"EM3D", "OCEAN", "UNSTRUCTURED"}) {
-    ExperimentSpec spec;
-    spec.workload = name;
-    spec.scale = scale;
-    spec.barrier = BarrierKind::kGLH;
-    spec.cfg = cmp::CmpConfig::WithCores(256);
-    const RunMetrics m = RunExperiment(spec);
-    EXPECT_TRUE(m.completed) << name << ": " << m.stall;
-    EXPECT_EQ(m.validation, "") << name;
-    EXPECT_EQ(m.cores, 256u) << name;
-    EXPECT_GT(m.barriers, 0u) << name;
-  }
+  ExperimentSpec spec;
+  spec.workload = name;
+  spec.scale = scale;
+  spec.barrier = BarrierKind::kGLH;
+  spec.cfg = cmp::CmpConfig::WithCores(256);
+  const RunMetrics m = RunExperiment(spec);
+  EXPECT_TRUE(m.completed) << name << ": " << m.stall;
+  EXPECT_EQ(m.validation, "") << name;
+  EXPECT_EQ(m.cores, 256u) << name;
+  EXPECT_GT(m.barriers, 0u) << name;
+}
+
+TEST(WeakScaling, Em3dValidatesAt256CoresOnHier) {
+  ExpectValidatesAt256CoresOnHier("EM3D");
+}
+
+TEST(WeakScaling, OceanValidatesAt256CoresOnHier) {
+  ExpectValidatesAt256CoresOnHier("OCEAN");
+}
+
+TEST(WeakScaling, UnstructuredValidatesAt256CoresOnHier) {
+  ExpectValidatesAt256CoresOnHier("UNSTRUCTURED");
 }
 
 }  // namespace

@@ -172,6 +172,18 @@ glb::harness::TenantSpec ParseTenantOrExit(const glb::Flags& flags,
   return t;
 }
 
+/// Exits 2 naming every passed flag that parsing never read: a typo'd
+/// or retired flag would otherwise leave its default in place silently.
+/// Call once per path, after its last flag lookup and before the run.
+void RejectUnreadFlagsOrExit(const glb::Flags& flags) {
+  const std::vector<std::string> unread = flags.Unread();
+  if (unread.empty()) return;
+  for (const std::string& name : unread) {
+    std::cerr << "unknown flag --" << name << " (see --help)\n";
+  }
+  std::exit(2);
+}
+
 /// The --tenant driver path: validates the RunSpec up front (exit 2),
 /// runs every tenant concurrently, and reports per-tenant isolation
 /// metrics next to the usual chip-level summary/manifest.
@@ -194,21 +206,24 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
 
   const bool want_heatmap = flags.GetBool("heatmap", false);
   const bool want_profile = flags.GetBool("profile", false);
+  const bool want_csv = flags.GetBool("csv", false);
+  const bool want_stats = flags.GetBool("stats", false);
+  const bool want_progress = flags.GetBool("progress", false);
+  const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
+  RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
   cmp::CmpSystem sys(spec.cfg);
   // Tenant barrier networks are admitted after the sampler exists, so
   // only the chip-wide breakdown gauges ride along here.
-  trace::Sampler sampler(sys.engine(), sys.stats(),
-                         static_cast<Cycle>(flags.GetInt("sample-interval", 0)));
+  trace::Sampler sampler(sys.engine(), sys.stats(), sample_interval);
   for (int c = 0; c < core::kNumTimeCats; ++c) {
     const auto cat = static_cast<core::TimeCat>(c);
     sampler.AddGauge(std::string("core.cycles.") + core::ToString(cat),
                      [&sys, cat] { return sys.TotalBreakdown()[cat]; });
   }
   harness::Progress progress(
-      sys.engine(),
-      flags.GetBool("progress", false) && harness::Progress::StderrIsTty(),
+      sys.engine(), want_progress && harness::Progress::StderrIsTty(),
       spec.max_cycles);
 
   sampler.Start();
@@ -254,7 +269,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
     return 1;
   }
 
-  if (flags.GetBool("csv", false)) {
+  if (want_csv) {
     std::cout << "name,rect,workload,barrier,cores,barriers,wait_p50,"
                  "wait_p95,wait_p99,finished_at,router_flits,gline_signals,"
                  "valid\n";
@@ -300,7 +315,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
               << " samples @ " << sampler.interval() << " cycles\n";
   }
 
-  if (flags.GetBool("stats", false)) {
+  if (want_stats) {
     std::cout << "\n--- statistics registry ---\n";
     sys.stats().Print(std::cout);
   }
@@ -346,6 +361,11 @@ int main(int argc, char** argv) {
   // --stats and the energy estimate need).
   const bool want_heatmap = flags.GetBool("heatmap", false);
   const bool want_profile = flags.GetBool("profile", false);
+  const bool want_csv = flags.GetBool("csv", false);
+  const bool want_stats = flags.GetBool("stats", false);
+  const bool want_progress = flags.GetBool("progress", false);
+  const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
+  RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
   cmp::CmpSystem sys(cfg);
@@ -356,18 +376,15 @@ int main(int argc, char** argv) {
 
   // Interval sampler: watchdog windows and the compute-vs-wait breakdown
   // ride along as gauges next to every StatSet counter.
-  trace::Sampler sampler(sys.engine(), sys.stats(),
-                         static_cast<Cycle>(flags.GetInt("sample-interval", 0)));
+  trace::Sampler sampler(sys.engine(), sys.stats(), sample_interval);
   if (sys.hier() != nullptr) {
     for (std::uint32_t l = 0; l < sys.hier()->num_levels(); ++l) {
       sampler.AddGauge("glh.l" + std::to_string(l) + ".c0.watchdog_window",
-                       [&sys, l] { return sys.hier()->node(l, 0).WatchdogWindow(0); });
+                       [&sys, l] { return sys.hier()->node(l, 0).WatchdogWindow(); });
     }
   } else {
-    for (std::uint32_t ctx = 0; ctx < sys.gline().contexts(); ++ctx) {
-      sampler.AddGauge("gl.ctx" + std::to_string(ctx) + ".watchdog_window",
-                       [&sys, ctx] { return sys.gline().WatchdogWindow(ctx); });
-    }
+    sampler.AddGauge("gl.ctx0.watchdog_window",
+                     [&sys] { return sys.gline().WatchdogWindow(); });
   }
   for (int c = 0; c < core::kNumTimeCats; ++c) {
     const auto cat = static_cast<core::TimeCat>(c);
@@ -375,9 +392,7 @@ int main(int argc, char** argv) {
                      [&sys, cat] { return sys.TotalBreakdown()[cat]; });
   }
   harness::Progress progress(
-      sys.engine(),
-      flags.GetBool("progress", false) && harness::Progress::StderrIsTty(),
-      max_cycles);
+      sys.engine(), want_progress && harness::Progress::StderrIsTty(), max_cycles);
 
   const auto t0 = std::chrono::steady_clock::now();
   sampler.Start();
@@ -458,7 +473,7 @@ int main(int argc, char** argv) {
     barrier_rejoins += sys.hier()->AggregateCounter("rejoins");
   }
 
-  if (flags.GetBool("csv", false)) {
+  if (want_csv) {
     auto kv = [](const std::string& k, const std::string& v) {
       std::cout << k << ',' << v << '\n';
     };
@@ -536,7 +551,7 @@ int main(int argc, char** argv) {
               << sys.hier()->total_lines() << " G-lines\n";
   }
 
-  if (flags.GetBool("stats", false)) {
+  if (want_stats) {
     std::cout << "\n--- statistics registry ---\n";
     sys.stats().Print(std::cout);
   }
