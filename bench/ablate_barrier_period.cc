@@ -9,36 +9,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "workloads/workload.h"
-
-namespace {
-
-// Synthetic with a configurable busy period between barriers.
-class PeriodicBarriers final : public glb::workloads::Workload {
- public:
-  PeriodicBarriers(std::uint32_t barriers, glb::Cycle work)
-      : barriers_(barriers), work_(work) {}
-  const char* name() const override { return "PeriodicBarriers"; }
-  std::string input_desc() const override {
-    return std::to_string(barriers_) + " barriers, " + std::to_string(work_) +
-           " busy cycles between";
-  }
-  void Init(glb::cmp::CmpSystem&) override {}
-  glb::core::Task Body(glb::core::Core& core, glb::CoreId,
-                       glb::sync::Barrier& barrier) override {
-    for (std::uint32_t i = 0; i < barriers_; ++i) {
-      co_await core.Compute(work_);
-      co_await barrier.Wait(core);
-    }
-  }
-  std::string Validate(glb::cmp::CmpSystem&) override { return ""; }
-
- private:
-  std::uint32_t barriers_;
-  glb::Cycle work_;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace glb;
@@ -57,13 +27,14 @@ int main(int argc, char** argv) {
   std::vector<harness::ExperimentSpec> specs;
   for (Cycle work : works) {
     auto factory = [barriers, work]() {
-      return std::make_unique<PeriodicBarriers>(barriers, work);
+      return std::make_unique<bench::PeriodicBarriers>(barriers, work);
     };
     specs.push_back(
         harness::FactoryExperiment(factory, harness::BarrierKind::kDSW, cfg));
     specs.push_back(
         harness::FactoryExperiment(factory, harness::BarrierKind::kGL, cfg));
   }
+  bench::RejectUnreadFlagsOrExit(flags);
   const auto results = harness::RunExperimentsParallel(specs, jobs);
   clock.Report(results.size());
 

@@ -1,15 +1,14 @@
 // Ablation F — the barrier-zoo crossover study.
 //
 // Races every software barrier (the CSW/DSW/DIS baselines plus the
-// zoo: recursive doubling, Bruck, tournament, double ring, Galois
-// two-phase) and the tuned meta-barrier against the G-line network
-// (flat GL and hierarchical GLH) over a grid of core counts and
-// barrier periods (busy cycles between episodes). For each (cores,
-// period) cell it reports the winning software algorithm, how far the
-// tuned pick landed from that winner, and the margin the G-line
-// network keeps over the *best* software choice — the paper's claim,
-// stress-tested against a whole tuned software stack instead of three
-// fixed baselines.
+// zoo: recursive doubling and Galois two-phase) and the tuned
+// meta-barrier against the G-line network (flat GL and hierarchical
+// GLH) over a grid of core counts and barrier periods (busy cycles
+// between episodes). For each (cores, period) cell it reports the
+// winning software algorithm, how far the tuned pick landed from that
+// winner, and the margin the G-line network keeps over the *best*
+// software choice — the paper's claim, stress-tested against a whole
+// tuned software stack instead of three fixed baselines.
 //
 // The runs are independent and fan out over --jobs threads; the table
 // and the glb.zoo manifest are assembled from submission-order results
@@ -26,36 +25,10 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "workloads/workload.h"
 
 namespace {
 
 using namespace glb;
-
-/// Synthetic with a configurable busy period between barriers (the
-/// ablate_barrier_period workload, reused as the crossover's knob).
-class PeriodicBarriers final : public workloads::Workload {
- public:
-  PeriodicBarriers(std::uint32_t episodes, Cycle work)
-      : episodes_(episodes), work_(work) {}
-  const char* name() const override { return "PeriodicBarriers"; }
-  std::string input_desc() const override {
-    return std::to_string(episodes_) + " barriers, " + std::to_string(work_) +
-           " busy cycles between";
-  }
-  void Init(cmp::CmpSystem&) override {}
-  core::Task Body(core::Core& core, CoreId, sync::Barrier& barrier) override {
-    for (std::uint32_t i = 0; i < episodes_; ++i) {
-      co_await core.Compute(work_);
-      co_await barrier.Wait(core);
-    }
-  }
-  std::string Validate(cmp::CmpSystem&) override { return ""; }
-
- private:
-  std::uint32_t episodes_;
-  Cycle work_;
-};
 
 bool IsSoftware(harness::BarrierKind k) {
   return k != harness::BarrierKind::kGL && k != harness::BarrierKind::kGLH &&
@@ -143,9 +116,8 @@ int main(int argc, char** argv) {
   const auto kinds = bench::BarrierListFromFlags(
       flags, "barrier",
       {harness::BarrierKind::kDSW, harness::BarrierKind::kDIS,
-       harness::BarrierKind::kRDBL, harness::BarrierKind::kBRUCK,
-       harness::BarrierKind::kTOURN, harness::BarrierKind::kRING,
-       harness::BarrierKind::kGALOIS, harness::BarrierKind::kTUNED,
+       harness::BarrierKind::kRDBL, harness::BarrierKind::kGALOIS,
+       harness::BarrierKind::kTUNED,
        harness::BarrierKind::kGL, harness::BarrierKind::kGLH});
 
   std::cout << "Ablation F: barrier-zoo crossover (" << episodes
@@ -156,7 +128,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t cores : cores_list) {
     for (Cycle period : periods) {
       auto factory = [episodes, period]() {
-        return std::make_unique<PeriodicBarriers>(episodes, period);
+        return std::make_unique<bench::PeriodicBarriers>(episodes, period);
       };
       for (auto kind : kinds) {
         specs.push_back(harness::FactoryExperiment(
@@ -164,6 +136,7 @@ int main(int argc, char** argv) {
       }
     }
   }
+  bench::RejectUnreadFlagsOrExit(flags);
   const auto results = harness::RunExperimentsParallel(specs, jobs);
   clock.Report(results.size());
 

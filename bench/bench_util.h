@@ -27,6 +27,7 @@
 #include "workloads/ocean.h"
 #include "workloads/synthetic.h"
 #include "workloads/unstructured.h"
+#include "workloads/workload.h"
 
 namespace glb::bench {
 
@@ -122,6 +123,43 @@ class SweepClock {
   int jobs_;
   std::string bench_json_;
   std::chrono::steady_clock::time_point t0_;
+};
+
+/// Exits 2 naming every passed flag that parsing never read: a typo'd
+/// or retired flag would otherwise leave its default in place silently.
+/// Call once per path, after its last flag lookup and before the run.
+inline void RejectUnreadFlagsOrExit(const Flags& flags) {
+  const std::vector<std::string> unread = flags.Unread();
+  if (unread.empty()) return;
+  for (const std::string& name : unread) {
+    std::cerr << "unknown flag --" << name << " (see --help)\n";
+  }
+  std::exit(2);
+}
+
+/// Synthetic with a configurable busy period between barriers: the
+/// knob of the barrier-period ablation and of the zoo crossover study.
+class PeriodicBarriers final : public workloads::Workload {
+ public:
+  PeriodicBarriers(std::uint32_t barriers, Cycle work)
+      : barriers_(barriers), work_(work) {}
+  const char* name() const override { return "PeriodicBarriers"; }
+  std::string input_desc() const override {
+    return std::to_string(barriers_) + " barriers, " + std::to_string(work_) +
+           " busy cycles between";
+  }
+  void Init(cmp::CmpSystem&) override {}
+  core::Task Body(core::Core& core, CoreId, sync::Barrier& barrier) override {
+    for (std::uint32_t i = 0; i < barriers_; ++i) {
+      co_await core.Compute(work_);
+      co_await barrier.Wait(core);
+    }
+  }
+  std::string Validate(cmp::CmpSystem&) override { return ""; }
+
+ private:
+  std::uint32_t barriers_;
+  Cycle work_;
 };
 
 /// Benchmark inputs and the workload registry now live in the harness

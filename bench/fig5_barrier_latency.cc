@@ -21,10 +21,9 @@
 //
 // With --scale the figure becomes a free-form latency sweep over any
 // --cores list and any --barrier list — including the software-barrier
-// zoo (rdbl, bruck, tournament, ring, galois-fast) and the tuned
-// meta-barrier, whose decision is echoed per point. --json appends one
-// glb.fig5_scale JSONL row. The default and --hier outputs are
-// untouched by this mode.
+// zoo (rdbl, galois-fast) and the tuned meta-barrier, whose decision
+// is echoed per point. --json appends one glb.fig5_scale JSONL row.
+// The default and --hier outputs are untouched by this mode.
 //
 //   ./bench/fig5_barrier_latency --jobs 4
 //   ./bench/fig5_barrier_latency --max-cores 8 --json fig5.json
@@ -141,9 +140,8 @@ int RunScaleSweep(const Flags& flags, const bench::CommonFlags& common) {
   const auto kinds = bench::BarrierListFromFlags(
       flags, "barrier",
       {harness::BarrierKind::kDSW, harness::BarrierKind::kDIS,
-       harness::BarrierKind::kRDBL, harness::BarrierKind::kTOURN,
-       harness::BarrierKind::kGALOIS, harness::BarrierKind::kTUNED,
-       harness::BarrierKind::kGLH});
+       harness::BarrierKind::kRDBL, harness::BarrierKind::kGALOIS,
+       harness::BarrierKind::kTUNED, harness::BarrierKind::kGLH});
 
   std::cout << "Figure 5 (scale sweep): average cycles per barrier\n\n";
   bench::SweepClock clock(flags, "fig5_barrier_latency", jobs);
@@ -160,6 +158,7 @@ int RunScaleSweep(const Flags& flags, const bench::CommonFlags& common) {
           "Synthetic", scale, kind, common.ConfigForCores(cores)));
     }
   }
+  bench::RejectUnreadFlagsOrExit(flags);
   const auto runs = harness::RunExperimentsParallel(specs, jobs);
   clock.Report(runs.size());
 
@@ -250,6 +249,7 @@ int main(int argc, char** argv) {
           "Synthetic", scale, kind, cmp::CmpConfig::WithCores(cores)));
     }
   }
+  bench::RejectUnreadFlagsOrExit(flags);
   const auto results = harness::RunExperimentsParallel(specs, jobs);
   clock.Report(results.size());
 

@@ -103,7 +103,7 @@ fi
 # --scale sweep over the whole zoo are gated byte-exactly against the
 # checked-in glb.zoo/glb.fig5_scale baseline. CI publishes the manifest.
 echo "=== barrier-zoo smoke ==="
-for b in rdbl bruck tournament ring galois-fast; do
+for b in rdbl galois-fast; do
   ./build/tools/glbsim --workload Synthetic --barrier "$b" --cores 48 \
     --synthetic-iters 20 > /dev/null
 done
@@ -117,7 +117,7 @@ rm -f BENCH_zoo_smoke.json
 ./build/bench/ablate_barrier_zoo --cores 16 --periods 0 --episodes 10 \
   --jobs "$(nproc)" --json BENCH_zoo_smoke.json > /dev/null
 ./build/bench/fig5_barrier_latency --scale --cores 16 \
-  --barrier rdbl,bruck,tournament,ring,galois-fast,tuned \
+  --barrier rdbl,galois-fast,tuned \
   --jobs "$(nproc)" --json BENCH_zoo_smoke.json > /dev/null
 ./build/tools/glb_bench_diff --no-time \
   bench/baselines/zoo_smoke.json BENCH_zoo_smoke.json

@@ -66,10 +66,16 @@ class RectDevice final : public core::BarrierDevice {
 // --- Rect -------------------------------------------------------------------
 
 std::string Rect::ToString() const {
-  std::string s =
-      std::to_string(rows) + "x" + std::to_string(cols);
+  // Appends only: GCC 12's -Wrestrict misfires on `"@" + to_string(...)`
+  // in Release builds.
+  std::string s = std::to_string(rows);
+  s += 'x';
+  s += std::to_string(cols);
   if (row0 != 0 || col0 != 0) {
-    s += "@" + std::to_string(row0) + "," + std::to_string(col0);
+    s += '@';
+    s += std::to_string(row0);
+    s += ',';
+    s += std::to_string(col0);
   }
   return s;
 }

@@ -2,7 +2,7 @@
 //
 // A Tenant is an arbitrary rectangular region of the mesh running its
 // own workload at its own scale with its own barrier mechanism — any of
-// the 12 registry kinds. The chip's shared structure (coherence fabric,
+// the 9 barrier kinds. The chip's shared structure (coherence fabric,
 // data NoC, DRAM) stays common to all tenants, which is exactly what
 // makes space-sharing interesting: a hotspot tenant perturbs its
 // neighbors only through the shared fabric, never through barrier

@@ -16,14 +16,14 @@
 
 namespace glb::harness {
 
-/// The barrier taxonomy lives in sync/barrier_kind.h (the construction
-/// registry sits below the cmp layer); the harness re-exports it so
+/// The barrier taxonomy lives in sync/barrier_kind.h (barrier
+/// construction sits below the cmp layer); the harness re-exports it so
 /// every historical harness::BarrierKind spelling keeps working.
 using sync::BarrierKind;
 using sync::ToString;
 
 /// Builds the requested barrier over a system's simulated memory, via
-/// the sync registry (sync/registry.h) — the whole-chip BarrierEnv:
+/// sync::MakeBarrier (sync/registry.h) — the whole-chip BarrierEnv:
 /// every core participates and rank == id.
 std::unique_ptr<sync::Barrier> MakeBarrier(BarrierKind kind, cmp::CmpSystem& sys);
 

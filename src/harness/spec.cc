@@ -97,10 +97,9 @@ Scale Scale::FromFlags(const Flags& flags, std::uint32_t cores) {
 
 const std::vector<BarrierKind>& AllBarrierKinds() {
   static const std::vector<BarrierKind> kinds = {
-      BarrierKind::kGL,    BarrierKind::kGLH,   BarrierKind::kCSW,
-      BarrierKind::kDSW,   BarrierKind::kHYB,   BarrierKind::kDIS,
-      BarrierKind::kRDBL,  BarrierKind::kBRUCK, BarrierKind::kTOURN,
-      BarrierKind::kRING,  BarrierKind::kGALOIS, BarrierKind::kTUNED};
+      BarrierKind::kGL,   BarrierKind::kGLH,    BarrierKind::kCSW,
+      BarrierKind::kDSW,  BarrierKind::kHYB,    BarrierKind::kDIS,
+      BarrierKind::kRDBL, BarrierKind::kGALOIS, BarrierKind::kTUNED};
   return kinds;
 }
 
@@ -108,7 +107,6 @@ std::optional<BarrierKind> BarrierKindFromName(const std::string& name) {
   // CLI aliases (the canonical ToString spellings and their lowercase
   // forms are handled by the loop below).
   if (name == "gl-hier") return BarrierKind::kGLH;
-  if (name == "tournament") return BarrierKind::kTOURN;
   if (name == "galois-fast") return BarrierKind::kGALOIS;
   for (BarrierKind k : AllBarrierKinds()) {
     std::string canon = ToString(k);
@@ -124,7 +122,7 @@ BarrierKind BarrierKindFromNameOrExit(const std::string& name) {
   if (auto k = BarrierKindFromName(name)) return *k;
   std::cerr << "unknown barrier '" << name << "' (valid:";
   for (BarrierKind k : AllBarrierKinds()) std::cerr << ' ' << ToString(k);
-  std::cerr << " gl-hier tournament galois-fast)\n";
+  std::cerr << " gl-hier galois-fast)\n";
   std::exit(2);
 }
 

@@ -59,9 +59,8 @@ struct Scale {
 };
 
 /// Parses a barrier name: the canonical `ToString` spellings (GL, GLH,
-/// CSW, DSW, HYB, DIS, RDBL, BRUCK, TOURN, RING, GALOIS, TUNED), their
-/// lowercase forms, and the CLI aliases "gl-hier" (GLH), "tournament"
-/// (TOURN) and "galois-fast" (GALOIS). Round-trips:
+/// CSW, DSW, HYB, DIS, RDBL, GALOIS, TUNED), their lowercase forms, and
+/// the CLI aliases "gl-hier" (GLH) and "galois-fast" (GALOIS). Round-trips:
 /// BarrierKindFromName(ToString(k)) == k for every kind.
 std::optional<BarrierKind> BarrierKindFromName(const std::string& name);
 

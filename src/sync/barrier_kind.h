@@ -1,10 +1,10 @@
 // The barrier-mechanism taxonomy, shared by every layer that selects a
 // barrier by name: the harness (experiment specs, CLI parsing), the
-// partition manager (per-tenant barrier construction), and the sync
-// registry (sync/registry.h) that builds the implementations.
+// partition manager (per-tenant barrier construction), and
+// sync::MakeBarrier (sync/registry.h) that builds the implementations.
 //
-// This lives in sync/ — not harness/ — because the construction
-// registry must not depend on the cmp/harness layers above it.
+// This lives in sync/ — not harness/ — because barrier construction
+// must not depend on the cmp/harness layers above it.
 #pragma once
 
 namespace glb::sync {
@@ -16,12 +16,9 @@ enum class BarrierKind {
   kDSW,  // binary combining-tree software barrier
   kHYB,  // memory-mapped central hardware unit (Sartori/Kumar-style)
   kDIS,  // dissemination barrier (extension baseline, MCS-style)
-  // The software-barrier zoo (sync/zoo_barrier.h): the OpenMPI
-  // coll_tuned family plus the Galois two-phase design.
+  // The software-barrier zoo (sync/zoo_barrier.h): OpenMPI
+  // coll_tuned's recursive doubling plus the Galois two-phase design.
   kRDBL,    // recursive doubling (XOR exchange, extras via proxies)
-  kBRUCK,   // Bruck-style mirrored dissemination
-  kTOURN,   // MCS tournament (static pairing, no atomics)
-  kRING,    // OpenMPI basic-linear double ring
   kGALOIS,  // Galois two-phase in/out, per-mesh-row cluster counting
   kTUNED,   // coll_tuned-style meta-barrier (sync/tuned_barrier.h)
 };
@@ -35,9 +32,6 @@ inline const char* ToString(BarrierKind k) {
     case BarrierKind::kHYB: return "HYB";
     case BarrierKind::kDIS: return "DIS";
     case BarrierKind::kRDBL: return "RDBL";
-    case BarrierKind::kBRUCK: return "BRUCK";
-    case BarrierKind::kTOURN: return "TOURN";
-    case BarrierKind::kRING: return "RING";
     case BarrierKind::kGALOIS: return "GALOIS";
     case BarrierKind::kTUNED: return "TUNED";
   }

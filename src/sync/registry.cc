@@ -1,9 +1,5 @@
 #include "sync/registry.h"
 
-#include <map>
-#include <mutex>
-#include <utility>
-
 #include "common/check.h"
 #include "sync/dissemination_barrier.h"
 #include "sync/hybrid_barrier.h"
@@ -21,64 +17,26 @@ mem::AddrAllocator& Alloc(const BarrierEnv& env) {
   return *env.alloc;
 }
 
-struct Registry {
-  std::mutex mu;
-  std::map<BarrierKind, BarrierFactory> entries;
-};
+}  // namespace
 
-Registry& TheRegistry() {
-  static Registry* reg = [] {
-    auto* r = new Registry();
-    auto& e = r->entries;
+std::unique_ptr<Barrier> MakeBarrier(BarrierKind kind, const BarrierEnv& env) {
+  // No default: -Wswitch flags a kind without a case at compile time.
+  switch (kind) {
     // kGL/kGLH build only the device adapter: the G-line network itself
     // is machine structure (CmpSystem's flat/hier network, or a
     // partition's rect-local one), wired into the cores as their
     // BarrierDevice before the run.
-    e[BarrierKind::kGL] = [](const BarrierEnv& env) {
+    case BarrierKind::kGL:
       return std::make_unique<GlBarrier>(env.gl_name != nullptr ? env.gl_name
                                                                 : "GL");
-    };
-    e[BarrierKind::kGLH] = [](const BarrierEnv& env) {
+    case BarrierKind::kGLH:
       return std::make_unique<GlBarrier>(env.gl_name != nullptr ? env.gl_name
                                                                 : "GLH");
-    };
-    e[BarrierKind::kCSW] = [](const BarrierEnv& env) {
+    case BarrierKind::kCSW:
       return std::make_unique<CentralBarrier>(Alloc(env), env.participants);
-    };
-    e[BarrierKind::kDSW] = [](const BarrierEnv& env) {
+    case BarrierKind::kDSW:
       return std::make_unique<TreeBarrier>(Alloc(env), env.participants);
-    };
-    e[BarrierKind::kDIS] = [](const BarrierEnv& env) {
-      return std::make_unique<DisseminationBarrier>(Alloc(env),
-                                                    env.participants);
-    };
-    e[BarrierKind::kRDBL] = [](const BarrierEnv& env) {
-      return std::make_unique<RecursiveDoublingBarrier>(Alloc(env),
-                                                        env.participants);
-    };
-    e[BarrierKind::kBRUCK] = [](const BarrierEnv& env) {
-      return std::make_unique<BruckBarrier>(Alloc(env), env.participants);
-    };
-    e[BarrierKind::kTOURN] = [](const BarrierEnv& env) {
-      return std::make_unique<TournamentBarrier>(Alloc(env), env.participants);
-    };
-    e[BarrierKind::kRING] = [](const BarrierEnv& env) {
-      return std::make_unique<DoubleRingBarrier>(Alloc(env), env.participants);
-    };
-    e[BarrierKind::kGALOIS] = [](const BarrierEnv& env) {
-      return std::make_unique<GaloisFastBarrier>(Alloc(env), env.participants,
-                                                 env.cluster_cols);
-    };
-    e[BarrierKind::kTUNED] = [](const BarrierEnv& env) {
-      GLB_CHECK(env.stats != nullptr) << "kTUNED needs env.stats";
-      const std::string prefix = env.stat_prefix.empty()
-                                     ? std::string("sync.tuned")
-                                     : env.stat_prefix + ".tuned";
-      return std::make_unique<TunedBarrier>(Alloc(env), env.participants,
-                                            env.cluster_cols, *env.stats,
-                                            prefix);
-    };
-    e[BarrierKind::kHYB] = [](const BarrierEnv& env) {
+    case BarrierKind::kHYB: {
       GLB_CHECK(env.mesh != nullptr) << "kHYB needs env.mesh";
       GLB_CHECK(env.stats != nullptr) << "kHYB needs env.stats";
       GLB_CHECK(env.participants > 0) << "barrier without participants";
@@ -93,32 +51,27 @@ Registry& TheRegistry() {
       // carry global core ids), but only the rect's cores take part.
       if (env.participants < slots) b->unit().SetExpected(env.participants);
       return b;
-    };
-    return r;
-  }();
-  return *reg;
-}
-
-}  // namespace
-
-void RegisterBarrier(BarrierKind kind, BarrierFactory factory) {
-  GLB_CHECK(factory != nullptr);
-  Registry& reg = TheRegistry();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  reg.entries[kind] = std::move(factory);
-}
-
-std::unique_ptr<Barrier> MakeBarrier(BarrierKind kind, const BarrierEnv& env) {
-  BarrierFactory factory;
-  {
-    Registry& reg = TheRegistry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    const auto it = reg.entries.find(kind);
-    GLB_CHECK(it != reg.entries.end())
-        << "no barrier factory registered for kind " << ToString(kind);
-    factory = it->second;
+    }
+    case BarrierKind::kDIS:
+      return std::make_unique<DisseminationBarrier>(Alloc(env),
+                                                    env.participants);
+    case BarrierKind::kRDBL:
+      return std::make_unique<RecursiveDoublingBarrier>(Alloc(env),
+                                                        env.participants);
+    case BarrierKind::kGALOIS:
+      return std::make_unique<GaloisFastBarrier>(Alloc(env), env.participants,
+                                                 env.cluster_cols);
+    case BarrierKind::kTUNED: {
+      GLB_CHECK(env.stats != nullptr) << "kTUNED needs env.stats";
+      const std::string prefix = env.stat_prefix.empty()
+                                     ? std::string("sync.tuned")
+                                     : env.stat_prefix + ".tuned";
+      return std::make_unique<TunedBarrier>(Alloc(env), env.participants,
+                                            env.cluster_cols, *env.stats,
+                                            prefix);
+    }
   }
-  return factory(env);
+  GLB_UNREACHABLE("bad BarrierKind");
 }
 
 }  // namespace glb::sync

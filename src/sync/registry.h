@@ -1,16 +1,14 @@
-// Registry-backed barrier construction: one factory per BarrierKind,
-// uniform over every mechanism the repo implements, so any caller that
-// can describe its environment (allocator, mesh, participant count)
-// builds any of the 12 kinds the same way — whole-chip runs through
-// harness::MakeBarrier, rectangular tenant partitions through
-// cmp::PartitionManager, and future transports through their own env.
+// Barrier construction: one switch over BarrierKind, uniform over every
+// mechanism the repo implements, so any caller that can describe its
+// environment (allocator, mesh, participant count) builds any of the 9
+// kinds the same way — whole-chip runs through harness::MakeBarrier and
+// rectangular tenant partitions through cmp::PartitionManager.
 //
 // The env is deliberately below the cmp layer (no CmpSystem): sync
 // cannot depend on cmp, so the system/partition adapters translate
 // their geometry into a BarrierEnv and call MakeBarrier here.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -23,8 +21,8 @@
 
 namespace glb::sync {
 
-/// Everything a barrier factory may consult. Pointers are borrowed and
-/// must outlive the barrier; a factory GLB_CHECKs the ones it needs.
+/// Everything MakeBarrier may consult. Pointers are borrowed and must
+/// outlive the barrier; each kind GLB_CHECKs the ones it needs.
 struct BarrierEnv {
   /// Simulated-memory allocator (software barriers allocate flag/counter
   /// lines here).
@@ -57,15 +55,8 @@ struct BarrierEnv {
   const char* gl_name = nullptr;
 };
 
-using BarrierFactory =
-    std::function<std::unique_ptr<Barrier>(const BarrierEnv&)>;
-
-/// Adds (or replaces) the factory for `kind`. The 12 built-in kinds are
-/// pre-registered. Not safe to call while a parallel sweep is running.
-void RegisterBarrier(BarrierKind kind, BarrierFactory factory);
-
-/// Builds the requested barrier from `env` via the registry.
-/// GLB_CHECK-fails when the factory's requirements are unmet
+/// Builds the requested barrier from `env`.
+/// GLB_CHECK-fails when the kind's requirements are unmet
 /// (callers validate geometry/budgets first — see
 /// cmp::PartitionManager::ValidateTenant).
 std::unique_ptr<Barrier> MakeBarrier(BarrierKind kind, const BarrierEnv& env);

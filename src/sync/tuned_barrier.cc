@@ -1,5 +1,6 @@
 #include "sync/tuned_barrier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -15,9 +16,9 @@ namespace {
 
 /// Candidate order is part of the decision encoding (index + 1 goes
 /// through simulated memory), so it is fixed here, not derived.
-constexpr const char* kCandidateNames[] = {"CSW",  "DSW",   "DIS",  "RDBL",
-                                           "BRUCK", "TOURN", "RING", "GALOIS"};
-constexpr std::size_t kCSW = 0, kDSW = 1, kRDBL = 3, kGALOIS = 7;
+constexpr const char* kCandidateNames[] = {"CSW", "DSW", "DIS", "RDBL",
+                                           "GALOIS"};
+constexpr std::size_t kCSW = 0, kDSW = 1, kRDBL = 3, kGALOIS = 4;
 
 /// The coll_tuned-style decision table, calibrated against the
 /// ablate_barrier_zoo crossover study on this simulator's mesh (see
@@ -63,9 +64,15 @@ TunedBarrier::TunedBarrier(mem::AddrAllocator& alloc, std::uint32_t num_cores,
   candidates_.push_back(std::make_unique<DisseminationBarrier>(alloc, num_cores));
   candidates_.push_back(
       std::make_unique<RecursiveDoublingBarrier>(alloc, num_cores));
-  candidates_.push_back(std::make_unique<BruckBarrier>(alloc, num_cores));
-  candidates_.push_back(std::make_unique<TournamentBarrier>(alloc, num_cores));
-  candidates_.push_back(std::make_unique<DoubleRingBarrier>(alloc, num_cores));
+  // Three retired candidates (a mirrored dissemination, a static
+  // bracket and a double token ring) took the span below: one line per
+  // flag in [2 parities][max(r,1) + (r+1) + 2 slots][cores], with
+  // r = ceil(log2 P). It stays reserved so GALOIS and the decision word
+  // keep their addresses, and TUNED's timings stay as they were.
+  std::uint32_t r = 0;
+  while ((1u << r) < num_cores) ++r;
+  alloc.AllocLines(std::uint64_t{2} * num_cores *
+                   (std::max(r, 1u) + (r + 1) + 2) * alloc.line_bytes());
   candidates_.push_back(
       std::make_unique<GaloisFastBarrier>(alloc, num_cores, cluster_size));
   warmup_idx_ = kDSW;

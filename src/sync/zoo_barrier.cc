@@ -16,12 +16,6 @@ using core::TimeCat;
 
 namespace {
 
-std::uint32_t CeilLog2(std::uint32_t n) {
-  std::uint32_t r = 0;
-  while ((1u << r) < n) ++r;
-  return r;
-}
-
 std::uint32_t FloorLog2(std::uint32_t n) {
   std::uint32_t r = 0;
   while ((2u << r) <= n) ++r;
@@ -112,167 +106,6 @@ Task RecursiveDoublingBarrier::Wait(Core& core) {
   if (has_extra) {
     co_await core.Store(FlagAddr(parity, release_slot, me + pow_), sense);
   }
-}
-
-// ---------------------------------------------------------------------------
-// BRUCK
-// ---------------------------------------------------------------------------
-
-BruckBarrier::BruckBarrier(mem::AddrAllocator& alloc, std::uint32_t num_cores)
-    : num_cores_(num_cores),
-      rounds_(CeilLog2(num_cores)),
-      line_bytes_(alloc.line_bytes()),
-      parity_(num_cores, 0),
-      sense_(num_cores, 1) {
-  GLB_CHECK(num_cores > 0) << "barrier without participants";
-  flags_ = AllocFlagBlock(alloc, rounds_, num_cores_);
-}
-
-Addr BruckBarrier::FlagAddr(std::uint32_t parity, std::uint32_t round,
-                            CoreId core) const {
-  return FlagIndex(flags_, rounds_, num_cores_, line_bytes_, parity, round, core);
-}
-
-Task BruckBarrier::Wait(Core& core) {
-  CategoryScope scope(core, TimeCat::kBarrier);
-  core.NoteBarrier();
-  const CoreId me = core.rank();
-  const std::uint32_t parity = parity_[me];
-  const Word sense = sense_[me];
-  if (parity == 1) sense_[me] = sense ^ 1;
-  parity_[me] ^= 1;
-
-  for (std::uint32_t k = 0; k < rounds_; ++k) {
-    // Mirror of DIS: signal me - 2^k, so my own flag comes from me + 2^k.
-    const std::uint32_t dist = (1u << k) % num_cores_;
-    const CoreId partner =
-        static_cast<CoreId>((me + num_cores_ - dist) % num_cores_);
-    co_await core.Store(FlagAddr(parity, k, partner), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, k, me));
-      if (f == sense) break;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// TOURN
-// ---------------------------------------------------------------------------
-
-TournamentBarrier::TournamentBarrier(mem::AddrAllocator& alloc,
-                                     std::uint32_t num_cores)
-    : num_cores_(num_cores),
-      rounds_(CeilLog2(num_cores)),
-      line_bytes_(alloc.line_bytes()),
-      parity_(num_cores, 0),
-      sense_(num_cores, 1) {
-  GLB_CHECK(num_cores > 0) << "barrier without participants";
-  flags_ = AllocFlagBlock(alloc, rounds_ + 1, num_cores_);
-}
-
-Addr TournamentBarrier::FlagAddr(std::uint32_t parity, std::uint32_t slot,
-                                 CoreId core) const {
-  return FlagIndex(flags_, rounds_ + 1, num_cores_, line_bytes_, parity, slot,
-                   core);
-}
-
-Task TournamentBarrier::Wait(Core& core) {
-  CategoryScope scope(core, TimeCat::kBarrier);
-  core.NoteBarrier();
-  const CoreId me = core.rank();
-  const std::uint32_t parity = parity_[me];
-  const Word sense = sense_[me];
-  if (parity == 1) sense_[me] = sense ^ 1;
-  parity_[me] ^= 1;
-
-  // The round where `me` loses is ctz(me); core 0 never loses.
-  std::uint32_t lost_round = rounds_;
-  if (me != 0) {
-    lost_round = 0;
-    while (((me >> lost_round) & 1u) == 0) ++lost_round;
-  }
-
-  // Winning rounds: collect the loser's signal (a bye when the would-be
-  // loser id falls past the last core).
-  for (std::uint32_t k = 0; k < lost_round; ++k) {
-    const CoreId loser = me + (1u << k);
-    if (loser >= num_cores_) continue;
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, k, me));
-      if (f == sense) break;
-    }
-  }
-  const std::uint32_t wakeup_slot = rounds_;
-  if (me != 0) {
-    // Losing round: signal the winner, then sleep until the wakeup wave.
-    const CoreId winner = me - (1u << lost_round);
-    co_await core.Store(FlagAddr(parity, lost_round, winner), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, wakeup_slot, me));
-      if (f == sense) break;
-    }
-  }
-  // Wakeup wave: retrace the bracket in reverse round order.
-  for (std::uint32_t k = lost_round; k-- > 0;) {
-    const CoreId loser = me + (1u << k);
-    if (loser >= num_cores_) continue;
-    co_await core.Store(FlagAddr(parity, wakeup_slot, loser), sense);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// RING
-// ---------------------------------------------------------------------------
-
-DoubleRingBarrier::DoubleRingBarrier(mem::AddrAllocator& alloc,
-                                     std::uint32_t num_cores)
-    : num_cores_(num_cores),
-      line_bytes_(alloc.line_bytes()),
-      parity_(num_cores, 0),
-      sense_(num_cores, 1) {
-  GLB_CHECK(num_cores > 0) << "barrier without participants";
-  flags_ = AllocFlagBlock(alloc, 2, num_cores_);
-}
-
-Addr DoubleRingBarrier::FlagAddr(std::uint32_t parity, std::uint32_t slot,
-                                 CoreId core) const {
-  return FlagIndex(flags_, 2, num_cores_, line_bytes_, parity, slot, core);
-}
-
-Task DoubleRingBarrier::Wait(Core& core) {
-  CategoryScope scope(core, TimeCat::kBarrier);
-  core.NoteBarrier();
-  const CoreId me = core.rank();
-  const std::uint32_t parity = parity_[me];
-  const Word sense = sense_[me];
-  if (parity == 1) sense_[me] = sense ^ 1;
-  parity_[me] ^= 1;
-  if (num_cores_ == 1) co_return;
-
-  const CoreId next = (me + 1) % num_cores_;
-  if (me == 0) {
-    // Start the arrival pass; its return means everyone has arrived.
-    co_await core.Store(FlagAddr(parity, 0, next), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, 0, 0));
-      if (f == sense) break;
-    }
-    // Start the release pass and exit — core 0 owes nobody a wakeup.
-    co_await core.Store(FlagAddr(parity, 1, next), sense);
-    co_return;
-  }
-  // Forward the arrival token once we have arrived ourselves.
-  while (true) {
-    const Word f = co_await core.Load(FlagAddr(parity, 0, me));
-    if (f == sense) break;
-  }
-  co_await core.Store(FlagAddr(parity, 0, next), sense);
-  // Wait for the release token; the last core does not send it back.
-  while (true) {
-    const Word f = co_await core.Load(FlagAddr(parity, 1, me));
-    if (f == sense) break;
-  }
-  if (next != 0) co_await core.Store(FlagAddr(parity, 1, next), sense);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,20 +1,21 @@
-// The software-barrier zoo: the OpenMPI `coll_tuned` barrier family
-// rebuilt as coherent-fabric barriers, plus the Galois runtime's
+// The software-barrier zoo: OpenMPI `coll_tuned`'s recursive doubling
+// rebuilt as a coherent-fabric barrier, plus the Galois runtime's
 // topology-aware two-phase design. Together with CSW/DSW/DIS they give
-// the crossover study its candidates — every algorithm a tuned software
-// stack would realistically pick from when racing the G-line network.
+// the crossover study its candidates: between them they win every
+// (cores, period) cell a tuned software stack would pick from when
+// racing the G-line network.
 //
-// All five run entirely as loads/stores/atomics through the simulated
+// Both run entirely as loads/stores/atomics through the simulated
 // cache hierarchy (their cost *is* the coherence traffic they generate)
 // and charge their memory time to TimeCat::kBarrier via CategoryScope.
 //
 // Episode reuse follows the MCS discipline established by
-// DisseminationBarrier: flag-based algorithms keep two parity buffers
-// that alternate per episode, and the written sense value flips each
-// time a parity buffer is reused (every two episodes). Every algorithm
-// here has the all-to-all dependence that bounds any core's lead to one
-// episode, which the two buffers absorb; the Galois counters instead
-// rely on reset-happens-before-release (see GaloisFastBarrier).
+// DisseminationBarrier: RDBL's flags and GALOIS's release flags keep
+// two parity buffers that alternate per episode, and the written sense
+// value flips each time a parity buffer is reused (every two episodes).
+// Both have the all-to-all dependence that bounds any core's lead to
+// one episode, which the two buffers absorb; the Galois counters
+// instead rely on reset-happens-before-release (see GaloisFastBarrier).
 #pragma once
 
 #include <cstdint>
@@ -55,90 +56,6 @@ class RecursiveDoublingBarrier final : public Barrier {
   std::uint32_t pow_;     // 2^m
   std::uint32_t line_bytes_;
   Addr flags_ = 0;  // [2 parities][rounds + 2 slots][cores], one line each
-  std::vector<std::uint32_t> parity_;
-  std::vector<Word> sense_;
-};
-
-/// BRUCK — Bruck-style barrier (OpenMPI `coll_tuned`'s bruck). The
-/// mirror image of dissemination: in round k core i signals core
-/// (i - 2^k) mod P and waits for (i + 2^k) mod P, so the signal wave
-/// travels the mesh in the opposite direction from DIS. Identical
-/// depth and flag count; included because on a mesh the two orientations
-/// load opposite link directions and their crossover points differ.
-class BruckBarrier final : public Barrier {
- public:
-  BruckBarrier(mem::AddrAllocator& alloc, std::uint32_t num_cores);
-
-  core::Task Wait(core::Core& core) override;
-  const char* name() const override { return "BRUCK"; }
-
-  std::uint32_t rounds() const { return rounds_; }
-
- private:
-  Addr FlagAddr(std::uint32_t parity, std::uint32_t round, CoreId core) const;
-
-  std::uint32_t num_cores_;
-  std::uint32_t rounds_;
-  std::uint32_t line_bytes_;
-  Addr flags_ = 0;  // [2 parities][rounds][cores], one line each
-  std::vector<std::uint32_t> parity_;
-  std::vector<Word> sense_;
-};
-
-/// TOURN — MCS tournament barrier (OpenMPI `coll_tuned`'s "two_procs"
-/// generalization; Hensgen/Finkel/Manber). Core i > 0 loses in round
-/// ctz(i): it signals the statically-known winner i - 2^ctz(i) and
-/// spins on its wakeup flag. Winners collect one loser per round (byes
-/// when the would-be loser id >= P), core 0 is champion, and the wakeup
-/// wave retraces the bracket in reverse round order. Every flag has one
-/// statically-known writer — no atomics at all, half the stores of
-/// DIS/BRUCK, at the price of a serial wakeup path down the bracket.
-class TournamentBarrier final : public Barrier {
- public:
-  TournamentBarrier(mem::AddrAllocator& alloc, std::uint32_t num_cores);
-
-  core::Task Wait(core::Core& core) override;
-  const char* name() const override { return "TOURN"; }
-
-  std::uint32_t rounds() const { return rounds_; }
-
- private:
-  /// Slots 0..rounds-1 are the per-round arrival flags (indexed by the
-  /// winner that spins on them); slot rounds_ is the per-core wakeup
-  /// flag (each core is woken exactly once per episode).
-  Addr FlagAddr(std::uint32_t parity, std::uint32_t slot, CoreId core) const;
-
-  std::uint32_t num_cores_;
-  std::uint32_t rounds_;
-  std::uint32_t line_bytes_;
-  Addr flags_ = 0;  // [2 parities][rounds + 1 slots][cores], one line each
-  std::vector<std::uint32_t> parity_;
-  std::vector<Word> sense_;
-};
-
-/// RING — double-ring barrier (OpenMPI's basic linear "double ring").
-/// Two token passes around the id ring: core 0 starts the arrival pass,
-/// each core forwards it after arriving; when the token returns, core 0
-/// starts the release pass and exits, and each core exits after
-/// forwarding the release to its successor. 2P - 1 messages, all
-/// nearest-neighbor in id space (mesh-local for row-major ids) — the
-/// lowest possible contention and the highest possible depth, the
-/// bookend of the crossover study.
-class DoubleRingBarrier final : public Barrier {
- public:
-  DoubleRingBarrier(mem::AddrAllocator& alloc, std::uint32_t num_cores);
-
-  core::Task Wait(core::Core& core) override;
-  const char* name() const override { return "RING"; }
-
- private:
-  /// Slot 0 = arrival-pass token, slot 1 = release-pass token, indexed
-  /// by the core that spins on it.
-  Addr FlagAddr(std::uint32_t parity, std::uint32_t slot, CoreId core) const;
-
-  std::uint32_t num_cores_;
-  std::uint32_t line_bytes_;
-  Addr flags_ = 0;  // [2 parities][2 slots][cores], one line each
   std::vector<std::uint32_t> parity_;
   std::vector<Word> sense_;
 };

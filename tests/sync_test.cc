@@ -33,12 +33,6 @@ std::unique_ptr<Barrier> MakeBarrier(const std::string& kind, CmpSystem& sys) {
   if (kind == "RDBL")
     return std::make_unique<RecursiveDoublingBarrier>(sys.allocator(),
                                                       sys.num_cores());
-  if (kind == "BRUCK")
-    return std::make_unique<BruckBarrier>(sys.allocator(), sys.num_cores());
-  if (kind == "TOURN")
-    return std::make_unique<TournamentBarrier>(sys.allocator(), sys.num_cores());
-  if (kind == "RING")
-    return std::make_unique<DoubleRingBarrier>(sys.allocator(), sys.num_cores());
   if (kind == "GALOIS")
     return std::make_unique<GaloisFastBarrier>(sys.allocator(), sys.num_cores(),
                                                sys.config().cols);
@@ -124,18 +118,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The zoo barriers under the same no-early-release property, including
 // the sizes where their round structures differ most: power-of-two
-// (where RDBL/BRUCK have no proxy phase) and the 4x8=32 mesh, plus a
+// (where RDBL has no proxy phase) and the 4x8=32 mesh, plus a
 // tuned run long enough to cross warmup + negotiation + steady state.
 INSTANTIATE_TEST_SUITE_P(
     ZooKinds, BarrierProperty,
     ::testing::Values(
         BarrierParam{"RDBL", 2, 2, 10}, BarrierParam{"RDBL", 4, 4, 8},
-        BarrierParam{"RDBL", 4, 8, 5}, BarrierParam{"BRUCK", 2, 2, 10},
-        BarrierParam{"BRUCK", 4, 4, 8}, BarrierParam{"BRUCK", 4, 8, 5},
-        BarrierParam{"TOURN", 2, 2, 10}, BarrierParam{"TOURN", 4, 4, 8},
-        BarrierParam{"TOURN", 4, 8, 5}, BarrierParam{"RING", 2, 2, 10},
-        BarrierParam{"RING", 4, 4, 8}, BarrierParam{"RING", 4, 8, 5},
-        BarrierParam{"GALOIS", 2, 2, 10}, BarrierParam{"GALOIS", 4, 4, 8},
+        BarrierParam{"RDBL", 4, 8, 5}, BarrierParam{"GALOIS", 2, 2, 10}, BarrierParam{"GALOIS", 4, 4, 8},
         BarrierParam{"GALOIS", 4, 8, 5}, BarrierParam{"TUNED", 4, 4, 12}),
     [](const ::testing::TestParamInfo<BarrierParam>& pinfo) {
       const auto& p = pinfo.param;
@@ -144,8 +133,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The correctness sweep at the awkward core counts: 48 (non-power-of-
-// two, extras phase in RDBL/BRUCK), 96 and 192 (non-square meshes whose
-// tree chunking and ctz-round structures exercise every branch),
+// two, extras phase in RDBL), 96 and 192 (non-square meshes whose
+// tree chunking and round structures exercise every branch),
 // including TreeBarrier at fan-in 3 and 4 where leaf chunks straddle
 // the last partial node.
 INSTANTIATE_TEST_SUITE_P(
@@ -153,18 +142,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BarrierParam{"CSW", 6, 8, 4}, BarrierParam{"DSW", 6, 8, 4},
         BarrierParam{"DIS", 6, 8, 4}, BarrierParam{"RDBL", 6, 8, 4},
-        BarrierParam{"BRUCK", 6, 8, 4}, BarrierParam{"TOURN", 6, 8, 4},
-        BarrierParam{"RING", 6, 8, 4}, BarrierParam{"GALOIS", 6, 8, 4},
+        BarrierParam{"GALOIS", 6, 8, 4},
         BarrierParam{"DSW3", 6, 8, 4}, BarrierParam{"DSW4", 6, 8, 4},
         BarrierParam{"CSW", 8, 12, 3}, BarrierParam{"DSW", 8, 12, 3},
         BarrierParam{"DIS", 8, 12, 3}, BarrierParam{"RDBL", 8, 12, 3},
-        BarrierParam{"BRUCK", 8, 12, 3}, BarrierParam{"TOURN", 8, 12, 3},
-        BarrierParam{"RING", 8, 12, 3}, BarrierParam{"GALOIS", 8, 12, 3},
+        BarrierParam{"GALOIS", 8, 12, 3},
         BarrierParam{"DSW3", 8, 12, 3}, BarrierParam{"DSW4", 8, 12, 3},
         BarrierParam{"CSW", 12, 16, 2}, BarrierParam{"DSW", 12, 16, 2},
         BarrierParam{"DIS", 12, 16, 2}, BarrierParam{"RDBL", 12, 16, 2},
-        BarrierParam{"BRUCK", 12, 16, 2}, BarrierParam{"TOURN", 12, 16, 2},
-        BarrierParam{"RING", 12, 16, 2}, BarrierParam{"GALOIS", 12, 16, 2},
+        BarrierParam{"GALOIS", 12, 16, 2},
         BarrierParam{"DSW3", 12, 16, 2}, BarrierParam{"DSW4", 12, 16, 2}),
     [](const ::testing::TestParamInfo<BarrierParam>& pinfo) {
       const auto& p = pinfo.param;
@@ -177,8 +163,8 @@ TEST(SwBarrier, SingleCoreBarrierIsTrivial) {
   cfg.rows = 1;
   cfg.cols = 1;
   CmpSystem sys(cfg);
-  for (const char* kind : {"GL", "CSW", "DSW", "DIS", "RDBL", "BRUCK", "TOURN",
-                           "RING", "GALOIS", "TUNED"}) {
+  for (const char* kind :
+       {"GL", "CSW", "DSW", "DIS", "RDBL", "GALOIS", "TUNED"}) {
     auto barrier = MakeBarrier(kind, sys);
     bool done = false;
     auto body = [](Core& c, Barrier* b, bool* out) -> Task {
@@ -197,9 +183,6 @@ TEST(ZooBarrier, NamesMatchTheRegistry) {
   cfg.cols = 2;
   CmpSystem sys(cfg);
   EXPECT_STREQ(RecursiveDoublingBarrier(sys.allocator(), 4).name(), "RDBL");
-  EXPECT_STREQ(BruckBarrier(sys.allocator(), 4).name(), "BRUCK");
-  EXPECT_STREQ(TournamentBarrier(sys.allocator(), 4).name(), "TOURN");
-  EXPECT_STREQ(DoubleRingBarrier(sys.allocator(), 4).name(), "RING");
   EXPECT_STREQ(GaloisFastBarrier(sys.allocator(), 4, 2).name(), "GALOIS");
   EXPECT_STREQ(TunedBarrier(sys.allocator(), 4, 2, sys.stats()).name(), "TUNED");
 }

@@ -80,7 +80,7 @@ TEST(TenantDeterminism, RunTenantsParallelIsJobsInvariant) {
                                                 harness::BarrierKind::kGLH));
     spec.tenants.push_back(harness::NamedTenant("r", cmp::Rect{0, 4, 8, 4},
                                                 "Synthetic", scale,
-                                                harness::BarrierKind::kTOURN));
+                                                harness::BarrierKind::kDIS));
     ASSERT_EQ(harness::ValidateRunSpec(spec), "");
     specs.push_back(std::move(spec));
   }

@@ -31,11 +31,11 @@ void Usage() {
       "glbsim — G-line barrier CMP simulator driver\n"
       "  --workload W    Synthetic|Kernel2|Kernel3|Kernel6|EM3D|OCEAN|UNSTRUCTURED\n"
       "                  (any name registered via harness::RegisterWorkload)\n"
-      "  --barrier B     GL|GLH|CSW|DSW|HYB|DIS|RDBL|BRUCK|TOURN|RING|GALOIS|\n"
-      "                  TUNED (default GL; GLH aka gl-hier is the hierarchical\n"
-      "                  multi-level G-line network; TOURN aka tournament, GALOIS\n"
-      "                  aka galois-fast; TUNED picks a software barrier from a\n"
-      "                  coll_tuned-style table after a short measured warmup)\n"
+      "  --barrier B     GL|GLH|CSW|DSW|HYB|DIS|RDBL|GALOIS|TUNED (default GL;\n"
+      "                  GLH aka gl-hier is the hierarchical multi-level G-line\n"
+      "                  network; GALOIS aka galois-fast; TUNED picks a software\n"
+      "                  barrier from a coll_tuned-style table after a short\n"
+      "                  measured warmup)\n"
       "  --cores N       core count, mesh auto-factored (default 32)\n"
       "  --paper-scale   exact Table-2 inputs (slow)\n"
       "  --scale-cores N weak-scale the problem sizes for N cores\n"
@@ -172,18 +172,6 @@ glb::harness::TenantSpec ParseTenantOrExit(const glb::Flags& flags,
   return t;
 }
 
-/// Exits 2 naming every passed flag that parsing never read: a typo'd
-/// or retired flag would otherwise leave its default in place silently.
-/// Call once per path, after its last flag lookup and before the run.
-void RejectUnreadFlagsOrExit(const glb::Flags& flags) {
-  const std::vector<std::string> unread = flags.Unread();
-  if (unread.empty()) return;
-  for (const std::string& name : unread) {
-    std::cerr << "unknown flag --" << name << " (see --help)\n";
-  }
-  std::exit(2);
-}
-
 /// The --tenant driver path: validates the RunSpec up front (exit 2),
 /// runs every tenant concurrently, and reports per-tenant isolation
 /// metrics next to the usual chip-level summary/manifest.
@@ -210,7 +198,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
   const bool want_stats = flags.GetBool("stats", false);
   const bool want_progress = flags.GetBool("progress", false);
   const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
-  RejectUnreadFlagsOrExit(flags);
+  bench::RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
   cmp::CmpSystem sys(spec.cfg);
@@ -365,7 +353,7 @@ int main(int argc, char** argv) {
   const bool want_stats = flags.GetBool("stats", false);
   const bool want_progress = flags.GetBool("progress", false);
   const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
-  RejectUnreadFlagsOrExit(flags);
+  bench::RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
   cmp::CmpSystem sys(cfg);
