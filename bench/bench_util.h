@@ -288,9 +288,16 @@ inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
   return cfg;
 }
 
+/// Machine configuration at --cores (default 32). Exits 2 on a count
+/// outside the 1..1024 that cmp::CmpConfig::WithCores supports.
 inline cmp::CmpConfig ConfigFromFlags(const Flags& flags) {
-  return ConfigForCores(
-      flags, static_cast<std::uint32_t>(flags.GetInt("cores", 32)));
+  const std::int64_t cores = flags.GetInt("cores", 32);
+  if (cores < 1 || cores > 1024) {
+    std::cerr << "bad value for --cores: '" << flags.GetString("cores", "")
+              << "' (supported core counts: 1..1024)\n";
+    std::exit(2);
+  }
+  return ConfigForCores(flags, static_cast<std::uint32_t>(cores));
 }
 
 class CommonFlags;

@@ -78,12 +78,12 @@ void DirController::SendData(CoreId to, const Cache::Line* line, Grant grant) {
   msg.line_addr = line->line_addr;
   msg.from = tile_;
   msg.grant = grant;
-  msg.data = line->data;
+  msg.data = array_.CopyWords(line);
   fabric_.Send(tile_, to, std::move(msg));
 }
 
 void DirController::WriteLineToBacking(const Cache::Line* line) {
-  fabric_.backing().WriteLine(line->line_addr, line->data.data());
+  fabric_.backing().WriteLine(line->line_addr, array_.Words(line).data());
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ void DirController::ProcessPut(const Message& msg) {
                              line->meta.owner == msg.from;
   if (current_owner) {
     if (msg.type == MsgType::kPutM) {
-      GLB_CHECK(msg.data.size() == line->data.size()) << "PutM without line data";
-      line->data = msg.data;
+      array_.FillWords(line, msg.data);
       line->meta.dirty = true;
     }
     line->meta.state = DirState::kUncached;
@@ -289,7 +288,7 @@ void DirController::TryInstall(Addr line_addr, std::shared_ptr<std::vector<Word>
     return;
   }
   array_.Install(victim, line_addr);
-  victim->data = *data;
+  array_.FillWords(victim, *data);
   cont();
 }
 
@@ -370,9 +369,8 @@ void DirController::OnOwnerData(const Message& msg) {
   Txn& txn = it->second;
   auto* line = array_.Lookup(msg.line_addr);
   GLB_CHECK(line != nullptr) << "DataWB for non-resident line";
-  GLB_CHECK(msg.data.size() == line->data.size()) << "short DataWB";
   const CoreId old_owner = line->meta.owner;
-  line->data = msg.data;
+  array_.FillWords(line, msg.data);
   line->meta.dirty = true;
 
   if (txn.is_recall) {

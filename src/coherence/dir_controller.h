@@ -33,6 +33,8 @@ class DirController {
   /// Directory view of who caches a line.
   enum class DirState : std::uint8_t { kUncached, kShared, kExclusive };
 
+  /// Lives in calloc'd cache frames: these defaults are written by
+  /// CacheArray::Install, never at construction.
   struct DirMeta {
     DirState state = DirState::kUncached;
     SharerSet sharers;  // full-map sharer vector (kShared)
@@ -67,7 +69,7 @@ class DirController {
   void FlushToBacking(mem::BackingStore& backing) const {
     GLB_CHECK(txns_.empty()) << "flush while bank " << tile_ << " is busy";
     array_.ForEachValid([&](const auto& line) {
-      if (line.meta.dirty) backing.WriteLine(line.line_addr, line.data.data());
+      if (line.meta.dirty) backing.WriteLine(line.line_addr, array_.Words(&line).data());
     });
   }
 

@@ -196,12 +196,12 @@ L1Controller::Cache::Line* L1Controller::AllocateFor(Addr line_addr) {
           << "duplicate write-back for line " << victim->line_addr;
       WbEntry entry;
       entry.state = (st == LineState::kM) ? WbEntry::State::kMI_A : WbEntry::State::kEI_A;
-      entry.data = victim->data;
+      entry.data = cache_.CopyWords(victim);
       wb_buffer_.emplace(victim->line_addr, std::move(entry));
       Message put;
       put.type = (st == LineState::kM) ? MsgType::kPutM : MsgType::kPutE;
       put.line_addr = victim->line_addr;
-      if (st == LineState::kM) put.data = victim->data;
+      if (st == LineState::kM) put.data = cache_.CopyWords(victim);
       Send(std::move(put));
     }
     // S lines are dropped silently; the directory tolerates over-
@@ -215,12 +215,10 @@ L1Controller::Cache::Line* L1Controller::AllocateFor(Addr line_addr) {
 void L1Controller::OnData(const Message& msg) {
   GLB_CHECK(mshr_.valid && msg.line_addr == mshr_.line_addr)
       << "unexpected fill @" << msg.line_addr << " at core " << core_;
-  GLB_CHECK(msg.data.size() == cache_.geometry().line_bytes / kWordBytes)
-      << "fill without full line data";
 
   auto* line = cache_.Lookup(msg.line_addr);
   if (line == nullptr) line = AllocateFor(msg.line_addr);
-  line->data = msg.data;
+  cache_.FillWords(line, msg.data);
   switch (msg.grant) {
     case Grant::kShared: line->meta.state = LineState::kS; break;
     case Grant::kExclusive: line->meta.state = LineState::kE; break;
@@ -348,7 +346,7 @@ void L1Controller::OnFwd(const Message& msg) {
                              << " does not hold @" << msg.line_addr;
   GLB_CHECK(line->meta.state == LineState::kM || line->meta.state == LineState::kE)
       << "forward to a non-owner in " << Name(line->meta.state);
-  reply.data = line->data;
+  reply.data = cache_.CopyWords(line);
   if (wants_exclusive) {
     cache_.Invalidate(line);
   } else {

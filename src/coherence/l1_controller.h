@@ -77,7 +77,7 @@ class L1Controller {
         << "flush while core " << core_ << " has transient state";
     cache_.ForEachValid([&](const auto& line) {
       if (line.meta.state == LineState::kM) {
-        backing.WriteLine(line.line_addr, line.data.data());
+        backing.WriteLine(line.line_addr, cache_.Words(&line).data());
       }
     });
   }

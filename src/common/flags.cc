@@ -1,9 +1,18 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <iostream>
 #include <string_view>
 
 namespace glb {
+
+namespace {
+[[noreturn]] void BadValue(const std::string& name, const std::string& value) {
+  std::cerr << "bad value for --" << name << ": '" << value << "'\n";
+  std::exit(2);
+}
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -55,12 +64,22 @@ std::string Flags::GetString(const std::string& name, std::string def) const {
 
 std::int64_t Flags::GetInt(const std::string& name, std::int64_t def) const {
   const std::string* v = Find(name);
-  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 0);
+  if (v == nullptr) return def;
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v->c_str(), &end, 0);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) BadValue(name, *v);
+  return n;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   const std::string* v = Find(name);
-  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
+  if (v == nullptr) return def;
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v->c_str(), &end);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) BadValue(name, *v);
+  return d;
 }
 
 bool Flags::GetBool(const std::string& name, bool def) const {

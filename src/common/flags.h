@@ -8,6 +8,10 @@
 // can reject what it never read: Unread() lists the passed flags no
 // lookup asked for — a typo or a retired flag. Binaries that never
 // call it still ignore unknown flags.
+//
+// Numeric getters parse strictly (base 0 for integers, so 0x10 is
+// legal): an empty value, trailing characters or an out-of-range value
+// exits 2 with "bad value for --NAME: 'VALUE'".
 #pragma once
 
 #include <cstdint>

@@ -7,9 +7,28 @@
 // that simulated loads observe exactly the bytes the coherence protocol
 // has made visible — spin-loop visibility then follows invalidations by
 // construction.
+//
+// Storage costs what the run touches. The array makes two allocations,
+// both from calloc: the frame array of `Line`s and one data slab of
+// num_lines × words_per_line words (frame i owns slab words
+// [i·wpl, (i+1)·wpl)). The constructor writes neither, so a frame no
+// access touches never becomes resident — calloc hands out fresh
+// mmap'd or freshly grown heap memory without writing it, and the
+// kernel backs untouched pages with the shared zero page. That rests on
+// one layout rule: all-zero bytes are an invalid frame (`valid ==
+// false`). An invalid frame's address, stamp, metadata and words are
+// unspecified and never read; Install resets all of them, which is
+// where `Meta`'s defaults are written. A count of valid frames lets
+// ForEachValid skip an array the run never used without walking it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -24,27 +43,28 @@ struct CacheGeometry {
 
   std::uint32_t num_lines() const { return size_bytes / line_bytes; }
   std::uint32_t num_sets() const { return num_lines() / ways; }
+  std::uint32_t words_per_line() const { return line_bytes / kWordBytes; }
 };
 
 template <typename Meta>
 class CacheArray {
  public:
   struct Line {
-    bool valid = false;
-    Addr line_addr = 0;
-    std::uint64_t lru_stamp = 0;
-    Meta meta{};
-    std::vector<Word> data;
+    bool valid;
+    Addr line_addr;
+    std::uint64_t lru_stamp;
+    Meta meta;
   };
+  // calloc'd bytes are a valid array of invalid frames only if a Line
+  // needs no constructor or destructor to run.
+  static_assert(std::is_trivially_copyable_v<Line> &&
+                    std::is_trivially_destructible_v<Line>,
+                "cache frames live in calloc'd storage");
 
-  explicit CacheArray(const CacheGeometry& geo) : geo_(geo) {
-    GLB_CHECK(geo.ways > 0 && geo.line_bytes >= kWordBytes) << "bad geometry";
-    GLB_CHECK(geo.num_lines() % geo.ways == 0) << "size not divisible into sets";
-    GLB_CHECK((geo.num_sets() & (geo.num_sets() - 1)) == 0)
-        << "set count must be a power of two, got " << geo.num_sets();
-    lines_.resize(geo.num_lines());
-    for (auto& l : lines_) l.data.assign(geo.line_bytes / kWordBytes, 0);
-  }
+  explicit CacheArray(const CacheGeometry& geo)
+      : geo_(Checked(geo)),
+        lines_(Calloc<Line>(geo.num_lines())),
+        words_(Calloc<Word>(std::size_t{geo.num_lines()} * geo.words_per_line())) {}
 
   const CacheGeometry& geometry() const { return geo_; }
 
@@ -90,31 +110,54 @@ class CacheArray {
     const Addr la = LineOf(addr);
     GLB_CHECK(SetIndex(la) == SetIndexOfLine(line))
         << "installing line into the wrong set";
+    if (!line->valid) ++valid_lines_;
     line->valid = true;
     line->line_addr = la;
     line->meta = Meta{};
-    std::fill(line->data.begin(), line->data.end(), Word{0});
+    std::fill_n(WordsOf(line), geo_.words_per_line(), Word{0});
     Touch(line);
   }
 
   void Invalidate(Line* line) {
+    if (line->valid) --valid_lines_;
     line->valid = false;
-    line->meta = Meta{};
   }
 
   /// Marks `line` most-recently-used.
   void Touch(Line* line) { line->lru_stamp = ++lru_clock_; }
 
   Word ReadWord(const Line* line, Addr a) const {
-    return line->data[WordIndex(line, a)];
+    return WordsOf(line)[WordIndex(line, a)];
   }
-  void WriteWord(Line* line, Addr a, Word v) { line->data[WordIndex(line, a)] = v; }
+  void WriteWord(Line* line, Addr a, Word v) { WordsOf(line)[WordIndex(line, a)] = v; }
 
-  /// Iterates all valid lines (for invariant checkers).
+  /// A valid line's data words, in address order.
+  std::span<const Word> Words(const Line* line) const {
+    GLB_CHECK(line->valid) << "data of an invalid frame";
+    return {WordsOf(line), geo_.words_per_line()};
+  }
+  /// Copy of a valid line's data (a message payload).
+  std::vector<Word> CopyWords(const Line* line) const {
+    const auto w = Words(line);
+    return {w.begin(), w.end()};
+  }
+  /// Overwrites a valid line's data with a full line image.
+  void FillWords(Line* line, std::span<const Word> src) {
+    GLB_CHECK(line->valid) << "fill of an invalid frame";
+    GLB_CHECK(src.size() == geo_.words_per_line())
+        << "line image of " << src.size() << " words, want " << geo_.words_per_line();
+    std::copy(src.begin(), src.end(), WordsOf(line));
+  }
+
+  /// Iterates all valid lines (for invariant checkers and drains); an
+  /// array holding none costs nothing, and the walk stops at the last.
   template <typename Fn>
   void ForEachValid(Fn&& fn) const {
-    for (const auto& l : lines_) {
-      if (l.valid) fn(l);
+    std::uint32_t left = valid_lines_;
+    for (const Line* l = lines_.get(); left > 0; ++l) {
+      if (!l->valid) continue;
+      fn(*l);
+      --left;
     }
   }
 
@@ -124,10 +167,37 @@ class CacheArray {
   }
 
  private:
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
+  template <typename T>
+  using CallocPtr = std::unique_ptr<T[], FreeDeleter>;
+
+  static const CacheGeometry& Checked(const CacheGeometry& geo) {
+    GLB_CHECK(geo.ways > 0 && geo.line_bytes >= kWordBytes) << "bad geometry";
+    GLB_CHECK(geo.num_lines() % geo.ways == 0) << "size not divisible into sets";
+    GLB_CHECK((geo.num_sets() & (geo.num_sets() - 1)) == 0)
+        << "set count must be a power of two, got " << geo.num_sets();
+    return geo;
+  }
+
+  /// `n` zeroed elements that stay non-resident until first written.
+  template <typename T>
+  static CallocPtr<T> Calloc(std::size_t n) {
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr && n > 0) throw std::bad_alloc();
+    return CallocPtr<T>(static_cast<T*>(p));
+  }
+
   Line* SetFor(Addr line_addr) { return &lines_[SetIndex(line_addr) * geo_.ways]; }
   std::uint32_t SetIndexOfLine(const Line* line) const {
-    const auto idx = static_cast<std::uint32_t>(line - lines_.data());
-    return idx / geo_.ways;
+    return FrameOf(line) / geo_.ways;
+  }
+  std::uint32_t FrameOf(const Line* line) const {
+    return static_cast<std::uint32_t>(line - lines_.get());
+  }
+  Word* WordsOf(const Line* line) const {
+    return words_.get() + std::size_t{FrameOf(line)} * geo_.words_per_line();
   }
   std::size_t WordIndex(const Line* line, Addr a) const {
     GLB_CHECK(line->valid && LineOf(a) == line->line_addr)
@@ -137,7 +207,9 @@ class CacheArray {
   }
 
   CacheGeometry geo_;
-  std::vector<Line> lines_;
+  CallocPtr<Line> lines_;
+  CallocPtr<Word> words_;
+  std::uint32_t valid_lines_ = 0;
   std::uint64_t lru_clock_ = 0;
 };
 

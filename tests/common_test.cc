@@ -342,6 +342,35 @@ TEST(Flags, DefaultsWhenAbsent) {
   EXPECT_DOUBLE_EQ(f.GetDouble("d", 2.5), 2.5);
 }
 
+TEST(Flags, NumericValuesParseStrictly) {
+  const char* argv[] = {"prog", "--hex=0x10", "--neg=-3", "--d=2.5e1"};
+  Flags f(4, const_cast<char**>(argv));
+  EXPECT_EQ(f.GetInt("hex", 0), 16) << "base-0 parsing keeps hex legal";
+  EXPECT_EQ(f.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(f.GetDouble("d", 0), 25.0);
+}
+
+TEST(FlagsDeathTest, BadNumericValuesExit2NamingTheFlag) {
+  const auto get_int = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    Flags(2, const_cast<char**>(argv)).GetInt("n", 0);
+  };
+  const auto get_double = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    Flags(2, const_cast<char**>(argv)).GetDouble("r", 0);
+  };
+  EXPECT_EXIT(get_int("--n=abc"), testing::ExitedWithCode(2), "bad value for --n: 'abc'");
+  EXPECT_EXIT(get_int("--n=5x"), testing::ExitedWithCode(2), "bad value for --n: '5x'");
+  EXPECT_EXIT(get_int("--n="), testing::ExitedWithCode(2), "bad value for --n: ''");
+  EXPECT_EXIT(get_int("--n=99999999999999999999"), testing::ExitedWithCode(2),
+              "bad value for --n");
+  EXPECT_EXIT(get_int("--n"), testing::ExitedWithCode(2), "bad value for --n: 'true'")
+      << "a bare flag is not a number";
+  EXPECT_EXIT(get_double("--r=0.5x"), testing::ExitedWithCode(2),
+              "bad value for --r: '0.5x'");
+  EXPECT_EXIT(get_double("--r=1e999"), testing::ExitedWithCode(2), "bad value for --r");
+}
+
 TEST(Flags, BoolSpellings) {
   const char* argv[] = {"prog", "--t1=true", "--t2=1", "--t3=yes", "--f1=false"};
   Flags f(5, const_cast<char**>(argv));

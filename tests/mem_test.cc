@@ -1,6 +1,8 @@
 // Tests for the functional memory, cache arrays and address allocator.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/addr_allocator.h"
 #include "mem/backing_store.h"
 #include "mem/cache_array.h"
@@ -146,6 +148,90 @@ TEST(CacheArray, ForEachValidVisitsExactly) {
   int n = 0;
   a.ForEachValid([&](const Array::Line&) { ++n; });
   EXPECT_EQ(n, 2);
+}
+
+TEST(CacheArray, ForEachValidVisitsNothingWhenNoLineIsValid) {
+  Array a(CacheGeometry{1024, 2, 64});
+  const auto visits = [&a]() {
+    int n = 0;
+    a.ForEachValid([&](const Array::Line& l) {
+      EXPECT_TRUE(l.valid);
+      ++n;
+    });
+    return n;
+  };
+  EXPECT_EQ(visits(), 0) << "a fresh array holds no valid line";
+
+  const Addr addrs[] = {0x000, 0x140, 0x200, 0x3c0};
+  for (const Addr la : addrs) a.Install(a.VictimFor(la), la);
+  EXPECT_EQ(visits(), 4);
+  for (const Addr la : addrs) a.Invalidate(a.Lookup(la));
+  EXPECT_EQ(visits(), 0) << "every line was invalidated again";
+
+  // Invalidating a frame twice must not disturb the count.
+  Array::Line* l = a.VictimFor(0x40);
+  a.Invalidate(l);
+  a.Install(l, 0x40);
+  EXPECT_EQ(visits(), 1);
+}
+
+TEST(CacheArray, InstallZeroesWordsTheLastOccupantWrote) {
+  Array a(CacheGeometry{128, 2, 64});  // one set, two ways
+  Array::Line* l = a.VictimFor(0x0);
+  a.Install(l, 0x0);
+  for (Addr w = 0; w < 8; ++w) a.WriteWord(l, w * kWordBytes, ~Word{0} - w);
+  a.Invalidate(l);
+  Array::Line* again = a.VictimFor(0x80);
+  ASSERT_EQ(again, l) << "the freed frame is reused first";
+  a.Install(again, 0x80);
+  for (Addr w = 0; w < 8; ++w) {
+    EXPECT_EQ(a.ReadWord(again, 0x80 + w * kWordBytes), 0u) << "word " << w;
+  }
+}
+
+// Every word of every frame is written, then read back: each frame's
+// words stay inside its own stretch of the shared data slab, so no
+// write spills into a neighbouring frame (same set or next set).
+TEST(CacheArray, NeighbouringFramesKeepTheirWords) {
+  for (const std::uint32_t line_bytes : {32u, 128u}) {
+    SCOPED_TRACE(line_bytes);
+    Array a(CacheGeometry{8 * line_bytes, 2, line_bytes});  // 4 sets x 2 ways
+    const Addr wpl = line_bytes / kWordBytes;
+    const auto value = [](Addr word_addr) { return Word{0xa5a5000000000000} + word_addr; };
+    std::vector<Array::Line*> frames;
+    for (Addr la = 0; la < 8 * line_bytes; la += line_bytes) {
+      Array::Line* l = a.VictimFor(la);
+      ASSERT_NE(l, nullptr);
+      a.Install(l, la);
+      frames.push_back(l);
+    }
+    for (Array::Line* l : frames) {
+      for (Addr w = 0; w < wpl; ++w) {
+        const Addr wa = l->line_addr + w * kWordBytes;
+        a.WriteWord(l, wa, value(wa));
+      }
+    }
+    for (const Array::Line* l : frames) {
+      const std::vector<Word> copy = a.CopyWords(l);
+      ASSERT_EQ(copy.size(), wpl);
+      for (Addr w = 0; w < wpl; ++w) {
+        const Addr wa = l->line_addr + w * kWordBytes;
+        EXPECT_EQ(a.ReadWord(l, wa), value(wa)) << "word @" << wa;
+        EXPECT_EQ(copy[w], value(wa)) << "copied word @" << wa;
+      }
+    }
+  }
+}
+
+TEST(CacheArray, FillWordsReplacesTheWholeLine) {
+  Array a(CacheGeometry{1024, 2, 64});
+  Array::Line* l = a.VictimFor(0x100);
+  a.Install(l, 0x100);
+  const std::vector<Word> image = {1, 2, 3, 4, 5, 6, 7, 8};
+  a.FillWords(l, image);
+  EXPECT_EQ(a.CopyWords(l), image);
+  EXPECT_EQ(a.ReadWord(l, 0x138), 8u);
+  EXPECT_DEATH(a.FillWords(l, std::vector<Word>(4, 0)), "line image of 4 words");
 }
 
 TEST(AddrAllocator, LineAlignedAndDisjoint) {
