@@ -253,8 +253,6 @@ inline std::vector<std::string> WorkloadListFromFlags(
 /// per point while single-machine benches go through ConfigFromFlags.
 inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
   auto cfg = cmp::CmpConfig::WithCores(cores);
-  // Compute fast-forward (see cmp::CmpConfig for its exactness contract).
-  cfg.fast_forward = flags.GetBool("fast-forward", false);
   // Fault campaign / resilience knobs (all off by default).
   cfg.fault = fault::PlanFromFlags(flags);
   cfg.gline.watchdog_timeout =
@@ -306,7 +304,7 @@ CommonFlags ParseCommonFlags(const Flags& flags);
 /// One parse of the flag families every bench binary repeats:
 /// observability (--trace / --log-level), host parallelism (--jobs), the
 /// --json manifest destination, and the machine configuration (--cores /
-/// --fast-forward / the --fault_* family).
+/// the --fault_* family).
 /// Construct via ParseCommonFlags right after Flags and keep it alive
 /// for the whole run — it owns the Observability (and therefore the
 /// --trace file session). Borrows the Flags, which must outlive it.

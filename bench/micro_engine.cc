@@ -176,26 +176,6 @@ void BM_CoherentLoadHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherentLoadHit);
 
-// Fast-forward replay cost: what one skipped compute phase costs the
-// host (one FastForwardAwaiter event + breakdown fold) versus the
-// hundreds of load/store/compute events the measured phase would run.
-void BM_FastForwardPhase(benchmark::State& state) {
-  sim::Engine e;
-  core::TimeBreakdown delta;
-  delta[core::TimeCat::kBusy] = 900;
-  delta[core::TimeCat::kRead] = 80;
-  core::TimeBreakdown acc;
-  for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) {
-      e.ScheduleIn(1000, [&acc, &delta]() { acc += delta; });
-    }
-    e.RunUntilIdle();
-    benchmark::DoNotOptimize(acc.total());
-  }
-  state.SetItemsProcessed(1024 * state.iterations());
-}
-BENCHMARK(BM_FastForwardPhase);
-
 void BM_GlineBarrierEpisode(benchmark::State& state) {
   const auto cores = static_cast<std::uint32_t>(state.range(0));
   const auto cfg = cmp::CmpConfig::WithCores(cores);

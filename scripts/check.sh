@@ -130,20 +130,20 @@ rm -f BENCH_zoo_smoke.json
 # network construction, or the shared-fabric model is a hard failure.
 # CI publishes the manifest.
 echo "=== multi-tenant smoke ==="
-rm -f BENCH_tenants_glbsim.json
+rm -f BENCH_tenants_glbsim_gate.json
 ./build/tools/glbsim --cores 64 --synthetic-iters 20 \
   --tenant fg:8x4:Synthetic:GLH --tenant bg:8x4@0,4:Synthetic:RDBL \
-  --json BENCH_tenants_glbsim.json > /dev/null
-grep -q '"tenants":' BENCH_tenants_glbsim.json || {
+  --json BENCH_tenants_glbsim_gate.json > /dev/null
+grep -q '"tenants":' BENCH_tenants_glbsim_gate.json || {
   echo "FAIL: multi-tenant manifest carries no tenants[] block" >&2
   exit 1; }
-./build/tools/glb_report BENCH_tenants_glbsim.json > /dev/null
-rm -f BENCH_tenants_smoke.json
+./build/tools/glb_report BENCH_tenants_glbsim_gate.json > /dev/null
+rm -f BENCH_tenants_smoke_gate.json
 ./build/bench/ablate_tenants --cores 16 --iters 10 --ops 0,16 \
-  --jobs "$(nproc)" --json BENCH_tenants_smoke.json > /dev/null
-./build/tools/glb_report BENCH_tenants_smoke.json > /dev/null
+  --jobs "$(nproc)" --json BENCH_tenants_smoke_gate.json > /dev/null
+./build/tools/glb_report BENCH_tenants_smoke_gate.json > /dev/null
 ./build/tools/glb_bench_diff --no-time \
-  bench/baselines/tenants_smoke.json BENCH_tenants_smoke.json
+  bench/baselines/tenants_smoke.json BENCH_tenants_smoke_gate.json
 
 rm -f BENCH_straggler_obs.json
 ./build/tools/glbsim --workload Synthetic --barrier GLH --cores 64 \

@@ -33,22 +33,15 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
       mesh_(engine_, MeshConfigFor(cfg), stats_),
       fabric_(engine_, mesh_, backing_, cfg.coherence, cfg.l1, cfg.l2, stats_),
       gline_(engine_, cfg.rows, cfg.cols, cfg.gline, stats_) {
-  core::BarrierDevice* dev = &gline_;
   if (cfg.hier.enabled) {
     hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
         engine_, cfg.rows, cfg.cols, cfg.hier, stats_);
-    dev = hier_.get();
   }
-  if (cfg.fast_forward && cfg.fault.script.empty()) {
-    ff_ = std::make_unique<FastForwardController>(stats_, cfg.num_cores());
-  }
-  if (ff_ != nullptr) dev = ff_->Wrap(dev);
-  chip_dev_ = dev;
   cores_.reserve(cfg.num_cores());
   for (CoreId c = 0; c < cfg.num_cores(); ++c) {
     cores_.push_back(
         std::make_unique<core::Core>(engine_, fabric_.l1(c), c, cfg.core, stats_));
-    cores_.back()->SetBarrierDevice(dev);
+    cores_.back()->SetBarrierDevice(chip_barrier_device());
   }
 
   if (cfg.gline.resilient()) {

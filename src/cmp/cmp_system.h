@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "cmp/fastforward.h"
 #include "coherence/fabric.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -43,10 +42,6 @@ struct CmpConfig {
   core::CoreConfig core{};
   /// Fault campaign (disabled by default: no hooks are installed).
   fault::FaultPlan fault{};
-  /// Compute fast-forward (exact steady-state replay; see
-  /// src/cmp/fastforward.h). Refused automatically when the fault plan
-  /// carries scripted entries, which can edit mid-phase state.
-  bool fast_forward = false;
 
   std::uint32_t num_cores() const { return rows * cols; }
 
@@ -77,10 +72,13 @@ class CmpSystem {
   /// The hierarchical network, or nullptr unless cfg.hier.enabled.
   gline::HierarchicalBarrierNetwork* hier() { return hier_.get(); }
   /// The chip-default barrier device every core is wired to at
-  /// construction (hier if enabled, else the flat G-line network, behind
-  /// the fast-forward wrapper when that is on). PartitionManager swaps
-  /// member cores onto tenant devices and restores this on teardown.
-  core::BarrierDevice* chip_barrier_device() { return chip_dev_; }
+  /// construction (hier if enabled, else the flat G-line network).
+  /// PartitionManager swaps member cores onto tenant devices and
+  /// restores this on teardown.
+  core::BarrierDevice* chip_barrier_device() {
+    if (hier_ != nullptr) return hier_.get();
+    return &gline_;
+  }
   core::Core& core(CoreId c) { return *cores_[c]; }
   std::uint32_t num_cores() const { return cfg_.num_cores(); }
   const CmpConfig& config() const { return cfg_; }
@@ -103,10 +101,6 @@ class CmpSystem {
   /// The armed injector, or nullptr when the fault plan is disabled.
   fault::FaultInjector* injector() { return injector_.get(); }
 
-  /// The fast-forward controller, or nullptr unless cfg.fast_forward
-  /// (workloads use it to report/replay phases).
-  FastForwardController* fast_forward() { return ff_.get(); }
-
   /// Cycle at which the last core finished its program.
   Cycle LastFinish() const;
   /// Aggregate time breakdown over all cores.
@@ -123,12 +117,10 @@ class CmpSystem {
   gline::BarrierNetwork gline_;
   std::unique_ptr<gline::HierarchicalBarrierNetwork> hier_;
   std::vector<std::unique_ptr<core::Core>> cores_;
-  core::BarrierDevice* chip_dev_ = nullptr;
   /// Degraded-mode software fallback: a hybrid barrier unit over the
   /// data NoC (built only in resilient mode).
   std::unique_ptr<sync::HybridBarrierUnit> fallback_unit_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<FastForwardController> ff_;
 };
 
 }  // namespace glb::cmp

@@ -116,8 +116,8 @@ void StatSet::PrintCsv(std::ostream& os) const {
 }
 
 void StatSet::Reset() {
-  for (auto& [name, c] : counters_) c->Set(0);
-  for (auto& h : histogram_storage_) h.SetState(Histogram::State{});
+  for (auto& c : counter_storage_) c = Counter{};
+  for (auto& h : histogram_storage_) h = Histogram{};
 }
 
 }  // namespace glb

@@ -24,7 +24,6 @@ namespace glb {
 class Counter {
  public:
   void Inc(std::uint64_t n = 1) { value_ += n; }
-  void Set(std::uint64_t v) { value_ = v; }
   std::uint64_t value() const { return value_; }
 
  private:
@@ -36,16 +35,6 @@ class Counter {
 class Histogram {
  public:
   static constexpr int kBuckets = 40;
-
-  /// Raw value snapshot (fast-forward replay bookkeeping; min_raw/
-  /// max_raw keep the "empty" sentinels so a restore round-trips).
-  struct State {
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min_raw = ~0ull;
-    std::uint64_t max_raw = 0;
-    std::array<std::uint64_t, kBuckets> buckets{};
-  };
 
   void Record(std::uint64_t sample) {
     ++s_.count;
@@ -67,9 +56,6 @@ class Histogram {
     return s_.buckets[static_cast<std::size_t>(i)];
   }
 
-  const State& GetState() const { return s_; }
-  void SetState(const State& s) { s_ = s; }
-
   /// Approximate p-quantile (p in [0,1]) from the power-of-two buckets:
   /// linear rank interpolation inside the bucket that holds the target
   /// rank, clamped to [min, max]. Exact at the endpoints (p=0 returns
@@ -89,6 +75,14 @@ class Histogram {
   }
 
  private:
+  // min_raw/max_raw hold the "empty" sentinels until the first sample.
+  struct State {
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t min_raw = ~0ull;
+    std::uint64_t max_raw = 0;
+    std::array<std::uint64_t, kBuckets> buckets{};
+  };
   State s_;
 };
 

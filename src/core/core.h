@@ -204,26 +204,6 @@ class Core {
     void await_resume() const noexcept {}
   };
 
-  /// Compute fast-forward replay: one engine event stands in for a
-  /// whole measured compute phase. The memoized time-category delta is
-  /// folded into the core's breakdown directly (no BeginOp/EndOp — the
-  /// replayed phase's category mix comes from the measurement, not from
-  /// a single live op). See cmp::FastForwardController.
-  struct FastForwardAwaiter {
-    Core& core;
-    Cycle cycles;
-    const TimeBreakdown* delta;  // may be null (pure wait)
-    bool await_ready() const noexcept { return cycles == 0 && delta == nullptr; }
-    void await_suspend(std::coroutine_handle<> h) {
-      core.engine_.ScheduleIn(cycles, [this, h]() {
-        if (delta != nullptr) core.breakdown_ += *delta;
-        prof::Scope prof_scope(prof::Cat::kWorkload);
-        h.resume();
-      });
-    }
-    void await_resume() const noexcept {}
-  };
-
   /// Generic suspension: `arm(resume)` is called at suspension time and
   /// must eventually invoke `resume` exactly once (from an engine
   /// event). Latency is attributed to `cat` (subject to CategoryScope
@@ -264,10 +244,6 @@ class Core {
     return ComputeAwaiter{*this, cycles};
   }
   [[nodiscard]] GlBarrierAwaiter GlBarrier() { return GlBarrierAwaiter{*this}; }
-  [[nodiscard]] FastForwardAwaiter FastForward(Cycle cycles,
-                                               const TimeBreakdown* delta) {
-    return FastForwardAwaiter{*this, cycles, delta};
-  }
 
  private:
   friend struct LoadAwaiter;

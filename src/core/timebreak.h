@@ -47,18 +47,6 @@ struct TimeBreakdown {
     for (std::size_t i = 0; i < cycles.size(); ++i) cycles[i] += o.cycles[i];
     return *this;
   }
-
-  /// Difference of two snapshots of one core's breakdown (fast-forward
-  /// phase measurement); `o` must be an earlier snapshot of the same
-  /// monotonically growing accumulator.
-  friend TimeBreakdown operator-(TimeBreakdown a, const TimeBreakdown& b) {
-    for (std::size_t i = 0; i < a.cycles.size(); ++i) a.cycles[i] -= b.cycles[i];
-    return a;
-  }
-
-  friend bool operator==(const TimeBreakdown& a, const TimeBreakdown& b) {
-    return a.cycles == b.cycles;
-  }
 };
 
 }  // namespace glb::core

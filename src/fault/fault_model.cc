@@ -75,18 +75,30 @@ std::vector<ScriptedFault> ParseScript(const std::string& spec) {
   return script;
 }
 
+/// A probability flag (default 0). A value outside [0, 1], NaN
+/// included, exits with status 2 before anything is simulated.
+double RateFromFlag(const Flags& flags, const std::string& name) {
+  const double rate = flags.GetDouble(name, 0.0);
+  if (!(rate >= 0.0 && rate <= 1.0)) {
+    std::cerr << "bad value for --" << name << ": '" << flags.GetString(name, "")
+              << "' (a rate must lie in [0, 1])\n";
+    std::exit(2);
+  }
+  return rate;
+}
+
 }  // namespace
 
 FaultPlan PlanFromFlags(const Flags& flags) {
   FaultPlan p;
   p.seed = static_cast<std::uint64_t>(flags.GetInt("fault_seed", 1));
-  p.gline_drop_rate = flags.GetDouble("fault_gline_drop", 0.0);
-  p.gline_dup_rate = flags.GetDouble("fault_gline_dup", 0.0);
-  p.csma_corrupt_rate = flags.GetDouble("fault_csma", 0.0);
-  p.core_freeze_rate = flags.GetDouble("fault_freeze", 0.0);
-  p.noc_delay_rate = flags.GetDouble("fault_noc_delay", 0.0);
-  p.noc_drop_rate = flags.GetDouble("fault_noc_drop", 0.0);
-  p.core_slow_rate = flags.GetDouble("fault_slow", 0.0);
+  p.gline_drop_rate = RateFromFlag(flags, "fault_gline_drop");
+  p.gline_dup_rate = RateFromFlag(flags, "fault_gline_dup");
+  p.csma_corrupt_rate = RateFromFlag(flags, "fault_csma");
+  p.core_freeze_rate = RateFromFlag(flags, "fault_freeze");
+  p.noc_delay_rate = RateFromFlag(flags, "fault_noc_delay");
+  p.noc_drop_rate = RateFromFlag(flags, "fault_noc_drop");
+  p.core_slow_rate = RateFromFlag(flags, "fault_slow");
   p.csma_max_skew =
       static_cast<std::uint32_t>(flags.GetInt("fault_csma_skew", 2));
   p.core_freeze_cycles =

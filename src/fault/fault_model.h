@@ -140,7 +140,8 @@ struct FaultPlan {
 ///   --fault_script "cycle:site[:target[:magnitude]],..."
 /// where site is one of gline_drop|gline_dup|csma_corrupt|core_freeze|
 /// noc_delay|noc_drop|core_slow|work_skew (plus the short aliases
-/// csma|freeze|slow|skew). Unknown names exit with status 2.
+/// csma|freeze|slow|skew). Unknown names, and rates (R) outside
+/// [0, 1], exit with status 2.
 FaultPlan PlanFromFlags(const Flags& flags);
 
 }  // namespace glb::fault

@@ -170,12 +170,6 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
   w.Field("gl_notify_overhead", cfg.core.gl_notify_overhead);
   w.Field("gl_resume_overhead", cfg.core.gl_resume_overhead);
   w.EndObject();
-  // cfg.fast_forward is deliberately NOT echoed: it is a host-execution
-  // strategy, not machine configuration, and it replays the measured
-  // steady state exactly, so the simulated results do not depend on it.
-  // Echoing it would break manifest byte-identity between fast-forward
-  // on and off for no information gain — the host block (host_wall_ms,
-  // host_events_per_sec) already carries the host-side story.
   w.Key("fault");
   w.BeginObject();
   WriteFaultPlan(w, cfg.fault);

@@ -60,10 +60,6 @@ std::string JoinLabels(const std::vector<TenantMetrics>& tenants,
 
 std::string ValidateRunSpec(const RunSpec& spec) {
   if (spec.tenants.empty()) return "RunSpec needs at least one tenant";
-  if (spec.cfg.fast_forward) {
-    return "multi-tenant runs do not support --fast-forward (the replay "
-           "controller assumes one chip-wide barrier cadence)";
-  }
   for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
     const TenantSpec& t = spec.tenants[i];
     cmp::TenantConfig tc;
@@ -73,8 +69,13 @@ std::string ValidateRunSpec(const RunSpec& spec) {
     tc.max_transmitters = t.max_transmitters;
     std::string why = cmp::ValidateTenantConfig(tc, spec.cfg);
     if (!why.empty()) return why;
-    if (!t.factory && !KnownWorkload(t.workload)) {
-      return "tenant '" + t.name + "': unknown workload '" + t.workload + "'";
+    if (!t.factory) {
+      const auto workload = MakeWorkload(t.workload, t.scale);
+      if (workload == nullptr) {
+        return "tenant '" + t.name + "': unknown workload '" + t.workload + "'";
+      }
+      why = workload->ValidateConfig(t.rect.num_cores());
+      if (!why.empty()) return "tenant '" + t.name + "': " + why;
     }
     if (!StragglerOnly(t.fault)) {
       return "tenant '" + t.name +

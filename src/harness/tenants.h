@@ -114,9 +114,9 @@ struct MultiRunMetrics {
 
 /// Full admission check of a RunSpec without building anything:
 /// per-tenant geometry/name/budget (cmp::ValidateTenantConfig),
-/// duplicate names, pairwise rect overlap, workload-name existence,
-/// straggler-only tenant fault plans, and chip-config compatibility
-/// (tenants do not support --fast-forward). Returns "" when runnable.
+/// duplicate names, pairwise rect overlap, workload-name existence and
+/// problem size (Workload::ValidateConfig against the rect's cores),
+/// and straggler-only tenant fault plans. Returns "" when runnable.
 std::string ValidateRunSpec(const RunSpec& spec);
 
 /// Runs the spec on a caller-built system (which must have been

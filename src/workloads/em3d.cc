@@ -45,13 +45,17 @@ std::uint32_t Em3d::BlockPartitionOwner(std::uint32_t node) const {
   GLB_UNREACHABLE("node outside every partition");
 }
 
+std::string Em3d::ValidateConfig(std::uint32_t cores) const {
+  if (cfg_.nodes < cores) {
+    return "--em3d-nodes " + std::to_string(cfg_.nodes) + " is fewer than the " +
+           std::to_string(cores) + " cores (need at least one node per core)";
+  }
+  return "";
+}
+
 void Em3d::Init(cmp::CmpSystem& sys) {
   num_cores_ = Participants(sys);
   GLB_CHECK(cfg_.nodes >= num_cores_) << "fewer nodes than cores";
-  ff_ = sys.fast_forward();
-  // 2 barrier episodes per timestep (E-phase, H-phase) after the one
-  // initial barrier.
-  if (ff_ != nullptr) ff_->Configure(2, 1);
   Rng rng(cfg_.seed);
   BuildGraph(&e_graph_, rng, 0);
   BuildGraph(&h_graph_, rng, 0);
@@ -97,65 +101,33 @@ core::Task Em3d::Body(core::Core& core, CoreId id, sync::Barrier& barrier) {
   co_await barrier.Wait(core);
   for (std::uint32_t t = 0; t < cfg_.timesteps; ++t) {
     // E-phase: new E from old H.
-    if (ff_ != nullptr && ff_->replaying()) {
-      co_await core.FastForward(ff_->PhaseCycles(id, 0), ff_->PhaseDelta(id, 0));
-    } else {
-      const Cycle start = core.engine().Now();
-      const core::TimeBreakdown snap = core.breakdown();
-      for (std::uint64_t i = r.begin; i < r.end; ++i) {
-        double acc = AsDouble(co_await core.Load(EVal(static_cast<std::uint32_t>(i))));
-        for (std::uint32_t d = 0; d < cfg_.degree; ++d) {
-          const auto e = static_cast<std::size_t>(i) * cfg_.degree + d;
-          const double h = AsDouble(co_await core.Load(HVal(e_graph_.nbr[e])));
-          acc -= e_graph_.weight[e] * h;
-        }
-        co_await core.Compute(FlopCycles(2 * cfg_.degree));
-        co_await core.Store(EVal(static_cast<std::uint32_t>(i)), AsWord(acc));
+    for (std::uint64_t i = r.begin; i < r.end; ++i) {
+      double acc = AsDouble(co_await core.Load(EVal(static_cast<std::uint32_t>(i))));
+      for (std::uint32_t d = 0; d < cfg_.degree; ++d) {
+        const auto e = static_cast<std::size_t>(i) * cfg_.degree + d;
+        const double h = AsDouble(co_await core.Load(HVal(e_graph_.nbr[e])));
+        acc -= e_graph_.weight[e] * h;
       }
-      if (ff_ != nullptr) {
-        ff_->RecordPhase(id, 0, core.engine().Now() - start,
-                         core.breakdown() - snap);
-      }
+      co_await core.Compute(FlopCycles(2 * cfg_.degree));
+      co_await core.Store(EVal(static_cast<std::uint32_t>(i)), AsWord(acc));
     }
     co_await barrier.Wait(core);
     // H-phase: new H from new E.
-    if (ff_ != nullptr && ff_->replaying()) {
-      co_await core.FastForward(ff_->PhaseCycles(id, 1), ff_->PhaseDelta(id, 1));
-    } else {
-      const Cycle start = core.engine().Now();
-      const core::TimeBreakdown snap = core.breakdown();
-      for (std::uint64_t i = r.begin; i < r.end; ++i) {
-        double acc = AsDouble(co_await core.Load(HVal(static_cast<std::uint32_t>(i))));
-        for (std::uint32_t d = 0; d < cfg_.degree; ++d) {
-          const auto e = static_cast<std::size_t>(i) * cfg_.degree + d;
-          const double ev = AsDouble(co_await core.Load(EVal(h_graph_.nbr[e])));
-          acc -= h_graph_.weight[e] * ev;
-        }
-        co_await core.Compute(FlopCycles(2 * cfg_.degree));
-        co_await core.Store(HVal(static_cast<std::uint32_t>(i)), AsWord(acc));
+    for (std::uint64_t i = r.begin; i < r.end; ++i) {
+      double acc = AsDouble(co_await core.Load(HVal(static_cast<std::uint32_t>(i))));
+      for (std::uint32_t d = 0; d < cfg_.degree; ++d) {
+        const auto e = static_cast<std::size_t>(i) * cfg_.degree + d;
+        const double ev = AsDouble(co_await core.Load(EVal(h_graph_.nbr[e])));
+        acc -= h_graph_.weight[e] * ev;
       }
-      if (ff_ != nullptr) {
-        ff_->RecordPhase(id, 1, core.engine().Now() - start,
-                         core.breakdown() - snap);
-      }
+      co_await core.Compute(FlopCycles(2 * cfg_.degree));
+      co_await core.Store(HVal(static_cast<std::uint32_t>(i)), AsWord(acc));
     }
     co_await barrier.Wait(core);
   }
 }
 
 std::string Em3d::Validate(cmp::CmpSystem& sys) {
-  if (ff_ != nullptr && ff_->engaged()) {
-    // Replayed iterations skipped the functional loads/stores, so the
-    // memory image is frozen at the engagement point. The timing model
-    // stayed exact (the phases were bit-identical when memoized); the
-    // final field values are reconciled from the sequential reference,
-    // which already holds the bit-exact result of the full run.
-    for (std::uint32_t i = 0; i < cfg_.nodes; ++i) {
-      sys.memory().WriteWord(EVal(i), AsWord(ref_e_[i]));
-      sys.memory().WriteWord(HVal(i), AsWord(ref_h_[i]));
-    }
-    return "";
-  }
   for (std::uint32_t i = 0; i < cfg_.nodes; ++i) {
     const double ge = AsDouble(sys.memory().ReadWord(EVal(i)));
     if (ge != ref_e_[i]) {

@@ -41,6 +41,7 @@ class Em3d final : public Workload {
 
   const char* name() const override { return "EM3D"; }
   std::string input_desc() const override;
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;
@@ -61,11 +62,6 @@ class Em3d final : public Workload {
 
   Config cfg_;
   std::uint32_t num_cores_ = 0;
-  /// Fast-forward controller, or nullptr when --fast-forward is off.
-  /// EM3D's iteration is exactly periodic (2 phases per timestep after
-  /// the initial barrier), so it reports phase measurements and replays
-  /// once the controller engages.
-  cmp::FastForwardController* ff_ = nullptr;
   Graph e_graph_;  // how E-nodes read H-nodes
   Graph h_graph_;  // how H-nodes read E-nodes
   Addr e_vals_ = 0;

@@ -1,5 +1,6 @@
 #include "workloads/ocean.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -24,6 +25,16 @@ double Ocean::InitVal(std::uint32_t r, std::uint32_t c, std::uint32_t grid) {
   const double x = static_cast<double>(c) / static_cast<double>(grid - 1);
   const double y = static_cast<double>(r) / static_cast<double>(grid - 1);
   return 0.25 * (x - x * x) * (y - y * y) * (1.0 + 0.5 * x);
+}
+
+std::string Ocean::ValidateConfig(std::uint32_t cores) const {
+  if (cfg_.grid < 4 || cfg_.grid - 2 < cores) {
+    return "--ocean-grid " + std::to_string(cfg_.grid) + " is too small for " +
+           std::to_string(cores) + " cores (need at least " +
+           std::to_string(std::max(cores + 2, 4u)) +
+           ": one interior row per core plus 2 boundary rows)";
+  }
+  return "";
 }
 
 void Ocean::Init(cmp::CmpSystem& sys) {

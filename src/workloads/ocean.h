@@ -43,6 +43,7 @@ class Ocean final : public Workload {
     return std::to_string(cfg_.grid) + "x" + std::to_string(cfg_.grid) +
            " ocean, " + std::to_string(cfg_.iterations) + " sweeps";
   }
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;

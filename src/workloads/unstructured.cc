@@ -17,6 +17,14 @@ Addr Unstructured::PrivAcc(CoreId c, std::uint32_t i) const {
   return priv_acc_ + c * stride + static_cast<Addr>(i) * kWordBytes;
 }
 
+std::string Unstructured::ValidateConfig(std::uint32_t cores) const {
+  if (cfg_.nodes < cores) {
+    return "--unstr-nodes " + std::to_string(cfg_.nodes) + " is fewer than the " +
+           std::to_string(cores) + " cores (need at least one node per core)";
+  }
+  return "";
+}
+
 void Unstructured::Init(cmp::CmpSystem& sys) {
   num_cores_ = Participants(sys);
   GLB_CHECK(cfg_.nodes >= num_cores_) << "fewer nodes than cores";

@@ -50,6 +50,7 @@ class Unstructured final : public Workload {
            std::to_string(cfg_.edges) + " edges, " +
            std::to_string(cfg_.timesteps) + " time steps";
   }
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;

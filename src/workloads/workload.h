@@ -28,6 +28,12 @@ class Workload {
   virtual const char* name() const = 0;
   virtual std::string input_desc() const = 0;
 
+  /// Checks the problem size against `cores` participants without a
+  /// live system, so CLI front-ends can reject it (exit 2) before
+  /// building anything. Returns "" when Init can run, else a diagnostic
+  /// naming the size flag.
+  virtual std::string ValidateConfig(std::uint32_t /*cores*/) const { return ""; }
+
   /// Allocates simulated memory and writes initial data to DRAM.
   /// Called exactly once, before any program runs.
   virtual void Init(cmp::CmpSystem& sys) = 0;

@@ -159,21 +159,17 @@ TEST(Determinism, GlhPoint256ManifestIsByteIdenticalAcrossRuns) {
 
 /// A 1024-core (32x32) hierarchical-barrier EM3D run, serialized as the
 /// full JSON manifest. `work_skew` layers the deterministic straggler
-/// knob on top. All host-side fields are zeroed: wall clock and events/sec are
-/// non-deterministic by nature, and host_events depends on the
-/// execution strategy (fast-forward replays whole compute phases as
-/// single events — that is the point), while every simulated result
-/// must stay byte-identical.
-std::string Em3dManifest(bool fast_forward, double work_skew) {
+/// knob on top. Wall clock and events/sec are zeroed, being host timing;
+/// everything else, host_events included, is a deterministic count.
+std::string Em3dManifest(double work_skew) {
   std::ostringstream os;
   cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(1024);
   cfg.hier.enabled = true;
-  cfg.fast_forward = fast_forward;
   cfg.fault.work_skew = work_skew;
   cmp::CmpSystem sys(cfg);
   workloads::Em3d::Config wcfg;
   wcfg.nodes = 2048;    // 2 nodes per class per core
-  wcfg.timesteps = 6;   // >= 4 so fast-forward can engage (warmup 1 + 3)
+  wcfg.timesteps = 6;
   workloads::Em3d wl(wcfg);
   wl.Init(sys);
   auto barrier = harness::MakeBarrier(harness::BarrierKind::kGLH, sys);
@@ -183,34 +179,28 @@ std::string Em3dManifest(bool fast_forward, double work_skew) {
       sys, status, wl, harness::ToString(harness::BarrierKind::kGLH));
   EXPECT_TRUE(m.completed);
   EXPECT_TRUE(m.validation.empty()) << m.validation;
-  if (fast_forward) {
-    EXPECT_NE(sys.fast_forward(), nullptr);
-    EXPECT_TRUE(sys.fast_forward()->engaged())
-        << "6 exactly periodic timesteps must engage the fast-forward";
-  }
   m.wall_ms = 0.0;
   m.events_per_sec = 0.0;
-  m.host_events = 0;
   harness::ManifestOptions opts;
   opts.tool = "determinism_test";
   harness::WriteRunManifest(os, m, cfg, sys.stats(), opts);
   return os.str();
 }
 
-TEST(Determinism, Em3d1024ManifestIsFastForwardInvariant) {
-  const std::string base = Em3dManifest(false, 0.0);
+TEST(Determinism, Em3d1024ManifestIsRunToRunIdentical) {
+  const std::string base = Em3dManifest(0.0);
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(base, Em3dManifest(true, 0.0));
+  EXPECT_EQ(base, Em3dManifest(0.0));
 }
 
-TEST(Determinism, Em3d1024StragglerManifestIsFastForwardInvariant) {
+TEST(Determinism, Em3d1024StragglerManifestIsRunToRunIdentical) {
   // Deterministic stragglers (work_skew stretches core i's compute by
-  // 1 + S*i/(n-1)) change every phase length; the replayed skewed
-  // schedule must still match the fully simulated one.
-  const std::string base = Em3dManifest(false, 0.25);
+  // 1 + S*i/(n-1)) change every phase length; the skewed schedule must
+  // still repeat exactly.
+  const std::string base = Em3dManifest(0.25);
   ASSERT_FALSE(base.empty());
-  EXPECT_NE(base, Em3dManifest(false, 0.0));  // the knob really bites
-  EXPECT_EQ(base, Em3dManifest(true, 0.25));
+  EXPECT_NE(base, Em3dManifest(0.0));  // the knob really bites
+  EXPECT_EQ(base, Em3dManifest(0.25));
 }
 
 /// The parallel-experiment harness (--jobs 2: two runs in flight on

@@ -266,8 +266,8 @@ TEST(Partition, SingleTileTenantRuns) {
 }
 
 // ValidateRunSpec catches spec-level problems admission alone cannot:
-// pairwise overlap, duplicate names, unknown workloads, non-straggler
-// tenant fault plans, and fast-forward incompatibility.
+// pairwise overlap, duplicate names, unknown workloads, problem sizes
+// too small for the rect and non-straggler tenant fault plans.
 TEST(Partition, ValidateRunSpecRejections) {
   harness::RunSpec spec;
   spec.cfg = cmp::CmpConfig::WithCores(16);
@@ -299,10 +299,13 @@ TEST(Partition, ValidateRunSpecRejections) {
             std::string::npos);
 
   spec.tenants[1].fault.gline_drop_rate = 0;
-  ASSERT_EQ(harness::ValidateRunSpec(spec), "");
-  spec.cfg.fast_forward = true;
-  EXPECT_NE(harness::ValidateRunSpec(spec).find("fast-forward"),
+  spec.tenants[1].workload = "OCEAN";
+  spec.tenants[1].scale.ocean_grid = 5;  // 3 interior rows for 4 cores
+  EXPECT_NE(harness::ValidateRunSpec(spec).find("tenant 'b': --ocean-grid 5"),
             std::string::npos);
+
+  spec.tenants[1].workload = "Synthetic";
+  EXPECT_EQ(harness::ValidateRunSpec(spec), "");
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ std::string SplitChipManifest() {
   EXPECT_TRUE(mm.run.validation.empty()) << mm.run.validation;
   mm.run.wall_ms = 0.0;
   mm.run.events_per_sec = 0.0;
-  mm.run.host_events = 0;
   harness::ManifestOptions opts;
   opts.tool = "tenant_determinism_test";
   opts.tenants = &mm.tenants;

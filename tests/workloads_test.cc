@@ -131,6 +131,33 @@ TEST(WorkloadValidation32, Em3dAt32Cores) {
   EXPECT_EQ(m.validation, "");
 }
 
+// Problem sizes are checked before a machine exists: the smallest size
+// each partition rule admits passes, one less names its flag.
+TEST(WorkloadConfig, ValidateConfigNamesTheSizeFlag) {
+  Ocean::Config ocean;
+  ocean.grid = 18;  // 16 interior rows
+  EXPECT_EQ(Ocean(ocean).ValidateConfig(16), "");
+  ocean.grid = 17;
+  EXPECT_NE(Ocean(ocean).ValidateConfig(16).find("--ocean-grid 17"), std::string::npos);
+  ocean.grid = 2;  // below the 4-row floor even for one core
+  EXPECT_NE(Ocean(ocean).ValidateConfig(1).find("--ocean-grid 2"), std::string::npos);
+
+  Unstructured::Config unstr;
+  unstr.nodes = 16;
+  EXPECT_EQ(Unstructured(unstr).ValidateConfig(16), "");
+  unstr.nodes = 0;
+  EXPECT_NE(Unstructured(unstr).ValidateConfig(16).find("--unstr-nodes 0"),
+            std::string::npos);
+
+  Em3d::Config em3d;
+  em3d.nodes = 16;
+  EXPECT_EQ(Em3d(em3d).ValidateConfig(16), "");
+  em3d.nodes = 15;
+  EXPECT_NE(Em3d(em3d).ValidateConfig(16).find("--em3d-nodes 15"), std::string::npos);
+
+  EXPECT_EQ(Synthetic(5).ValidateConfig(1024), "");  // no size rule
+}
+
 // Barrier census: the kernels' structures imply exact barrier counts.
 TEST(WorkloadCensus, Kernel2BarriersPerIteration) {
   Kernel2 k(128, 3);

@@ -42,7 +42,8 @@ void Usage() {
       "                  (harness::Scale::ForCores; default: 32-core sizes)\n"
       "  --<wl>-iters N  per-workload iteration overrides, and problem sizes:\n"
       "                  --k2-n --k3-n --k6-n --em3d-nodes --ocean-grid\n"
-      "                  --unstr-nodes --unstr-edges (see harness/spec.h)\n"
+      "                  --unstr-nodes --unstr-edges (see harness/spec.h);\n"
+      "                  a size too small for the cores exits 2\n"
       "  --max-cycles N  abort (with a stall diagnostic) after N cycles\n"
       "  --stats         dump the raw statistics registry\n"
       "  --csv           emit machine-readable key,value lines\n"
@@ -55,16 +56,9 @@ void Usage() {
       "                  private G-line transmitter budget (default 6).\n"
       "                  Problem sizes weak-scale to each tenant's core count\n"
       "                  unless --scale-cores pins them. Rects must not\n"
-      "                  overlap; non-member tiles idle. Incompatible with\n"
-      "                  --fast-forward.\n"
+      "                  overlap; non-member tiles idle.\n"
       "                    glbsim --cores 32 --tenant fg:4x4:Synthetic:GL \\\n"
       "                           --tenant bg:4x4@0,4:Kernel3:RDBL --json\n"
-      "host execution (simulated results are identical for every setting;\n"
-      "see docs/PERFORMANCE.md):\n"
-      "  --fast-forward  replay exactly periodic steady-state compute phases\n"
-      "                  as single events once detected (barrier traffic and\n"
-      "                  all stats stay exact; auto-refused for runs with\n"
-      "                  --fault_script)\n"
       "observability (docs/OBSERVABILITY.md):\n"
       "  --trace FILE    write a Perfetto/Chrome trace-event JSON of the run\n"
       "  --json [FILE]   bare: print a pretty run manifest to stdout instead of\n"
@@ -356,8 +350,13 @@ int main(int argc, char** argv) {
   bench::RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
-  cmp::CmpSystem sys(cfg);
   auto workload = harness::MakeWorkloadOrExit(spec.workload, spec.scale);
+  if (const std::string why = workload->ValidateConfig(cfg.num_cores());
+      !why.empty()) {
+    std::cerr << "bad workload size: " << why << "\n";
+    return 2;
+  }
+  cmp::CmpSystem sys(cfg);
   workload->Init(sys);
   auto barrier = harness::MakeBarrier(spec.barrier, sys);
   const Cycle max_cycles = spec.max_cycles;
