@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "common/flags.h"
 #include "common/stats.h"
-#include "gline/barrier_network.h"
 #include "gline/hierarchy.h"
 #include "harness/report.h"
 #include "sim/engine.h"
@@ -28,31 +27,13 @@ struct Result {
   std::uint32_t levels = 1;
 };
 
-Result RunBarrier(std::uint32_t rows, std::uint32_t cols) {
+/// Simultaneous arrival on a `dev`-shaped G-line device over rows x cols.
+Result RunBarrier(const glb::gline::HierConfig& dev, std::uint32_t rows,
+                  std::uint32_t cols) {
   using namespace glb;
   sim::Engine engine;
   StatSet stats;
-  gline::BarrierNetwork net(engine, rows, cols, gline::BarrierNetConfig{}, stats);
-  const std::uint32_t n = rows * cols;
-  std::vector<Cycle> released(n, 0);
-  engine.ScheduleAt(100, [&]() {
-    for (CoreId c = 0; c < n; ++c) {
-      net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
-    }
-  });
-  engine.RunUntilIdle();
-  Result r;
-  r.first_release = *std::min_element(released.begin(), released.end()) - 100;
-  r.last_release = *std::max_element(released.begin(), released.end()) - 100;
-  r.total_lines = net.total_lines();
-  return r;
-}
-
-Result RunHierarchical(std::uint32_t rows, std::uint32_t cols) {
-  using namespace glb;
-  sim::Engine engine;
-  StatSet stats;
-  gline::HierarchicalBarrierNetwork net(engine, rows, cols, gline::HierConfig{}, stats);
+  gline::HierarchicalBarrierNetwork net(engine, rows, cols, dev, stats);
   const std::uint32_t n = rows * cols;
   std::vector<Cycle> released(n, 0);
   engine.ScheduleAt(100, [&]() {
@@ -86,7 +67,8 @@ int main(int argc, char** argv) {
   bench::SweepClock clock(flags, "ablate_gline_scaling", jobs);
   std::vector<Result> flat_results(std::size(meshes));
   harness::ParallelFor(flat_results.size(), jobs, [&](std::size_t i) {
-    flat_results[i] = RunBarrier(meshes[i].first, meshes[i].second);
+    flat_results[i] =
+        RunBarrier(gline::HierConfig::Flat(), meshes[i].first, meshes[i].second);
   });
   for (std::size_t i = 0; i < std::size(meshes); ++i) {
     const auto [rows, cols] = meshes[i];
@@ -108,7 +90,7 @@ int main(int argc, char** argv) {
       {21, 21}, {32, 32}, {49, 49}, {64, 64}};
   std::vector<Result> hier_results(std::size(big));
   harness::ParallelFor(hier_results.size(), jobs, [&](std::size_t i) {
-    hier_results[i] = RunHierarchical(big[i].first, big[i].second);
+    hier_results[i] = RunBarrier(gline::HierConfig{}, big[i].first, big[i].second);
   });
   for (std::size_t i = 0; i < std::size(big); ++i) {
     const auto [rows, cols] = big[i];

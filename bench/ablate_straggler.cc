@@ -150,16 +150,11 @@ int main(int argc, char** argv) {
       cfg.fault.core_slow_rate = frac;
       cfg.fault.core_slow_factor = factor;
     }
-    const bool gline =
-        kind == harness::BarrierKind::kGL || kind == harness::BarrierKind::kGLH;
-    if (gline) {
+    if (std::string(mode) != "-") {  // a G-line row
       cfg.gline.watchdog_timeout = watchdog;
       // Rejoin armed in both modes so a false degradation heals.
       cfg.gline.probe_after = 2;
       if (std::string(mode) == "adapt") cfg.gline.watchdog_mult = mult;
-      cfg.hier.watchdog_timeout = cfg.gline.watchdog_timeout;
-      cfg.hier.probe_after = cfg.gline.probe_after;
-      cfg.hier.watchdog_mult = cfg.gline.watchdog_mult;
     }
     points.push_back(p);
     specs.push_back(harness::FactoryExperiment(nullptr, kind, cfg, max_cycles));

@@ -260,7 +260,8 @@ inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
   cfg.gline.max_retries =
       static_cast<std::uint32_t>(flags.GetInt("fault_retries", 2));
   // Self-healing v2: adaptive watchdog window and hardware rejoin (see
-  // gline/barrier_network.h). All off by default (= v1 behavior).
+  // gline/barrier_network.h). All off by default (= v1 behavior). Every
+  // node of the chip's G-line device, flat or clustered, shares them.
   cfg.gline.watchdog_mult = flags.GetDouble("fault_watchdog_mult", 0.0);
   cfg.gline.watchdog_alpha = flags.GetDouble("fault_watchdog_alpha", 0.25);
   cfg.gline.watchdog_max =
@@ -269,15 +270,6 @@ inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
       static_cast<std::uint32_t>(flags.GetInt("fault_probe_after", 0));
   cfg.gline.probe_successes =
       static_cast<std::uint32_t>(flags.GetInt("fault_probe_successes", 2));
-  // The hierarchical network shares the resilience knobs: whichever
-  // network the run selects gets the same watchdog/retry budget.
-  cfg.hier.watchdog_timeout = cfg.gline.watchdog_timeout;
-  cfg.hier.max_retries = cfg.gline.max_retries;
-  cfg.hier.watchdog_mult = cfg.gline.watchdog_mult;
-  cfg.hier.watchdog_alpha = cfg.gline.watchdog_alpha;
-  cfg.hier.watchdog_max = cfg.gline.watchdog_max;
-  cfg.hier.probe_after = cfg.gline.probe_after;
-  cfg.hier.probe_successes = cfg.gline.probe_successes;
   if (cfg.fault.enabled() && !cfg.gline.resilient()) {
     std::cerr << "note: --fault_* injection enabled without --fault_watchdog; "
                  "the barrier network may hang (that is the point of the "

@@ -13,7 +13,7 @@
 // the fallback). Any violation makes the binary exit nonzero, so the
 // campaign doubles as a long-running acceptance test:
 //
-// Each (rate, seed) run builds its own Engine, BarrierNetwork,
+// Each (rate, seed) run builds its own Engine, G-line device,
 // FaultInjector and StatSet, so the campaign fans the full grid out
 // over --jobs threads; results (including violation reports) are
 // aggregated and printed in submission order, byte-identical for any
@@ -46,7 +46,7 @@
 #include "common/stats.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_model.h"
-#include "gline/barrier_network.h"
+#include "cmp/cmp_system.h"
 #include "gline/hierarchy.h"
 #include "harness/manifest.h"
 #include "harness/report.h"
@@ -90,45 +90,19 @@ fault::FaultPlan CampaignPlan(const fault::FaultPlan& base, double drop_rate,
   return plan;
 }
 
-RunResult RunOnce(bool hier, const fault::FaultPlan& base, double drop_rate,
-                  std::uint64_t seed, int episodes, Cycle watchdog,
-                  std::uint32_t retries) {
+RunResult RunOnce(const gline::HierConfig& dev, const fault::FaultPlan& base,
+                  double drop_rate, std::uint64_t seed, int episodes) {
+  const bool hier = !dev.flat();
   const std::uint32_t kRows = CampaignRows(hier), kCols = CampaignCols(hier);
   const std::uint32_t kCores = kRows * kCols;
 
   sim::Engine engine;
   StatSet stats;
-  std::unique_ptr<gline::BarrierNetwork> flat;
-  std::unique_ptr<gline::HierarchicalBarrierNetwork> hnet;
-  if (hier) {
-    gline::HierConfig cfg;
-    cfg.watchdog_timeout = watchdog;
-    cfg.max_retries = retries;
-    hnet = std::make_unique<gline::HierarchicalBarrierNetwork>(engine, kRows,
-                                                               kCols, cfg, stats);
-  } else {
-    gline::BarrierNetConfig cfg;
-    cfg.watchdog_timeout = watchdog;
-    cfg.max_retries = retries;
-    flat = std::make_unique<gline::BarrierNetwork>(engine, kRows, kCols, cfg, stats);
-  }
-  auto arrive = [&](CoreId c, std::function<void()> cb) {
-    if (hier) {
-      hnet->Arrive(c, std::move(cb));
-    } else {
-      flat->Arrive(c, std::move(cb));
-    }
-  };
+  gline::HierarchicalBarrierNetwork net(engine, kRows, kCols, dev, stats);
 
   const fault::FaultPlan plan = CampaignPlan(base, drop_rate, seed);
   fault::FaultInjector inj(engine, plan, stats);
-  if (plan.enabled()) {
-    if (hier) {
-      inj.Arm(*hnet);
-    } else {
-      inj.Arm(*flat);
-    }
-  }
+  if (plan.enabled()) inj.Arm(net);
   // Straggler knobs stretch each core's pre-arrival compute jitter the
   // same way CmpSystem stretches real compute phases.
   const bool stragglers = plan.stragglers();
@@ -148,7 +122,7 @@ RunResult RunOnce(bool hier, const fault::FaultPlan& base, double drop_rate,
       if (stragglers) jitter = inj.StretchCompute(c, jitter);
       engine.ScheduleAt(now + jitter, [&, c]() {
         ++arrived;
-        arrive(c, [&]() {
+        net.Arrive(c, [&]() {
           if (arrived != kCores) early_release = true;
           if (++released == kCores && ++episode < episodes) start_episode();
         });
@@ -159,28 +133,15 @@ RunResult RunOnce(bool hier, const fault::FaultPlan& base, double drop_rate,
 
   RunResult r;
   const bool idle = engine.RunUntilIdle(100'000'000);
-  if (hier) {
-    r.episodes = hnet->barriers_completed();
-    r.timeouts = hnet->AggregateCounter("timeouts");
-    r.retries = hnet->AggregateCounter("retries");
-    r.degraded_episodes = hnet->AggregateCounter("degraded_episodes");
-    // Fold every node's histograms (per-ctx recovery, per-node spans).
-    stats.ForEachHistogram([&](const std::string& name, const Histogram& h) {
-      if (name.ends_with(".recovery_latency")) r.recovery_lat.Merge(h);
-      if (name.ends_with(".episode_span")) r.episode_span.Merge(h);
-    });
-  } else {
-    r.episodes = flat->barriers_completed();
-    r.timeouts = stats.CounterValue("gl.timeouts");
-    r.retries = stats.CounterValue("gl.retries");
-    r.degraded_episodes = stats.CounterValue("gl.degraded_episodes");
-    if (const Histogram* h = stats.FindHistogram("gl.ctx0.recovery_latency")) {
-      r.recovery_lat.Merge(*h);
-    }
-    if (const Histogram* h = stats.FindHistogram("gl.episode_span")) {
-      r.episode_span.Merge(*h);
-    }
-  }
+  r.episodes = net.barriers_completed();
+  r.timeouts = net.AggregateCounter("timeouts");
+  r.retries = net.AggregateCounter("retries");
+  r.degraded_episodes = net.AggregateCounter("degraded_episodes");
+  // Fold every node's histograms (per-ctx recovery, per-node spans).
+  stats.ForEachHistogram([&](const std::string& name, const Histogram& h) {
+    if (name.ends_with(".recovery_latency")) r.recovery_lat.Merge(h);
+    if (name.ends_with(".episode_span")) r.episode_span.Merge(h);
+  });
   r.injected = stats.CounterValue("fault.injected");
   r.ok = true;
   std::ostringstream viol;
@@ -281,7 +242,11 @@ int main(int argc, char** argv) {
                  " campaign injects G-line faults\n";
     return 2;
   }
-  const bool hier = kind == harness::BarrierKind::kGLH;
+  gline::BarrierNetConfig node;
+  node.watchdog_timeout = watchdog;
+  node.max_retries = retries;
+  const gline::HierConfig dev = cmp::GlineDevice(kind, node, "");
+  const bool hier = !dev.flat();
   // Extra fault machinery layered under the swept G-line rates: scripted
   // entries, straggler knobs, NoC rates — all from the standard
   // --fault_* flags (empty by default, keeping the historical sweep).
@@ -308,7 +273,7 @@ int main(int argc, char** argv) {
   harness::ParallelFor(runs.size(), jobs, [&](std::size_t i) {
     const double rate = rates[i / per_rate];
     const auto seed = static_cast<std::uint64_t>(i % per_rate) + 1;
-    runs[i] = RunOnce(hier, base_plan, rate, seed, episodes, watchdog, retries);
+    runs[i] = RunOnce(dev, base_plan, rate, seed, episodes);
   });
   clock.Report(runs.size());
 

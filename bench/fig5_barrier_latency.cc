@@ -303,8 +303,9 @@ int main(int argc, char** argv) {
       const auto cfg = cmp::CmpConfig::WithCores(cores);
       sim::Engine scratch;
       StatSet scratch_stats;
-      gline::HierarchicalBarrierNetwork net(scratch, cfg.rows, cfg.cols,
-                                            cfg.hier, scratch_stats);
+      gline::HierarchicalBarrierNetwork net(
+          scratch, cfg.rows, cfg.cols,
+          cmp::GlineDevice(harness::BarrierKind::kGLH, cfg.gline, ""), scratch_stats);
       p.levels = net.num_levels();
       p.clusters = net.num_clusters();
       p.gl_lines = 2 * (cfg.rows + 1);

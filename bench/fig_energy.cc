@@ -90,9 +90,8 @@ int RunHierStudy(const Flags& flags, const bench::CommonFlags& common) {
   for (std::uint32_t cores : cores_list) {
     const harness::Scale scale = harness::Scale::FromFlags(flags, cores);
     for (const std::string& name : names) {
-      auto cfg = common.ConfigForCores(cores);
-      cfg.hier.enabled = true;
-      cmp::CmpSystem sys(cfg);
+      cmp::CmpSystem sys(
+          common.ConfigForCores(cores).ForBarrier(harness::BarrierKind::kGLH));
       auto workload = harness::MakeWorkloadOrExit(name, scale);
       workload->Init(sys);
       auto barrier = harness::MakeBarrier(harness::BarrierKind::kGLH, sys);
@@ -108,7 +107,7 @@ int RunHierStudy(const Flags& flags, const bench::CommonFlags& common) {
       HierRow row;
       row.cores = cores;
       row.workload = name;
-      row.report = power::EstimateHier(sys.stats(), *sys.hier());
+      row.report = power::EstimateHier(sys.stats(), sys.gline());
       for (const power::HierEnergyLevel& lvl : row.report.levels) {
         std::string level_name = "l";
         level_name += std::to_string(lvl.wires.level);
@@ -187,9 +186,7 @@ int main(int argc, char** argv) {
                            "OCEAN", "EM3D"}) {
     std::vector<Row> rows;
     for (auto kind : kinds) {
-      cmp::CmpConfig run_cfg = cfg;
-      if (kind == harness::BarrierKind::kGLH) run_cfg.hier.enabled = true;
-      cmp::CmpSystem sys(run_cfg);
+      cmp::CmpSystem sys(cfg.ForBarrier(kind));
       auto workload = harness::MakeWorkloadOrExit(name, scale);
       workload->Init(sys);
       auto barrier = harness::MakeBarrier(kind, sys);
@@ -200,7 +197,7 @@ int main(int argc, char** argv) {
         std::cerr << "run failed: " << name << '\n';
         return 1;
       }
-      rows.push_back(Row{{}, power::Estimate(sys.stats())});
+      rows.push_back(Row{{}, power::Estimate(sys.stats(), sys.gline())});
       rows.back().metrics.barrier = harness::ToString(kind);
     }
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -1,9 +1,9 @@
 // Running real programs on the hierarchical G-line network: a
 // many-core machine beyond the flat network's 7x7 budget, where the
-// cores' bar_reg is wired to a multi-level HierarchicalBarrierNetwork.
-// The network is a first-class CmpConfig subsystem (`cfg.hier.enabled`)
-// — the same wiring `glbsim --barrier=gl-hier` uses — so this example
-// just turns it on and reads the per-level stats back. Default is 8x8
+// cores' bar_reg is wired to the chip's G-line device in its clustered
+// (kGLH) shape. `cfg.hier.enabled` selects that shape — the same wiring
+// `glbsim --barrier=gl-hier` uses — so this example just turns it on
+// and reads the per-level stats back. Default is 8x8
 // (64 cores, depth 2); try --rows 32 --cols 32 for the full 1024-core
 // chip (still depth 2) or --rows 64 --cols 64 for depth 3.
 //
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   cfg.cols = cols;
   cfg.hier.enabled = true;  // select the multi-level network chip-wide
   cmp::CmpSystem sys(cfg);
-  gline::HierarchicalBarrierNetwork& hier = *sys.hier();
+  gline::HierarchicalBarrierNetwork& hier = sys.gline();
 
   std::cout << "Hierarchical G-line barrier on " << rows << "x" << cols << " ("
             << sys.num_cores() << " cores): " << hier.num_levels()

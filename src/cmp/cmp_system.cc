@@ -1,8 +1,25 @@
 #include "cmp/cmp_system.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace glb::cmp {
+
+gline::HierConfig GlineDevice(sync::BarrierKind kind, gline::BarrierNetConfig node,
+                              const std::string& root) {
+  if (kind != sync::BarrierKind::kGLH) {
+    node.stat_prefix = root + "gl";
+    return gline::HierConfig::Flat(std::move(node));
+  }
+  gline::HierConfig h;
+  h.cluster_rows = std::min(h.cluster_rows, node.max_transmitters + 1);
+  h.cluster_cols = std::min(h.cluster_cols, node.max_transmitters + 1);
+  h.node = std::move(node);
+  h.node.policy = gline::TxPolicy::kReject;
+  h.node.stat_prefix = root + "glh";
+  return h;
+}
 
 namespace {
 noc::MeshConfig MeshConfigFor(const CmpConfig& cfg) {
@@ -26,17 +43,20 @@ CmpConfig CmpConfig::WithCores(std::uint32_t n) {
   return cfg;
 }
 
+CmpConfig CmpConfig::ForBarrier(sync::BarrierKind kind) const {
+  CmpConfig cfg = *this;
+  cfg.hier.enabled = hier.enabled || kind == sync::BarrierKind::kGLH;
+  return cfg;
+}
+
 CmpSystem::CmpSystem(const CmpConfig& cfg)
     : cfg_(cfg),
       backing_(cfg.coherence.line_bytes),
       alloc_(cfg.coherence.line_bytes),
       mesh_(engine_, MeshConfigFor(cfg), stats_),
       fabric_(engine_, mesh_, backing_, cfg.coherence, cfg.l1, cfg.l2, stats_),
-      gline_(engine_, cfg.rows, cfg.cols, cfg.gline, stats_) {
-  if (cfg.hier.enabled) {
-    hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
-        engine_, cfg.rows, cfg.cols, cfg.hier, stats_);
-  }
+      gline_(engine_, cfg.rows, cfg.cols, GlineDevice(cfg.gline_kind(), cfg.gline, ""),
+             stats_) {
   cores_.reserve(cfg.num_cores());
   for (CoreId c = 0; c < cfg.num_cores(); ++c) {
     cores_.push_back(
@@ -44,26 +64,21 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
     cores_.back()->SetBarrierDevice(chip_barrier_device());
   }
 
-  if (cfg.gline.resilient()) {
-    // Degraded-mode fallback: a hybrid barrier unit at a central tile,
-    // reached over the coherent data NoC.
+  if (cfg.gline.resilient() && gline_.config().flat()) {
+    // The flat node's degraded-mode fallback: a hybrid barrier unit at a
+    // central tile, reached over the coherent data NoC. A clustered
+    // device keeps its own fallbacks (see gline/hierarchy.h).
     fallback_unit_ = std::make_unique<sync::HybridBarrierUnit>(
         mesh_, mesh_.NodeAt(cfg.rows / 2, cfg.cols / 2), cfg.num_cores(), stats_);
-    gline_.SetFallback([unit = fallback_unit_.get()](
-                           CoreId core, std::function<void()> on_release) {
+    gline_.node(0, 0).SetFallback([unit = fallback_unit_.get()](
+                                      CoreId core, std::function<void()> on_release) {
       unit->Arrive(core, std::move(on_release));
     });
   }
 
   if (cfg.fault.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(engine_, cfg.fault, stats_);
-    // Arm whichever network the cores are actually wired to; in hier
-    // mode the hooks land on every node at every level.
-    if (hier_ != nullptr) {
-      injector_->Arm(*hier_);
-    } else {
-      injector_->Arm(gline_);
-    }
+    injector_->Arm(gline_);
     injector_->Arm(mesh_);
     if (cfg.fault.stragglers()) {
       // Straggler sites stretch compute phases at the core, not the

@@ -1,5 +1,5 @@
 // Whole-chip assembly: cores + L1s + banked shared L2/directory +
-// 2D-mesh NoC + the G-line barrier network, built from one CmpConfig.
+// 2D-mesh NoC + one G-line barrier device, built from one CmpConfig.
 //
 // CmpConfig::Table1() reproduces the paper's baseline 32-core CMP
 // (Table 1); CmpConfig::WithCores(n) scales the mesh for the Figure-5
@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "coherence/fabric.h"
@@ -23,9 +24,19 @@
 #include "mem/backing_store.h"
 #include "noc/mesh.h"
 #include "sim/engine.h"
+#include "sync/barrier_kind.h"
 #include "sync/hybrid_barrier.h"
 
 namespace glb::cmp {
+
+/// The G-line device a barrier `kind` runs on, rooted at `root` ("" on
+/// the chip, "tenant.<name>." for a partition). kGLH: the §5 hierarchy,
+/// clusters of at most 7x7 (and budget+1) tiles under kReject, named
+/// "<root>glh.*". Other kinds: one node spanning the mesh with `node`'s
+/// own policy, named "<root>gl.*". With CmpConfig::ForBarrier, the only
+/// place a barrier kind picks a device shape.
+gline::HierConfig GlineDevice(sync::BarrierKind kind, gline::BarrierNetConfig node,
+                              const std::string& root);
 
 struct CmpConfig {
   std::uint32_t rows = 4;
@@ -34,11 +45,15 @@ struct CmpConfig {
   mem::CacheGeometry l2{256 * 1024, 4, 64};
   coherence::CoherenceConfig coherence{};
   noc::MeshConfig noc{};  // rows/cols are overwritten from this struct
+  /// Every node of the chip's G-line device: transmitter budget,
+  /// policy and resilience (the stat prefix comes from GlineDevice).
   gline::BarrierNetConfig gline{};
-  /// Hierarchical (multi-level) G-line network; `hier.enabled` makes it
-  /// the chip's barrier device instead of the flat network (§5 scheme,
-  /// required past the 7x7 transmitter limit).
-  gline::HierConfig hier{};
+  /// `hier.enabled` gives the chip's G-line device the kGLH shape (the
+  /// §5 hierarchy, required past the 7x7 transmitter limit) instead of
+  /// the flat network.
+  struct Hier {
+    bool enabled = false;
+  } hier;
   core::CoreConfig core{};
   /// Fault campaign (disabled by default: no hooks are installed).
   fault::FaultPlan fault{};
@@ -53,6 +68,14 @@ struct CmpConfig {
   /// Square-ish mesh with exactly `n` cores (n = r*c, r <= c <= 2r),
   /// up to the 32x32 = 1024-core many-core scale.
   static CmpConfig WithCores(std::uint32_t n);
+
+  /// The barrier kind whose device shape the chip builds.
+  sync::BarrierKind gline_kind() const {
+    return hier.enabled ? sync::BarrierKind::kGLH : sync::BarrierKind::kGL;
+  }
+  /// This config with the chip's G-line device shaped for a run of
+  /// `kind` (kGLH turns the hierarchy on; other kinds keep the shape).
+  CmpConfig ForBarrier(sync::BarrierKind kind) const;
 };
 
 class CmpSystem {
@@ -68,17 +91,12 @@ class CmpSystem {
   mem::AddrAllocator& allocator() { return alloc_; }
   noc::Mesh& mesh() { return mesh_; }
   coherence::Fabric& fabric() { return fabric_; }
-  gline::BarrierNetwork& gline() { return gline_; }
-  /// The hierarchical network, or nullptr unless cfg.hier.enabled.
-  gline::HierarchicalBarrierNetwork* hier() { return hier_.get(); }
-  /// The chip-default barrier device every core is wired to at
-  /// construction (hier if enabled, else the flat G-line network).
-  /// PartitionManager swaps member cores onto tenant devices and
-  /// restores this on teardown.
-  core::BarrierDevice* chip_barrier_device() {
-    if (hier_ != nullptr) return hier_.get();
-    return &gline_;
-  }
+  /// The chip's one G-line device (GlineDevice(config().gline_kind())),
+  /// which every core is wired to at construction. PartitionManager
+  /// swaps member cores onto tenant devices and restores this on
+  /// teardown.
+  gline::HierarchicalBarrierNetwork& gline() { return gline_; }
+  core::BarrierDevice* chip_barrier_device() { return &gline_; }
   core::Core& core(CoreId c) { return *cores_[c]; }
   std::uint32_t num_cores() const { return cfg_.num_cores(); }
   const CmpConfig& config() const { return cfg_; }
@@ -114,11 +132,10 @@ class CmpSystem {
   mem::AddrAllocator alloc_;
   noc::Mesh mesh_;
   coherence::Fabric fabric_;
-  gline::BarrierNetwork gline_;
-  std::unique_ptr<gline::HierarchicalBarrierNetwork> hier_;
+  gline::HierarchicalBarrierNetwork gline_;
   std::vector<std::unique_ptr<core::Core>> cores_;
-  /// Degraded-mode software fallback: a hybrid barrier unit over the
-  /// data NoC (built only in resilient mode).
+  /// The flat device's degraded-mode fallback: a hybrid barrier unit
+  /// over the data NoC (built only in resilient mode).
   std::unique_ptr<sync::HybridBarrierUnit> fallback_unit_;
   std::unique_ptr<fault::FaultInjector> injector_;
 };

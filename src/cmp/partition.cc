@@ -159,31 +159,20 @@ bool Tenant::Contains(CoreId global) const {
 void Tenant::Attach() {
   const Rect& rect = cfg_.rect;
 
-  // Hardware kinds get a rect-local network under the tenant's
+  // Hardware kinds get a rect-local device under the tenant's
   // transmitter budget; kReject turns any budget overrun into a
   // construction CHECK, which ValidateTenant makes unreachable for kGL
   // and the cluster clamp makes unreachable for kGLH.
-  if (cfg_.barrier == sync::BarrierKind::kGL) {
-    gline::BarrierNetConfig net;
-    net.max_transmitters = cfg_.max_transmitters;
-    net.policy = gline::TxPolicy::kReject;
-    net.stat_prefix = prefix_ + ".gl";
-    gline_ = std::make_unique<gline::BarrierNetwork>(
-        sys_.engine(), rect.rows, rect.cols, net, sys_.stats());
+  if (cfg_.barrier == sync::BarrierKind::kGL ||
+      cfg_.barrier == sync::BarrierKind::kGLH) {
+    gline::BarrierNetConfig node;
+    node.max_transmitters = cfg_.max_transmitters;
+    node.policy = gline::TxPolicy::kReject;
+    gline_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
+        sys_.engine(), rect.rows, rect.cols,
+        GlineDevice(cfg_.barrier, std::move(node), prefix_ + "."), sys_.stats());
     rect_device_ = std::make_unique<RectDevice>(rect, sys_.config().cols,
                                                 gline_.get());
-  } else if (cfg_.barrier == sync::BarrierKind::kGLH) {
-    gline::HierConfig h;
-    h.max_transmitters = cfg_.max_transmitters;
-    h.cluster_rows =
-        std::min<std::uint32_t>(h.cluster_rows, cfg_.max_transmitters + 1);
-    h.cluster_cols =
-        std::min<std::uint32_t>(h.cluster_cols, cfg_.max_transmitters + 1);
-    h.stat_prefix = prefix_ + ".glh";
-    hier_ = std::make_unique<gline::HierarchicalBarrierNetwork>(
-        sys_.engine(), rect.rows, rect.cols, h, sys_.stats());
-    rect_device_ = std::make_unique<RectDevice>(rect, sys_.config().cols,
-                                                hier_.get());
   }
 
   // Renumber members to dense ranks 0..P-1 (row-major within the rect)
@@ -227,7 +216,6 @@ void Tenant::Detach() {
   barrier_.reset();
   inner_.reset();
   rect_device_.reset();
-  hier_.reset();
   gline_.reset();
 }
 

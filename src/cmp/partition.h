@@ -10,13 +10,13 @@
 // rect-local G-line network.
 //
 // Per-kind construction:
-//   * kGL    — a rect-local flat BarrierNetwork built with
-//              TxPolicy::kReject under the tenant's transmitter budget;
-//              a rect wider or taller than budget+1 is a *validation
-//              error* (use kGLH), never a CHECK-abort.
-//   * kGLH   — a rect-local HierarchicalBarrierNetwork whose cluster
-//              dimensions are clamped to the tenant budget, so any rect
-//              is reachable under any budget >= 1.
+//   * kGL    — a rect-local flat G-line device (GlineDevice) built
+//              with TxPolicy::kReject under the tenant's transmitter
+//              budget; a rect wider or taller than budget+1 is a
+//              *validation error* (use kGLH), never a CHECK-abort.
+//   * kGLH   — a rect-local clustered device whose cluster dimensions
+//              are clamped to the tenant budget, so any rect is
+//              reachable under any budget >= 1.
 //   * others — software barriers over the shared fabric, built through
 //              sync::MakeBarrier with participants = rect cores. Member
 //              cores are renumbered rank 0..P-1 (row-major within the
@@ -49,7 +49,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/barrier_device.h"
-#include "gline/barrier_network.h"
 #include "gline/hierarchy.h"
 #include "sync/barrier.h"
 #include "sync/barrier_kind.h"
@@ -146,10 +145,6 @@ class Tenant {
   /// Per-wait latency distribution ("tenant.<name>.wait_cycles").
   const Histogram& wait_cycles() const { return *wait_cycles_; }
 
-  /// The rect-local hardware network, or nullptr for software kinds.
-  gline::BarrierNetwork* gline() { return gline_.get(); }
-  gline::HierarchicalBarrierNetwork* hier() { return hier_.get(); }
-
  private:
   friend class PartitionManager;
 
@@ -171,10 +166,9 @@ class Tenant {
   Histogram* wait_cycles_ = nullptr;
   std::uint32_t in_flight_ = 0;
 
-  // Hardware kinds only: the rect-local network plus the global->local
+  // Hardware kinds only: the rect-local device plus the global->local
   // id adapter wired into the member cores.
-  std::unique_ptr<gline::BarrierNetwork> gline_;
-  std::unique_ptr<gline::HierarchicalBarrierNetwork> hier_;
+  std::unique_ptr<gline::HierarchicalBarrierNetwork> gline_;
   std::unique_ptr<core::BarrierDevice> rect_device_;
 
   std::unique_ptr<sync::Barrier> inner_;    // the actual mechanism

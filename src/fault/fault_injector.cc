@@ -95,13 +95,6 @@ double FaultInjector::ComputeFactor(CoreId core) const {
   return compute_factor_[core];
 }
 
-void FaultInjector::Arm(gline::BarrierNetwork& net) {
-  net.SetLineFaultHook([this](const gline::GLine& line, std::uint32_t count) {
-    return AdjustCount(line, count);
-  });
-  net.SetArrivalFaultHook([this](CoreId core) { return FreezeDelay(core); });
-}
-
 void FaultInjector::Arm(gline::HierarchicalBarrierNetwork& net) {
   net.SetLineFaultHook([this](const gline::GLine& line, std::uint32_t count) {
     return AdjustCount(line, count);

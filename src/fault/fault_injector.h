@@ -2,7 +2,8 @@
 //
 // One injector owns the decision stream for a whole simulation: it is
 // seeded once from the FaultPlan and consulted through the narrow fault
-// hooks exposed by gline::GLine / gline::BarrierNetwork / noc::Mesh.
+// hooks exposed by the G-line device (gline::HierarchicalBarrierNetwork)
+// and noc::Mesh.
 // Every decision bumps a `fault.*` counter so a run can report exactly
 // what was injected, and scripted entries are matched before the
 // probabilistic stream so regression tests stay cycle-precise.
@@ -19,7 +20,6 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "fault/fault_model.h"
-#include "gline/barrier_network.h"
 #include "gline/gline.h"
 #include "gline/hierarchy.h"
 #include "noc/mesh.h"
@@ -34,12 +34,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Installs the S-CSMA corruption hook on every line of `net` and the
-  /// core-freeze hook on its arrival path.
-  void Arm(gline::BarrierNetwork& net);
-
-  /// Same, on a hierarchical network: line hooks land on every node at
-  /// every level; the freeze hook sees global core ids.
+  /// Installs the S-CSMA corruption hook on every line of every node of
+  /// the G-line device `net`, and the core-freeze hook (global core ids)
+  /// on its arrival path.
   void Arm(gline::HierarchicalBarrierNetwork& net);
 
   /// Installs the link delay/drop hook on `mesh`.

@@ -130,7 +130,7 @@ void BarrierNetwork::ResetControllers() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault hooks / fallback wiring
+// Fault hook / fallback wiring
 // ---------------------------------------------------------------------------
 
 void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
@@ -138,10 +138,6 @@ void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
   for (auto& l : mgline_h_) l->SetDeliverFaultHook(hook);
   sgline_v_->SetDeliverFaultHook(hook);
   mgline_v_->SetDeliverFaultHook(hook);
-}
-
-void BarrierNetwork::SetArrivalFaultHook(ArrivalFaultHook hook) {
-  arrival_fault_ = std::move(hook);
 }
 
 void BarrierNetwork::SetFallback(FallbackArrive arrive) {
@@ -156,20 +152,6 @@ void BarrierNetwork::SetFallback(FallbackArrive arrive) {
 void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
   prof::Scope prof_scope(prof::Cat::kBarrier);
   GLB_CHECK(core < num_cores()) << "bad core id " << core;
-  if (arrival_fault_ != nullptr) {
-    const Cycle stall = arrival_fault_(core);
-    if (stall > 0) {
-      // A frozen core: its bar_reg write reaches the controllers late.
-      engine_.ScheduleIn(stall, [this, core, cb = std::move(on_release)]() mutable {
-        DoArrive(core, std::move(cb));
-      });
-      return;
-    }
-  }
-  DoArrive(core, std::move(on_release));
-}
-
-void BarrierNetwork::DoArrive(CoreId core, std::function<void()> on_release) {
   GLB_CHECK(release_cb_[core] == nullptr)
       << "core " << core << " arrived twice at the same barrier";
   GLB_CHECK(on_release != nullptr) << "arrival without release callback";
@@ -583,7 +565,7 @@ void BarrierNetwork::Degrade() {
   to_release_ = 0;
   release_owed_.assign(num_cores(), false);
   // Hand the stranded arrivals to the fallback; late arrivals follow
-  // through DoArrive's degraded path.
+  // through Arrive's degraded path.
   for (CoreId core = 0; core < num_cores(); ++core) {
     if (release_cb_[core] != nullptr) ForwardToFallback(core);
   }

@@ -1,6 +1,12 @@
-// The G-line-based barrier network (the paper's contribution, §3).
+// The G-line-based barrier network (the paper's contribution, §3): one
+// Figure-1 network over a rows x cols mesh. It is the node type of the
+// chip's one G-line device, gline::HierarchicalBarrierNetwork: the flat
+// network (kGL) is that device with a single node spanning the mesh, and
+// the §5 hierarchy (kGLH) chains one node per cluster. Cores never
+// arrive here directly; every arrival enters through the device, which
+// owns the injected core-freeze stall.
 //
-// Architecture (Figure 1), one whole-chip barrier per network:
+// Architecture (Figure 1), one whole-mesh barrier per network:
 //   * every mesh row has two G-lines: SglineH (slaves -> master, arrival)
 //     and MglineH (master -> slaves, release);
 //   * the first column has two more: SglineV and MglineV;
@@ -35,15 +41,16 @@
 // track "gl/ctx0") from when one network could carry several barriers,
 // so stat dumps and traces stay comparable across versions.
 //
-// Resilience extension (off by default; see BarrierNetConfig): the
-// paper assumes perfect wires and a perfect S-CSMA count. With
+// Resilience extension (off by default; see BarrierNetConfig, the one
+// config every node of a device shares): the paper assumes perfect
+// wires and a perfect S-CSMA count. With
 // `watchdog_timeout` set, the network gains an episode watchdog that
 // detects a stuck episode (lost assertion, miscount, frozen core),
 // retries in hardware up to `max_retries` times (full controller reset +
 // re-signal of every outstanding arrival — legal because arrivals are
 // level-coded in bar_reg, not edge-coded on the wire), and finally
 // trips a `degraded` flag that routes this and all later episodes
-// through a software fallback barrier over the coherent NoC.
+// through a fallback (SetFallback; the device picks which one).
 // A release wave that is itself partially lost is re-driven directly:
 // the gather had legitimately completed, so the releases are owed
 // unconditionally. The invariant maintained under any fault plan:
@@ -91,9 +98,9 @@ struct BarrierNetConfig {
   TxPolicy policy = TxPolicy::kRelaxed;
   /// Root of every stat/line/trace-track name this network registers
   /// ("gl" -> "gl.barriers_completed", "gl.ctx0.sglineH0", track
-  /// "gl/ctx0"). Hierarchical deployments give each level/cluster
-  /// sub-network its own prefix ("glh.l1.c3") so per-network counters
-  /// never alias in the shared StatSet.
+  /// "gl/ctx0"). A clustered device gives each node its own prefix
+  /// ("glh.l1.c3") so per-network counters never alias in the shared
+  /// StatSet.
   std::string stat_prefix = "gl";
 
   // --- resilience (0 = off: the network behaves exactly as the paper's
@@ -153,8 +160,8 @@ class BarrierNetwork final : public core::BarrierDevice {
   BarrierNetwork(const BarrierNetwork&) = delete;
   BarrierNetwork& operator=(const BarrierNetwork&) = delete;
 
-  /// Core `core` wrote bar_reg := 1; `on_release` runs when the hardware
-  /// clears the register.
+  /// Core `core` (local id) wrote bar_reg := 1; `on_release` runs when
+  /// the hardware clears the register.
   void Arrive(CoreId core, std::function<void()> on_release) override;
 
   /// Defers the release: when the gather completes, `hook` runs instead
@@ -167,17 +174,9 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// Starts the deferred release wave of a completed gather.
   void TriggerRelease();
 
-  // --- fault-injection hooks (see fault::FaultInjector) ---------------
-
   /// Installs `hook` on every G-line (S-CSMA count corruption / batch
-  /// loss). nullptr clears.
+  /// loss; see fault::FaultInjector). nullptr clears.
   void SetLineFaultHook(GLine::DeliverFaultHook hook);
-
-  /// Consulted once per bar_reg write; a nonzero return stalls the
-  /// arrival that many cycles (a frozen core's write reaching the
-  /// controllers late). nullptr clears.
-  using ArrivalFaultHook = std::function<Cycle(CoreId core)>;
-  void SetArrivalFaultHook(ArrivalFaultHook hook);
 
   // --- degraded-mode fallback ------------------------------------------
 
@@ -204,10 +203,8 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// the EWMA is seeded, or always in fixed mode).
   Cycle WatchdogWindow() const;
 
-  sim::Engine& engine() { return engine_; }
-  std::uint32_t rows() const { return rows_; }
-  std::uint32_t cols() const { return cols_; }
   std::uint32_t num_cores() const { return rows_ * cols_; }
+  const std::string& stat_prefix() const { return cfg_.stat_prefix; }
   /// Total G-lines deployed: 2*(rows+1).
   std::uint32_t total_lines() const { return 2 * (rows_ + 1); }
   std::uint64_t barriers_completed() const { return completed_->value(); }
@@ -259,8 +256,6 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// Counts a spurious or over-counted S-CSMA delivery.
   void RecordMiscount();
   bool resilient() const { return cfg_.resilient(); }
-  /// The arrival proper, after any injected freeze delay.
-  void DoArrive(CoreId core, std::function<void()> on_release);
   /// Returns every controller to its initial Figure-4 state and
   /// discards in-flight line batches.
   void ResetControllers();
@@ -403,7 +398,6 @@ class BarrierNetwork final : public core::BarrierDevice {
     Cycle deg_first = 0;
   } trace_;
 
-  ArrivalFaultHook arrival_fault_;
   FallbackArrive fallback_arrive_;
 
   Counter* completed_ = nullptr;

@@ -20,55 +20,52 @@ HierarchicalBarrierNetwork::HierarchicalBarrierNetwork(sim::Engine& engine,
                                                        StatSet& stats)
     : engine_(engine), rows_(rows), cols_(cols), cfg_(cfg), stats_(stats) {
   GLB_CHECK(rows > 0 && cols > 0) << "empty mesh";
-  GLB_CHECK(cfg.cluster_rows > 0 && cfg.cluster_cols > 0) << "empty clusters";
-  GLB_CHECK(!cfg.stat_prefix.empty()) << "empty stat prefix";
-  // A 1-wide cluster dimension cannot tile a larger mesh: the grid would
-  // be as large as the mesh and the recursion would never terminate.
-  GLB_CHECK(rows <= cfg.cluster_rows || cfg.cluster_rows >= 2)
-      << "cluster_rows=1 cannot tile " << rows << " rows";
-  GLB_CHECK(cols <= cfg.cluster_cols || cfg.cluster_cols >= 2)
-      << "cluster_cols=1 cannot tile " << cols << " cols";
-  // Every node must itself respect the transmitter budget: the whole
-  // point of the hierarchy is that no line is overloaded (sub-networks
-  // are built with kReject so a violation dies at construction).
-  GLB_CHECK(cfg.cluster_rows <= cfg.max_transmitters + 1 &&
-            cfg.cluster_cols <= cfg.max_transmitters + 1)
-      << "cluster " << cfg.cluster_rows << "x" << cfg.cluster_cols
-      << " exceeds the " << cfg.max_transmitters << "-transmitter budget";
+  GLB_CHECK(!cfg.node.stat_prefix.empty()) << "empty stat prefix";
+  if (!cfg.flat()) {
+    // A 1-wide cluster dimension cannot tile a larger mesh: the grid
+    // would be as large as the mesh and the recursion would never
+    // terminate.
+    GLB_CHECK(rows <= cfg.cluster_rows || cfg.cluster_rows >= 2)
+        << "cluster_rows=1 cannot tile " << rows << " rows";
+    GLB_CHECK(cols <= cfg.cluster_cols || cfg.cluster_cols >= 2)
+        << "cluster_cols=1 cannot tile " << cols << " cols";
+    // Every node must itself respect the transmitter budget: the whole
+    // point of clustering is that no line is overloaded.
+    GLB_CHECK(cfg.cluster_rows <= cfg.node.max_transmitters + 1 &&
+              cfg.cluster_cols <= cfg.node.max_transmitters + 1)
+        << "cluster " << cfg.cluster_rows << "x" << cfg.cluster_cols
+        << " exceeds the " << cfg.node.max_transmitters << "-transmitter budget";
+  }
 
-  completed_ = stats.GetCounter(cfg_.stat_prefix + ".barriers_completed");
+  // The flat node registers this same counter itself, so at depth 1 the
+  // node's own count is the global one.
+  completed_ = stats.GetCounter(cfg_.node.stat_prefix + ".barriers_completed");
   BuildLevels(stats);
   ChainLevels();
 }
 
 void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
-  BarrierNetConfig sub;
-  sub.max_transmitters = cfg_.max_transmitters;
-  sub.policy = TxPolicy::kReject;
-  sub.watchdog_timeout = cfg_.watchdog_timeout;
-  sub.max_retries = cfg_.max_retries;
-  sub.fallback_latency = cfg_.fallback_latency;
-  sub.watchdog_mult = cfg_.watchdog_mult;
-  sub.watchdog_alpha = cfg_.watchdog_alpha;
-  sub.watchdog_max = cfg_.watchdog_max;
-  sub.probe_after = cfg_.probe_after;
-  sub.probe_successes = cfg_.probe_successes;
-
+  // The flat device is one cluster the size of the mesh.
+  const std::uint32_t cap_rows = cfg_.flat() ? rows_ : cfg_.cluster_rows;
+  const std::uint32_t cap_cols = cfg_.flat() ? cols_ : cfg_.cluster_cols;
+  BarrierNetConfig sub = cfg_.node;
   std::uint32_t mr = rows_, mc = cols_;
   for (std::uint32_t k = 0;; ++k) {
-    if (cfg_.adaptive()) {
+    if (cfg_.node.adaptive()) {
       // Depth-aware windows: a level-k episode spans the slowest
       // subtree below it (k extra gather/release hops plus the leaf
       // skew), so its floor and ceiling grow with depth. Fixed-window
       // mode keeps the uniform v1 windows bit-for-bit.
-      sub.watchdog_timeout = cfg_.watchdog_timeout * (k + 1);
-      if (cfg_.watchdog_max > 0) sub.watchdog_max = cfg_.watchdog_max * (k + 1);
+      sub.watchdog_timeout = cfg_.node.watchdog_timeout * (k + 1);
+      if (cfg_.node.watchdog_max > 0) {
+        sub.watchdog_max = cfg_.node.watchdog_max * (k + 1);
+      }
     }
     Level lv;
     lv.mesh_rows = mr;
     lv.mesh_cols = mc;
-    lv.grid_rows = CeilDiv(mr, cfg_.cluster_rows);
-    lv.grid_cols = CeilDiv(mc, cfg_.cluster_cols);
+    lv.grid_rows = CeilDiv(mr, cap_rows);
+    lv.grid_cols = CeilDiv(mc, cap_cols);
     // Balance the grid: with the cluster count fixed, spread rows and
     // columns evenly (8x8 becomes four 4x4 clusters rather than a 7x7
     // plus slivers), then drop grid cells the balanced dims emptied.
@@ -83,8 +80,9 @@ void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
         n.col0 = gc * lv.eff_cols;
         n.nrows = std::min(lv.eff_rows, mr - n.row0);
         n.ncols = std::min(lv.eff_cols, mc - n.col0);
-        n.prefix = cfg_.stat_prefix + ".l" + std::to_string(k) + ".c" +
-                   std::to_string(lv.nodes.size());
+        n.prefix = cfg_.flat() ? cfg_.node.stat_prefix
+                               : cfg_.node.stat_prefix + ".l" + std::to_string(k) +
+                                     ".c" + std::to_string(lv.nodes.size());
         sub.stat_prefix = n.prefix;
         n.net = std::make_unique<BarrierNetwork>(engine_, n.nrows, n.ncols, sub,
                                                  stats);
@@ -125,7 +123,7 @@ void HierarchicalBarrierNetwork::ChainLevels() {
       child->SetCompletionHook([child, parent, slot]() {
         parent->Arrive(slot, [child]() { child->TriggerRelease(); });
       });
-      if (cfg_.resilient()) {
+      if (cfg_.node.resilient()) {
         // Degraded non-root nodes must keep deferring to the parent:
         // buffer local arrivals and forward ONE arrival upward when the
         // node is full; the parent's release releases the batch. The
@@ -173,6 +171,11 @@ void HierarchicalBarrierNetwork::DoArrive(CoreId core,
   const std::uint32_t r = core / cols_, c = core % cols_;
   const Node& leaf = l0.nodes[NodeIndexAt(l0, r, c)];
   const CoreId local = (r - leaf.row0) * leaf.ncols + (c - leaf.col0);
+  if (cfg_.flat()) {
+    // The single node counts its own episodes: that count is global.
+    leaf.net->Arrive(local, std::move(on_release));
+    return;
+  }
   // Count the global barrier on the LAST core release (not at the root's
   // completion): correct even when nodes complete through the degraded
   // fallback path, where the root's gather may be bypassed entirely.
@@ -191,8 +194,7 @@ void HierarchicalBarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) 
   }
 }
 
-void HierarchicalBarrierNetwork::SetArrivalFaultHook(
-    BarrierNetwork::ArrivalFaultHook hook) {
+void HierarchicalBarrierNetwork::SetArrivalFaultHook(ArrivalFaultHook hook) {
   arrival_fault_ = std::move(hook);
 }
 

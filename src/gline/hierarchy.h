@@ -1,49 +1,52 @@
-// Hierarchical (multi-level) G-line barrier network — the paper's §5
-// future-work answer to the 7x7 technology limit ("design efficient and
-// scalable schemes to interconnect G-line-based networks").
+// The chip's G-line barrier device: a tree of Figure-1 networks
+// (gline::BarrierNetwork nodes) in one of two shapes.
 //
-// The mesh is tiled into clusters of at most `cluster_rows x
-// cluster_cols` nodes (7x7 by default, the largest a 6-transmitter
-// G-line supports). Each cluster runs a full Figure-1 barrier network;
-// its MasterV, instead of starting the release wave, signals the next
-// level up, whose "nodes" are the cluster masters. Clustering recurses
-// until one network covers the whole grid: level k+1 tiles level k's
-// cluster grid the same way, so any mesh is reachable with
-// depth = ceil(log_{cap}(sqrt(N))) levels, every individual line inside
-// the transmitter budget (all sub-networks are built with
-// TxPolicy::kReject, so an overloaded line is a construction error).
+//   * Flat (kGL, HierConfig::Flat): one node spanning the mesh, built
+//     with the node config's own transmitter policy (kRelaxed on the
+//     chip). It registers under the root prefix ("gl.signals",
+//     "gl.ctx0.sglineH0"), and its barriers_completed is the global
+//     count.
+//   * Clustered (kGLH, the default HierConfig): the paper's §5 answer to
+//     the 7x7 technology limit. The mesh is tiled into clusters of at
+//     most `cluster_rows x cluster_cols` nodes (7x7, the largest a
+//     6-transmitter G-line supports), each a kReject Figure-1 network
+//     whose MasterV, instead of starting the release wave, signals the
+//     next level up. Level k+1 tiles level k's cluster grid the same
+//     way until one network covers it, so depth =
+//     ceil(log_cap(sqrt(N))) with every line inside the budget. Nodes
+//     register under "<stat_prefix>.l<level>.c<node>." at every depth,
+//     and "<stat_prefix>.barriers_completed" counts each global barrier
+//     once, when its last core is released (degraded mode included).
 //
-// Latency: each level adds one gather (2 cycles) on the way up and one
-// release wave (2 cycles) on the way down; the hand-off between levels
-// is combinational (the cluster master's flag IS the upper level's
-// bar_reg write). Last core release = T + 4*depth for simultaneous
-// arrivals at T when every level is at least 2x2 — depth 1 is the
-// paper's flat 4-cycle network, depth 2 covers 49x49 = 2401 cores at 8
-// cycles, depth 3 covers 343x343 at 12.
+// Latency: each level adds a 2-cycle gather and a 2-cycle release wave;
+// the hand-off between levels is combinational (the cluster master's
+// flag IS the upper level's bar_reg write). Last core release = T +
+// 4*depth for simultaneous arrivals at T when every level is at least
+// 2x2: 4 cycles flat, 8 for up to 49x49 = 2401 cores, 12 for 343x343.
 //
-// Stats: every node registers under its own prefix
-// "<stat_prefix>.l<level>.c<node>." so per-network counters never alias
-// in the shared StatSet; the network-wide "<stat_prefix>.barriers_completed"
-// counts each *global* barrier exactly once (it increments when the last
-// core is released, which also holds in degraded mode).
+// The device is the one arrival entry point, so it owns the injected
+// core-freeze stall; line faults land on every node's lines.
 //
-// Resilience: with `watchdog_timeout` set every node runs the flat
-// network's watchdog/retry/degrade machinery. A degraded non-root node
-// must NOT count its own cores and release them — that would release a
-// cluster before the rest of the chip arrived — so the hierarchy
-// installs a fallback on every non-root node that buffers local
-// arrivals and forwards one arrival to the parent when the node is
-// full; the parent's release then releases the buffered batch. Only the
-// root may count-and-release locally (its arrivals are already
-// fully-gathered clusters), so the root keeps the flat network's
-// built-in counting fallback. The invariant at every depth: no core is
-// released before all cores arrived, and every episode completes.
+// Resilience: with `watchdog_timeout` set every node runs
+// BarrierNetwork's watchdog/retry/degrade machinery, and a degraded
+// node falls back one of three ways:
+//   * the flat node uses the fallback its owner installs (CmpSystem
+//     wires a sync::HybridBarrierUnit over the NoC);
+//   * a clustered root keeps the built-in counting fallback (its
+//     arrivals are already fully-gathered clusters);
+//   * a non-root node must NOT count and release its own cores — that
+//     would release a cluster before the rest of the chip arrived — so
+//     it buffers local arrivals and forwards one arrival to its parent
+//     when full; the parent's release releases the buffered batch.
+// At every depth no core is released before all cores arrived, and
+// every episode completes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -73,36 +76,24 @@ struct LevelWireSummary {
 
 struct HierConfig {
   /// Maximum cluster dimensions (default: the 7x7 technology limit).
+  /// Zero means one cluster spanning the mesh: the flat network.
   std::uint32_t cluster_rows = 7;
   std::uint32_t cluster_cols = 7;
-  std::uint32_t max_transmitters = 6;
-  /// Root of every stat/trace name ("glh" -> "glh.barriers_completed",
-  /// node prefixes "glh.l0.c3.*").
-  std::string stat_prefix = "glh";
-  /// Selects the hierarchical network as the chip's barrier device when
-  /// embedded in a CmpConfig; the network itself ignores this.
-  bool enabled = false;
+  /// Every node's transmitter budget, policy and resilience knobs; its
+  /// stat_prefix roots the device's names ("glh" -> node prefixes
+  /// "glh.l0.c3"). With the adaptive watchdog on, a clustered device
+  /// scales level k's window floor and ceiling by (k+1): a level-k
+  /// episode spans the slowest subtree below it, so upper levels
+  /// legitimately run longer windows (depth-aware straggler tolerance).
+  BarrierNetConfig node{.policy = TxPolicy::kReject, .stat_prefix = "glh"};
 
-  // --- resilience (0 = off), applied to every node ---------------------
-  Cycle watchdog_timeout = 0;
-  std::uint32_t max_retries = 2;
-  /// Modeled cost of the root's built-in counting fallback.
-  Cycle fallback_latency = 32;
+  bool flat() const { return cluster_rows == 0 || cluster_cols == 0; }
 
-  // --- self-healing v2 (see BarrierNetConfig) --------------------------
-  /// Adaptive watchdog multiplier; when > 0, each level k additionally
-  /// scales its window floor by (k+1) — a level-k episode spans the
-  /// slowest subtree below it, so upper levels legitimately run longer
-  /// windows (depth-aware straggler tolerance).
-  double watchdog_mult = 0.0;
-  double watchdog_alpha = 0.25;
-  Cycle watchdog_max = 0;
-  /// Hardware rejoin, applied to every node (0 = v1 sticky).
-  std::uint32_t probe_after = 0;
-  std::uint32_t probe_successes = 2;
-
-  bool resilient() const { return watchdog_timeout > 0; }
-  bool adaptive() const { return resilient() && watchdog_mult > 0; }
+  /// The flat network as a device: one node spanning the mesh, with
+  /// `node`'s own policy and names.
+  static HierConfig Flat(BarrierNetConfig node = {}) {
+    return HierConfig{.cluster_rows = 0, .cluster_cols = 0, .node = std::move(node)};
+  }
 };
 
 class HierarchicalBarrierNetwork final : public core::BarrierDevice {
@@ -122,13 +113,13 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   /// Installs `hook` on every G-line of every node at every level.
   void SetLineFaultHook(GLine::DeliverFaultHook hook);
   /// Consulted once per core bar_reg write (global core ids); a nonzero
-  /// return stalls the arrival that many cycles.
-  void SetArrivalFaultHook(BarrierNetwork::ArrivalFaultHook hook);
+  /// return stalls the arrival that many cycles (a frozen core's write
+  /// reaching the controllers late). nullptr clears.
+  using ArrivalFaultHook = std::function<Cycle(CoreId core)>;
+  void SetArrivalFaultHook(ArrivalFaultHook hook);
 
-  sim::Engine& engine() { return engine_; }
-  std::uint32_t rows() const { return rows_; }
-  std::uint32_t cols() const { return cols_; }
   std::uint32_t num_cores() const { return rows_ * cols_; }
+  const HierConfig& config() const { return cfg_; }
   /// Hierarchy depth (1 = the mesh fits one flat network).
   std::uint32_t num_levels() const {
     return static_cast<std::uint32_t>(levels_.size());
@@ -136,9 +127,6 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   /// Leaf clusters (level-0 nodes).
   std::uint32_t num_clusters() const {
     return static_cast<std::uint32_t>(levels_.front().nodes.size());
-  }
-  std::uint32_t nodes_at(std::uint32_t level) const {
-    return static_cast<std::uint32_t>(levels_.at(level).nodes.size());
   }
   const BarrierNetwork& node(std::uint32_t level, std::uint32_t idx) const {
     return *levels_.at(level).nodes.at(idx).net;
@@ -157,14 +145,14 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   /// True if any node has tripped its sticky degraded flag.
   bool degraded_any() const;
   /// Sum of the per-node aggregate counter `suffix` (e.g. "timeouts")
-  /// over every node at every level. The "ctx0." duplicates are not
-  /// included.
+  /// over every node at every level ("gl.timeouts" for the flat
+  /// device). The "ctx0." duplicates are not included.
   std::uint64_t AggregateCounter(const std::string& suffix) const;
 
  private:
   struct Node {
     std::unique_ptr<BarrierNetwork> net;
-    std::string prefix;          // "glh.l<k>.c<i>"
+    std::string prefix;          // "glh.l<k>.c<i>", or the root when flat
     std::uint32_t row0, col0;    // origin within this level's mesh
     std::uint32_t nrows, ncols;  // dims of this node's network
     std::uint32_t parent_node = 0;  // index within the level above
@@ -193,9 +181,10 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   StatSet& stats_;
   std::vector<Level> levels_;  // [0] = leaves over cores, back() = root
   /// Releases delivered in the current global episode; the global
-  /// completion counter increments when this wraps at num_cores.
+  /// completion counter increments when this wraps at num_cores (a
+  /// clustered device only: the flat node counts its own episodes).
   std::uint32_t released_ = 0;
-  BarrierNetwork::ArrivalFaultHook arrival_fault_;
+  ArrivalFaultHook arrival_fault_;
   Counter* completed_ = nullptr;
 };
 

@@ -1,7 +1,9 @@
 #include "harness/experiment.h"
 
 #include <chrono>
-
+#include <cstdlib>
+#include <iostream>
+#include <mutex>
 #include <string_view>
 
 #include "common/check.h"
@@ -10,10 +12,8 @@
 namespace glb::harness {
 
 std::unique_ptr<sync::Barrier> MakeBarrier(BarrierKind kind, cmp::CmpSystem& sys) {
-  if (kind == BarrierKind::kGLH) {
-    GLB_CHECK(sys.hier() != nullptr)
-        << "GLH barrier requested but cfg.hier.enabled was false";
-  }
+  GLB_CHECK(kind != BarrierKind::kGLH || sys.config().hier.enabled)
+      << "GLH barrier requested but cfg.hier.enabled was false";
   sync::BarrierEnv env;
   env.alloc = &sys.allocator();
   env.mesh = &sys.mesh();
@@ -30,11 +30,17 @@ std::unique_ptr<sync::Barrier> MakeBarrier(BarrierKind kind, cmp::CmpSystem& sys
 
 RunMetrics RunExperiment(const WorkloadFactory& make_workload, BarrierKind kind,
                          const cmp::CmpConfig& cfg, Cycle max_cycles) {
-  cmp::CmpConfig run_cfg = cfg;
-  // Selecting the hierarchical barrier implies building it.
-  if (kind == BarrierKind::kGLH) run_cfg.hier.enabled = true;
-  cmp::CmpSystem sys(run_cfg);
   auto workload = make_workload();
+  if (const std::string why = workload->ValidateConfig(cfg.num_cores()); !why.empty()) {
+    // Diagnosed like a bad flag. Sweeps land here from worker threads:
+    // the first to fail reports, and no exit handler runs under the rest.
+    static std::mutex report;
+    report.lock();
+    std::cout.flush();
+    std::cerr << "bad workload size: " << why << "\n";
+    std::_Exit(2);
+  }
+  cmp::CmpSystem sys(cfg.ForBarrier(kind));
   workload->Init(sys);
   auto barrier = MakeBarrier(kind, sys);
 
@@ -79,19 +85,12 @@ RunMetrics CollectSystemMetrics(cmp::CmpSystem& sys, const sim::RunStatus& statu
   m.events_per_sec =
       wall_ms > 0.0 ? static_cast<double>(m.host_events) / (wall_ms / 1000.0) : 0.0;
   m.faults_injected = sys.stats().CounterValue("fault.injected");
-  m.barrier_timeouts = sys.stats().CounterValue("gl.timeouts");
-  m.barrier_retries = sys.stats().CounterValue("gl.retries");
-  m.degraded_episodes = sys.stats().CounterValue("gl.degraded_episodes");
-  m.barrier_probes = sys.stats().CounterValue("gl.probes");
-  m.barrier_rejoins = sys.stats().CounterValue("gl.rejoins");
-  if (sys.hier() != nullptr) {
-    // Hier mode: fold in the per-node aggregates from every level.
-    m.barrier_timeouts += sys.hier()->AggregateCounter("timeouts");
-    m.barrier_retries += sys.hier()->AggregateCounter("retries");
-    m.degraded_episodes += sys.hier()->AggregateCounter("degraded_episodes");
-    m.barrier_probes += sys.hier()->AggregateCounter("probes");
-    m.barrier_rejoins += sys.hier()->AggregateCounter("rejoins");
-  }
+  const gline::HierarchicalBarrierNetwork& gl = sys.gline();
+  m.barrier_timeouts = gl.AggregateCounter("timeouts");
+  m.barrier_retries = gl.AggregateCounter("retries");
+  m.degraded_episodes = gl.AggregateCounter("degraded_episodes");
+  m.barrier_probes = gl.AggregateCounter("probes");
+  m.barrier_rejoins = gl.AggregateCounter("rejoins");
   // TUNED echo: the decision lands in the stats as
   // sync.tuned.choice.<NAME> (exactly one, bumped once by core 0).
   sys.stats().ForEachCounter([&m](const std::string& name, const Counter& c) {

@@ -97,8 +97,11 @@ RunMetrics CollectSystemMetrics(cmp::CmpSystem& sys, const sim::RunStatus& statu
                                 double wall_ms = 0.0);
 
 /// Runs one experiment to completion (or `max_cycles`) and collects the
-/// metrics. The system is built fresh, the workload initialized, one
-/// program launched per core.
+/// metrics. The system is built fresh with its G-line device shaped for
+/// `kind` (CmpConfig::ForBarrier), the workload initialized, one program
+/// launched per core. A problem size the workload cannot partition over
+/// the cores (Workload::ValidateConfig) exits 2 with "bad workload
+/// size: ..." before the machine is built.
 RunMetrics RunExperiment(const WorkloadFactory& make_workload, BarrierKind kind,
                          const cmp::CmpConfig& cfg, Cycle max_cycles = kCycleNever);
 

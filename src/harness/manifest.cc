@@ -146,22 +146,25 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
   w.EndObject();
   if (cfg.hier.enabled) {
     // Echoed only for hierarchical runs so flat-network manifests stay
-    // byte-identical to pre-hierarchy builds.
+    // byte-identical to pre-hierarchy builds. The resilience knobs are
+    // the chip's one node config, repeated here so the block reads as
+    // it always has.
+    const gline::HierConfig dev = cmp::GlineDevice(cfg.gline_kind(), cfg.gline, "");
     w.Key("hier");
     w.BeginObject();
     w.Field("enabled", cfg.hier.enabled);
-    w.Field("cluster_rows", cfg.hier.cluster_rows);
-    w.Field("cluster_cols", cfg.hier.cluster_cols);
-    w.Field("max_transmitters", cfg.hier.max_transmitters);
-    w.Field("watchdog_timeout", cfg.hier.watchdog_timeout);
-    w.Field("max_retries", cfg.hier.max_retries);
-    w.Field("fallback_latency", cfg.hier.fallback_latency);
-    if (cfg.hier.adaptive() || (cfg.hier.resilient() && cfg.hier.probe_after > 0)) {
-      w.Field("watchdog_mult", cfg.hier.watchdog_mult);
-      w.Field("watchdog_alpha", cfg.hier.watchdog_alpha);
-      w.Field("watchdog_max", cfg.hier.watchdog_max);
-      w.Field("probe_after", cfg.hier.probe_after);
-      w.Field("probe_successes", cfg.hier.probe_successes);
+    w.Field("cluster_rows", dev.cluster_rows);
+    w.Field("cluster_cols", dev.cluster_cols);
+    w.Field("max_transmitters", dev.node.max_transmitters);
+    w.Field("watchdog_timeout", dev.node.watchdog_timeout);
+    w.Field("max_retries", dev.node.max_retries);
+    w.Field("fallback_latency", dev.node.fallback_latency);
+    if (dev.node.adaptive() || dev.node.rejoin_enabled()) {
+      w.Field("watchdog_mult", dev.node.watchdog_mult);
+      w.Field("watchdog_alpha", dev.node.watchdog_alpha);
+      w.Field("watchdog_max", dev.node.watchdog_max);
+      w.Field("probe_after", dev.node.probe_after);
+      w.Field("probe_successes", dev.node.probe_successes);
     }
     w.EndObject();
   }
@@ -242,10 +245,7 @@ void WriteRun(json::Writer& w, const RunMetrics& m, const cmp::CmpConfig& cfg) {
   w.Field("barrier_retries", m.barrier_retries);
   w.Field("degraded_episodes", m.degraded_episodes);
   w.EndObject();
-  const bool v2 = cfg.gline.adaptive() || cfg.gline.rejoin_enabled() ||
-                  (cfg.hier.enabled && cfg.hier.resilient() &&
-                   (cfg.hier.watchdog_mult > 0 || cfg.hier.probe_after > 0));
-  if (v2) {
+  if (cfg.gline.adaptive() || cfg.gline.rejoin_enabled()) {
     // Self-healing v2 outcome; emitted only when the adaptive watchdog
     // or hardware rejoin is configured, so v1 manifests stay
     // byte-identical.

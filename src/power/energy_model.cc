@@ -5,7 +5,10 @@
 
 namespace glb::power {
 
-EnergyReport Estimate(const StatSet& stats, const EnergyCoefficients& coef) {
+namespace {
+
+/// Every component but the G-line term.
+EnergyReport DataSideEnergy(const StatSet& stats, const EnergyCoefficients& coef) {
   EnergyReport r;
 
   // Every flit-hop switches one router crossbar and drives one link.
@@ -34,25 +37,24 @@ EnergyReport Estimate(const StatSet& stats, const EnergyCoefficients& coef) {
               (static_cast<double>(stats.CounterValue("l2.dram_fetches")) +
                static_cast<double>(stats.CounterValue("l2.recalls")));
 
-  // G-lines: each signal is one 1-bit broadcast; controllers toggle a
-  // couple of FSM latches per signal and per core arrival.
-  const double gl_signals = static_cast<double>(stats.CounterValue("gl.signals"));
-  const double gl_ctrl_ops =
-      2.0 * gl_signals + static_cast<double>(stats.CounterValue("core.barriers"));
-  r.gline_pj = coef.gline_signal_pj * gl_signals + coef.gline_ctrl_pj * gl_ctrl_ops;
-
   return r;
+}
+
+}  // namespace
+
+EnergyReport Estimate(const StatSet& stats, const gline::HierarchicalBarrierNetwork& net,
+                      const EnergyCoefficients& coef) {
+  return EstimateHier(stats, net, coef).base;
 }
 
 HierEnergyReport EstimateHier(const StatSet& stats,
                               const gline::HierarchicalBarrierNetwork& net,
                               const EnergyCoefficients& coef) {
   HierEnergyReport r;
-  r.base = Estimate(stats, coef);
-  // Re-price the G-line component per level. A GLH run leaves the flat
-  // "gl.*" counters at zero, so this replaces nothing real; the
-  // core-side arrival FSM cost (core.barriers) moves to level 0.
-  r.base.gline_pj = 0;
+  r.base = DataSideEnergy(stats, coef);
+  // G-lines: each signal is one 1-bit broadcast, priced by its level's
+  // wire span; controllers toggle a couple of FSM latches per signal,
+  // and the core-side arrival FSM (core.barriers) sits at level 0.
   const double core_barriers =
       static_cast<double>(stats.CounterValue("core.barriers"));
   for (const gline::LevelWireSummary& wires : net.LevelSummaries()) {

@@ -15,7 +15,8 @@
 //   * DRAM: per access,
 //   * G-lines: per 1-bit signal transition plus controller FSM ops
 //     (tiny by construction; the paper cites [27] for low-power
-//     G-line/S-CSMA circuits).
+//     G-line/S-CSMA circuits), read per level from the run's G-line
+//     device, so flat and clustered runs are priced by one rule.
 #pragma once
 
 #include <cstdint>
@@ -57,14 +58,15 @@ struct EnergyReport {
   }
 };
 
-/// Derives the report from a finished run's statistics.
-EnergyReport Estimate(const StatSet& stats,
+/// Derives the report from a finished run's statistics and the G-line
+/// device it ran on (EstimateHier's per-level G-line term).
+EnergyReport Estimate(const StatSet& stats, const gline::HierarchicalBarrierNetwork& net,
                       const EnergyCoefficients& coef = EnergyCoefficients{});
 
 /// Human-readable summary (nanojoules, component shares).
 void Print(std::ostream& os, const EnergyReport& r);
 
-// --- hierarchical (multi-level) G-line network -----------------------------
+// --- the G-line term, per device level ---------------------------------------
 
 /// One hierarchy level's priced wire activity. Signals are scaled by
 /// the level's wire span (a level-k line is span_tiles times longer
@@ -79,11 +81,12 @@ struct HierEnergyLevel {
   double total_pj() const { return signal_pj + ctrl_pj + handoff_pj; }
 };
 
-/// Energy report for a run on the hierarchical network: the standard
-/// components with the G-line term re-priced per level. Invariants (by
-/// construction): the per-level totals sum exactly to `base.gline_pj`,
-/// and `base.gline_pj >= flat_equiv_pj` (wire span >= 1, hand-offs
-/// are extra work a flat network would not do).
+/// Energy report for a run on a G-line device: the standard components
+/// with the G-line term priced per level. Invariants (by construction):
+/// the per-level totals sum exactly to `base.gline_pj`, and
+/// `base.gline_pj >= flat_equiv_pj` (wire span >= 1, hand-offs are extra
+/// work a flat network would not do); on the flat device (one level,
+/// span 1, no hand-offs) the two are equal.
 struct HierEnergyReport {
   EnergyReport base;  // gline_pj = sum of levels[i].total_pj()
   std::vector<HierEnergyLevel> levels;
@@ -93,8 +96,8 @@ struct HierEnergyReport {
   double flat_equiv_pj = 0;
 };
 
-/// Prices a finished run on `net` (reads the glh.l<k>.c<i>.* counters
-/// that the run left in `stats` via net.LevelSummaries()).
+/// Prices a finished run on `net` (reads each node's counters that the
+/// run left in `stats` via net.LevelSummaries()).
 HierEnergyReport EstimateHier(const StatSet& stats,
                               const gline::HierarchicalBarrierNetwork& net,
                               const EnergyCoefficients& coef = EnergyCoefficients{});

@@ -22,16 +22,12 @@ mem::AddrAllocator& Alloc(const BarrierEnv& env) {
 std::unique_ptr<Barrier> MakeBarrier(BarrierKind kind, const BarrierEnv& env) {
   // No default: -Wswitch flags a kind without a case at compile time.
   switch (kind) {
-    // kGL/kGLH build only the device adapter: the G-line network itself
-    // is machine structure (CmpSystem's flat/hier network, or a
-    // partition's rect-local one), wired into the cores as their
-    // BarrierDevice before the run.
+    // kGL/kGLH build only the device adapter: the G-line device itself
+    // is machine structure (CmpSystem's, or a partition's rect-local
+    // one), wired into the cores as their BarrierDevice before the run.
     case BarrierKind::kGL:
-      return std::make_unique<GlBarrier>(env.gl_name != nullptr ? env.gl_name
-                                                                : "GL");
     case BarrierKind::kGLH:
-      return std::make_unique<GlBarrier>(env.gl_name != nullptr ? env.gl_name
-                                                                : "GLH");
+      return std::make_unique<GlBarrier>(ToString(kind));
     case BarrierKind::kCSW:
       return std::make_unique<CentralBarrier>(Alloc(env), env.participants);
     case BarrierKind::kDSW:

@@ -49,10 +49,6 @@ struct BarrierEnv {
   /// chip-wide names "hyb.episodes" / "sync.tuned.*"; tenants pass
   /// "tenant.<name>" so concurrent instances never alias).
   std::string stat_prefix;
-  /// Display name of the kGL/kGLH device adapter (the barrier itself is
-  /// the device wired into the cores; must be a string literal or
-  /// otherwise outlive the barrier).
-  const char* gl_name = nullptr;
 };
 
 /// Builds the requested barrier from `env`.

@@ -23,20 +23,28 @@ using core::Task;
 // Energy model
 // ---------------------------------------------------------------------------
 
-TEST(Energy, ZeroStatsZeroEnergy) {
+/// An idle flat device over a 2x2 mesh: it leaves every G-line counter
+/// at zero.
+struct IdleDevice {
   StatSet stats;
-  const auto r = power::Estimate(stats);
+  sim::Engine engine;
+  gline::HierarchicalBarrierNetwork net{engine, 2, 2, gline::HierConfig::Flat(), stats};
+};
+
+TEST(Energy, ZeroStatsZeroEnergy) {
+  IdleDevice d;
+  const auto r = power::Estimate(d.stats, d.net);
   EXPECT_DOUBLE_EQ(r.total_pj(), 0.0);
   EXPECT_DOUBLE_EQ(r.noc_fraction(), 0.0);
 }
 
 TEST(Energy, ComponentsScaleWithCounters) {
-  StatSet stats;
-  stats.GetCounter("noc.flits_sent")->Inc(100);
-  stats.GetCounter("l1.hits")->Inc(10);
-  stats.GetCounter("l2.dram_fetches")->Inc(2);
+  IdleDevice d;
+  d.stats.GetCounter("noc.flits_sent")->Inc(100);
+  d.stats.GetCounter("l1.hits")->Inc(10);
+  d.stats.GetCounter("l2.dram_fetches")->Inc(2);
   power::EnergyCoefficients coef;
-  const auto r = power::Estimate(stats, coef);
+  const auto r = power::Estimate(d.stats, d.net, coef);
   EXPECT_DOUBLE_EQ(r.noc_pj, 100 * coef.noc_flit_hop_pj);
   EXPECT_DOUBLE_EQ(r.l1_pj, 10 * coef.l1_access_pj);
   EXPECT_DOUBLE_EQ(r.dram_pj, 2 * coef.dram_access_pj);
@@ -53,7 +61,7 @@ TEST(Energy, GlRunCostsLessNetworkEnergyThanDsw) {
     };
     EXPECT_TRUE(sys.RunPrograms(
         [&](Core& c, CoreId) { return body(c, barrier.get()); }));
-    return power::Estimate(sys.stats());
+    return power::Estimate(sys.stats(), sys.gline());
   };
   const auto gl = run(harness::BarrierKind::kGL);
   const auto dsw = run(harness::BarrierKind::kDSW);
@@ -63,6 +71,25 @@ TEST(Energy, GlRunCostsLessNetworkEnergyThanDsw) {
   EXPECT_GT(gl.gline_pj, 0.0) << "G-line energy is small but not free";
   EXPECT_LT(gl.gline_pj, dsw.noc_pj / 10.0)
       << "G-line signalling must be far cheaper than the NoC traffic it replaces";
+}
+
+TEST(Energy, ClusteredDeviceCostsAtLeastTheFlatOne) {
+  // Both shapes price their G-line term from the device's own levels:
+  // the clustered one sends more signals, over longer upper-level
+  // wires, plus hand-offs, so it can never come out cheaper.
+  auto run = [](harness::BarrierKind k) {
+    CmpSystem sys(CmpConfig::WithCores(64).ForBarrier(k));
+    workloads::Synthetic wl(20);
+    wl.Init(sys);
+    auto barrier = harness::MakeBarrier(k, sys);
+    EXPECT_TRUE(sys.RunPrograms(
+        [&](Core& c, CoreId id) { return wl.Body(c, id, *barrier); }));
+    return power::Estimate(sys.stats(), sys.gline());
+  };
+  const auto gl = run(harness::BarrierKind::kGL);
+  const auto glh = run(harness::BarrierKind::kGLH);
+  EXPECT_GT(gl.gline_pj, 0.0);
+  EXPECT_GE(glh.gline_pj, gl.gline_pj);
 }
 
 // ---------------------------------------------------------------------------

@@ -246,10 +246,12 @@ TEST(FaultInjectorUnit, ScriptedSlowdownIsPersistentFromItsCycle) {
 // Self-healing barrier network
 // ---------------------------------------------------------------------------
 
+/// A flat G-line device under an armed injector; `net` is its one node.
 struct FaultNetFixture {
   sim::Engine engine;
   StatSet stats;
-  std::unique_ptr<BarrierNetwork> net;
+  std::unique_ptr<gline::HierarchicalBarrierNetwork> dev;
+  BarrierNetwork* net = nullptr;
   std::unique_ptr<FaultInjector> inj;
 
   FaultNetFixture(std::uint32_t rows, std::uint32_t cols, const FaultPlan& plan,
@@ -257,9 +259,11 @@ struct FaultNetFixture {
     BarrierNetConfig cfg;
     cfg.watchdog_timeout = watchdog;
     cfg.max_retries = retries;
-    net = std::make_unique<BarrierNetwork>(engine, rows, cols, cfg, stats);
+    dev = std::make_unique<gline::HierarchicalBarrierNetwork>(
+        engine, rows, cols, gline::HierConfig::Flat(cfg), stats);
+    net = &dev->node(0, 0);
     inj = std::make_unique<FaultInjector>(engine, plan, stats);
-    inj->Arm(*net);
+    inj->Arm(*dev);
   }
 
   std::vector<Cycle> RunOneBarrier(const std::vector<Cycle>& arrival_cycles) {
@@ -267,7 +271,7 @@ struct FaultNetFixture {
     for (CoreId c = 0; c < net->num_cores(); ++c) {
       if (arrival_cycles[c] == kCycleNever) continue;
       engine.ScheduleAt(arrival_cycles[c], [this, c, &released]() {
-        net->Arrive(c, [this, c, &released]() { released[c] = engine.Now(); });
+        dev->Arrive(c, [this, c, &released]() { released[c] = engine.Now(); });
       });
     }
     EXPECT_TRUE(engine.RunUntilIdle(1'000'000)) << "episode hangs";

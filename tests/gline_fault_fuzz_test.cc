@@ -54,7 +54,7 @@ TEST_P(FaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   // longest injected freeze, so a fault-free episode never times out.
   cfg.watchdog_timeout = 400;
   cfg.max_retries = static_cast<std::uint32_t>(rng.NextBelow(4));
-  BarrierNetwork net(engine, rows, cols, cfg, stats);
+  HierarchicalBarrierNetwork net(engine, rows, cols, HierConfig::Flat(cfg), stats);
 
   fault::FaultPlan plan;
   plan.seed = GetParam();
@@ -118,15 +118,15 @@ TEST(FaultFuzzBaseline, ArmedButQuietPlanIsInert) {
     StatSet s_ref, s_inj;
     BarrierNetConfig cfg;
     cfg.watchdog_timeout = 1000;
-    BarrierNetwork ref(e_ref, 3, 4, cfg, s_ref);
-    BarrierNetwork hooked(e_inj, 3, 4, cfg, s_inj);
+    HierarchicalBarrierNetwork ref(e_ref, 3, 4, HierConfig::Flat(cfg), s_ref);
+    HierarchicalBarrierNetwork hooked(e_inj, 3, 4, HierConfig::Flat(cfg), s_inj);
     fault::FaultPlan quiet;  // all rates zero, no script
     fault::FaultInjector inj(e_inj, quiet, s_inj);
     inj.Arm(hooked);
 
     std::vector<Cycle> arrival(12);
     for (auto& a : arrival) a = 1 + rng.NextBelow(50);
-    auto drive = [&](sim::Engine& e, BarrierNetwork& net) {
+    auto drive = [&](sim::Engine& e, HierarchicalBarrierNetwork& net) {
       std::vector<Cycle> released(12, kCycleNever);
       for (CoreId c = 0; c < 12; ++c) {
         e.ScheduleAt(arrival[c], [&, c]() {
@@ -185,26 +185,13 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
   const auto probe_after = static_cast<std::uint32_t>(1 + rng.NextBelow(3));
   const auto probe_successes = static_cast<std::uint32_t>(1 + rng.NextBelow(2));
 
-  std::unique_ptr<BarrierNetwork> flat;
-  std::unique_ptr<HierarchicalBarrierNetwork> tree;
-  if (hier) {
-    HierConfig cfg;
-    cfg.watchdog_timeout = watchdog;
-    cfg.max_retries = retries;
-    cfg.watchdog_mult = mult;
-    cfg.probe_after = probe_after;
-    cfg.probe_successes = probe_successes;
-    tree = std::make_unique<HierarchicalBarrierNetwork>(engine, rows, cols,
-                                                        cfg, stats);
-  } else {
-    BarrierNetConfig cfg;
-    cfg.watchdog_timeout = watchdog;
-    cfg.max_retries = retries;
-    cfg.watchdog_mult = mult;
-    cfg.probe_after = probe_after;
-    cfg.probe_successes = probe_successes;
-    flat = std::make_unique<BarrierNetwork>(engine, rows, cols, cfg, stats);
-  }
+  HierConfig cfg = hier ? HierConfig{} : HierConfig::Flat();
+  cfg.node.watchdog_timeout = watchdog;
+  cfg.node.max_retries = retries;
+  cfg.node.watchdog_mult = mult;
+  cfg.node.probe_after = probe_after;
+  cfg.node.probe_successes = probe_successes;
+  HierarchicalBarrierNetwork net(engine, rows, cols, cfg, stats);
 
   fault::FaultPlan plan;
   plan.seed = GetParam();
@@ -218,20 +205,9 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
         {rng.NextBelow(4000), fault::FaultSite::kGlineDrop, "sglineH", 0});
   }
   fault::FaultInjector inj(engine, plan, stats);
-  if (hier) {
-    inj.Arm(*tree);
-  } else {
-    inj.Arm(*flat);
-  }
+  inj.Arm(net);
   inj.ConfigureCompute(n);
 
-  auto arrive = [&](CoreId c, std::function<void()> cb) {
-    if (hier) {
-      tree->Arrive(c, std::move(cb));
-    } else {
-      flat->Arrive(c, std::move(cb));
-    }
-  };
   std::uint64_t episodes_done = 0;
   auto run_episode = [&]() {
     std::uint32_t arrived = 0, released = 0;
@@ -241,7 +217,7 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
       const Cycle at = now + inj.StretchCompute(c, 1 + rng.NextBelow(40));
       engine.ScheduleAt(at, [&, c]() {
         ++arrived;
-        arrive(c, [&]() {
+        net.Arrive(c, [&]() {
           if (arrived != n) early = true;
           ++released;
         });
@@ -262,30 +238,23 @@ TEST_P(StragglerRejoinFuzz, SafetyHoldsAndFaultFreePlansRejoin) {
     run_episode();
     if (::testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_EQ(hier ? tree->barriers_completed() : flat->barriers_completed(),
-            kEpisodes);
+  EXPECT_EQ(net.barriers_completed(), kEpisodes);
 
   if (!persistent_drops) {
     // Settling phase: the wires have been healthy since the last
     // scripted entry was consumed, so probes must eventually run clean
     // and every degraded context must return to the hardware path.
-    auto degraded = [&]() {
-      return hier ? tree->degraded_any() : flat->degraded();
-    };
     int extra = 0;
-    while (degraded() && extra < 40) {
+    while (net.degraded_any() && extra < 40) {
       run_episode();
       if (::testing::Test::HasFatalFailure()) return;
       ++extra;
     }
-    EXPECT_FALSE(degraded())
+    EXPECT_FALSE(net.degraded_any())
         << "context never rejoined after the scripted fault horizon (seed "
         << GetParam() << ", " << extra << " settling episodes)";
-    const std::uint64_t deg = hier
-                                  ? tree->AggregateCounter("degraded_episodes")
-                                  : stats.CounterValue("gl.degraded_episodes");
-    const std::uint64_t rejoins =
-        hier ? tree->AggregateCounter("rejoins") : flat->rejoins();
+    const std::uint64_t deg = net.AggregateCounter("degraded_episodes");
+    const std::uint64_t rejoins = net.AggregateCounter("rejoins");
     if (deg > 0) {
       EXPECT_GE(rejoins, 1u)
           << "episodes degraded but no rejoin recorded (seed " << GetParam()
@@ -310,18 +279,19 @@ TEST(StragglerRejoinRegression, FlatScriptedDropDegradesThenRejoins) {
   cfg.max_retries = 0;
   cfg.probe_after = 2;
   cfg.probe_successes = 1;
-  BarrierNetwork net(engine, 2, 2, cfg, stats);
+  HierarchicalBarrierNetwork dev(engine, 2, 2, HierConfig::Flat(cfg), stats);
+  const BarrierNetwork& net = dev.node(0, 0);
 
   fault::FaultPlan plan;
   plan.script.push_back({0, fault::FaultSite::kGlineDrop, "sglineH", 0});
   fault::FaultInjector inj(engine, plan, stats);
-  inj.Arm(net);
+  inj.Arm(dev);
 
   auto episode = [&](Cycle start) {
     std::vector<Cycle> released(4, kCycleNever);
     for (CoreId c = 0; c < 4; ++c) {
       engine.ScheduleAt(start, [&, c]() {
-        net.Arrive(c, [&, c]() { released[c] = engine.Now(); });
+        dev.Arrive(c, [&, c]() { released[c] = engine.Now(); });
       });
     }
     EXPECT_TRUE(engine.RunUntilIdle(1'000'000));
@@ -377,10 +347,10 @@ TEST(StragglerRejoinRegression, HierLeafNodeRejoinsAtDepth) {
   sim::Engine engine;
   StatSet stats;
   HierConfig cfg;
-  cfg.watchdog_timeout = 200;
-  cfg.max_retries = 0;
-  cfg.probe_after = 2;
-  cfg.probe_successes = 1;
+  cfg.node.watchdog_timeout = 200;
+  cfg.node.max_retries = 0;
+  cfg.node.probe_after = 2;
+  cfg.node.probe_successes = 1;
   HierarchicalBarrierNetwork net(engine, 8, 8, cfg, stats);
   ASSERT_GE(net.num_levels(), 2u);
 
@@ -463,10 +433,10 @@ class ComputeLoop final : public workloads::Workload {
 std::string RunManifest() {
   cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(256);
   cfg.hier.enabled = true;
-  cfg.hier.watchdog_timeout = 400;
-  cfg.hier.watchdog_mult = 3.0;
-  cfg.hier.probe_after = 2;
-  cfg.hier.probe_successes = 1;
+  cfg.gline.watchdog_timeout = 400;
+  cfg.gline.watchdog_mult = 3.0;
+  cfg.gline.probe_after = 2;
+  cfg.gline.probe_successes = 1;
   cfg.fault.seed = 7;
   cfg.fault.core_slow_rate = 0.25;
   cfg.fault.core_slow_factor = 6.0;

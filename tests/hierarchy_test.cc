@@ -203,8 +203,8 @@ TEST(HierarchyResilience, TotalLineFailureDegradesSafely) {
   // The safety invariant still holds: a cross-cluster straggler keeps
   // the whole chip waiting, and the episode completes (degraded).
   HierConfig cfg;
-  cfg.watchdog_timeout = 300;
-  cfg.max_retries = 1;
+  cfg.node.watchdog_timeout = 300;
+  cfg.node.max_retries = 1;
   Fixture f(8, 8, cfg);
   fault::FaultPlan plan;
   plan.seed = 7;
@@ -248,8 +248,8 @@ TEST_P(HierFaultFuzz, EpisodesAlwaysCompleteAndNeverReleaseEarly) {
   // Generous: an upper level's watchdog only starts at its first
   // cluster arrival, but a sibling cluster may burn its whole retry
   // budget (watchdog x retries) before forwarding anything.
-  cfg.watchdog_timeout = 2000;
-  cfg.max_retries = static_cast<std::uint32_t>(rng.NextBelow(3));
+  cfg.node.watchdog_timeout = 2000;
+  cfg.node.max_retries = static_cast<std::uint32_t>(rng.NextBelow(3));
   HierarchicalBarrierNetwork net(engine, rows, cols, cfg, stats);
 
   fault::FaultPlan plan;

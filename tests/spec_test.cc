@@ -284,10 +284,9 @@ TEST(HierEnergy, PerLevelTermsSumAndDominateFlatEquivalent) {
   auto barrier = MakeBarrier(BarrierKind::kGLH, sys);
   ASSERT_TRUE(sys.RunPrograms(
       [&](core::Core& c, CoreId id) { return wl.Body(c, id, *barrier); }));
-  ASSERT_NE(sys.hier(), nullptr);
 
-  const power::HierEnergyReport r = power::EstimateHier(sys.stats(), *sys.hier());
-  ASSERT_EQ(r.levels.size(), sys.hier()->num_levels());
+  const power::HierEnergyReport r = power::EstimateHier(sys.stats(), sys.gline());
+  ASSERT_EQ(r.levels.size(), sys.gline().num_levels());
   ASSERT_GE(r.levels.size(), 2u);  // 8x8 needs at least two levels
   double sum = 0;
   for (const power::HierEnergyLevel& lvl : r.levels) {

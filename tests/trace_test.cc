@@ -168,8 +168,10 @@ struct TracedRun {
 // parsed trace. `trace` toggles the sink so callers can compare timing.
 template <typename WorkloadT, typename... A>
 TracedRun RunTraced(std::uint32_t cores, bool trace_on, A&&... wl_args) {
-  const std::string path =
-      ::testing::TempDir() + "/glb_trace_test_" + std::to_string(cores) + ".json";
+  // One file per test: ctest runs the Trace tests as parallel processes.
+  const ::testing::TestInfo* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = ::testing::TempDir() + "/glb_trace_test_" +
+                           test->test_suite_name() + "." + test->name() + ".json";
   TracedRun out;
   {
     trace::FileSession session(trace_on ? path : std::string{});

@@ -283,7 +283,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
                   t.validation.empty() ? "ok" : t.validation});
   }
   table.Print(std::cout);
-  const auto energy = power::Estimate(sys.stats());
+  const auto energy = power::Estimate(sys.stats(), sys.gline());
   std::cout << "\n  cycles          " << sys.LastFinish() << '\n';
   std::cout << "  noc messages    "
             << sys.stats().SumCountersWithPrefix("noc.msgs.") << '\n';
@@ -336,8 +336,7 @@ int main(int argc, char** argv) {
   if (flags.Has("max-cycles")) {
     spec.max_cycles = static_cast<Cycle>(flags.GetInt("max-cycles", 0));
   }
-  cmp::CmpConfig cfg = spec.cfg;
-  if (spec.barrier == harness::BarrierKind::kGLH) cfg.hier.enabled = true;
+  const cmp::CmpConfig cfg = spec.cfg.ForBarrier(spec.barrier);
 
   // Build and run manually (RunExperiment hides the StatSet, which
   // --stats and the energy estimate need).
@@ -364,14 +363,10 @@ int main(int argc, char** argv) {
   // Interval sampler: watchdog windows and the compute-vs-wait breakdown
   // ride along as gauges next to every StatSet counter.
   trace::Sampler sampler(sys.engine(), sys.stats(), sample_interval);
-  if (sys.hier() != nullptr) {
-    for (std::uint32_t l = 0; l < sys.hier()->num_levels(); ++l) {
-      sampler.AddGauge("glh.l" + std::to_string(l) + ".c0.watchdog_window",
-                       [&sys, l] { return sys.hier()->node(l, 0).WatchdogWindow(); });
-    }
-  } else {
-    sampler.AddGauge("gl.ctx0.watchdog_window",
-                     [&sys] { return sys.gline().WatchdogWindow(); });
+  for (std::uint32_t l = 0; l < sys.gline().num_levels(); ++l) {
+    const gline::BarrierNetwork& node = sys.gline().node(l, 0);
+    sampler.AddGauge(node.stat_prefix() + ".watchdog_window",
+                     [&node] { return node.WatchdogWindow(); });
   }
   for (int c = 0; c < core::kNumTimeCats; ++c) {
     const auto cat = static_cast<core::TimeCat>(c);
@@ -397,7 +392,7 @@ int main(int argc, char** argv) {
   std::vector<gline::LevelWireSummary> hier_levels;
   if (want_heatmap) {
     heatmap = harness::CollectNocHeatmap(sys.mesh());
-    if (sys.hier() != nullptr) hier_levels = sys.hier()->LevelSummaries();
+    if (cfg.hier.enabled) hier_levels = sys.gline().LevelSummaries();
   }
   const harness::TimeseriesMeta ts_meta{
       "glbsim", spec.workload, harness::ToString(spec.barrier),
@@ -442,23 +437,11 @@ int main(int argc, char** argv) {
   }
   const std::string validation = workload->Validate(sys);
   const auto bd = sys.TotalBreakdown();
-  const auto energy = power::Estimate(sys.stats());
+  const auto energy = power::Estimate(sys.stats(), sys.gline());
   const std::uint64_t barriers =
       sys.stats().CounterValue("core.barriers") / sys.num_cores();
   const auto msgs = sys.stats().SumCountersWithPrefix("noc.msgs.");
-  // Resilience counters: flat network plus (in hier mode) every node.
-  std::uint64_t barrier_timeouts = sys.stats().CounterValue("gl.timeouts");
-  std::uint64_t barrier_retries = sys.stats().CounterValue("gl.retries");
-  std::uint64_t degraded_episodes = sys.stats().CounterValue("gl.degraded_episodes");
-  std::uint64_t barrier_probes = sys.stats().CounterValue("gl.probes");
-  std::uint64_t barrier_rejoins = sys.stats().CounterValue("gl.rejoins");
-  if (sys.hier() != nullptr) {
-    barrier_timeouts += sys.hier()->AggregateCounter("timeouts");
-    barrier_retries += sys.hier()->AggregateCounter("retries");
-    degraded_episodes += sys.hier()->AggregateCounter("degraded_episodes");
-    barrier_probes += sys.hier()->AggregateCounter("probes");
-    barrier_rejoins += sys.hier()->AggregateCounter("rejoins");
-  }
+  const harness::RunMetrics resilience = harness::CollectSystemMetrics(sys, status);
 
   if (want_csv) {
     auto kv = [](const std::string& k, const std::string& v) {
@@ -478,11 +461,11 @@ int main(int argc, char** argv) {
     kv("energy_noc_pj", harness::Table::Num(energy.noc_pj));
     if (sys.injector() != nullptr) {
       kv("faults_injected", std::to_string(sys.injector()->total_injected()));
-      kv("barrier_timeouts", std::to_string(barrier_timeouts));
-      kv("barrier_retries", std::to_string(barrier_retries));
-      kv("degraded_episodes", std::to_string(degraded_episodes));
-      kv("barrier_probes", std::to_string(barrier_probes));
-      kv("barrier_rejoins", std::to_string(barrier_rejoins));
+      kv("barrier_timeouts", std::to_string(resilience.barrier_timeouts));
+      kv("barrier_retries", std::to_string(resilience.barrier_retries));
+      kv("degraded_episodes", std::to_string(resilience.degraded_episodes));
+      kv("barrier_probes", std::to_string(resilience.barrier_probes));
+      kv("barrier_rejoins", std::to_string(resilience.barrier_rejoins));
     }
     kv("valid", validation.empty() ? "ok" : validation);
     return validation.empty() ? 0 : 1;
@@ -524,18 +507,18 @@ int main(int argc, char** argv) {
   }
   if (sys.injector() != nullptr) {
     std::cout << "  faults injected " << sys.injector()->total_injected()
-              << "  (timeouts " << barrier_timeouts
-              << ", retries " << barrier_retries
-              << ", degraded episodes " << degraded_episodes << ")\n";
-    if (barrier_probes > 0 || barrier_rejoins > 0) {
-      std::cout << "  self-healing    probes " << barrier_probes << ", rejoins "
-                << barrier_rejoins << '\n';
+              << "  (timeouts " << resilience.barrier_timeouts
+              << ", retries " << resilience.barrier_retries
+              << ", degraded episodes " << resilience.degraded_episodes << ")\n";
+    if (resilience.barrier_probes > 0 || resilience.barrier_rejoins > 0) {
+      std::cout << "  self-healing    probes " << resilience.barrier_probes
+                << ", rejoins " << resilience.barrier_rejoins << '\n';
     }
   }
-  if (sys.hier() != nullptr) {
-    std::cout << "  hier network    " << sys.hier()->num_levels() << " levels, "
-              << sys.hier()->num_clusters() << " clusters, "
-              << sys.hier()->total_lines() << " G-lines\n";
+  if (cfg.hier.enabled) {
+    std::cout << "  hier network    " << sys.gline().num_levels() << " levels, "
+              << sys.gline().num_clusters() << " clusters, "
+              << sys.gline().total_lines() << " G-lines\n";
   }
 
   if (want_stats) {
