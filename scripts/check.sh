@@ -159,6 +159,14 @@ grep -q '"glh.l0.c0.watchdog_window":5' BENCH_straggler_obs.json || {
   exit 1; }
 ./build/tools/glb_report BENCH_straggler_obs.json > /dev/null
 
+# Host-performance benchmark self-test (perfbench/README.md): tiny
+# variants of every workload must print every BENCHMARK.json metric,
+# keep traced and untraced counts and digests equal, and survive a
+# forced stall at a tiny --max-cycles (on ocean-dsw-64 that stops the
+# run with spinning cores parked in the engine). Builds .bench_build/.
+echo "=== perfbench self-test ==="
+python3 perfbench/selftest.py > /dev/null
+
 if [ "$RUN_TSAN" = "1" ]; then
   # The tsan preset builds only the bench/tool binaries; the sweeps
   # below exercise the ParallelFor pool exactly the way the figure and

@@ -80,6 +80,34 @@ void L1Controller::Load(Addr addr, LoadCallback done) {
             /*had_s_copy=*/false);
 }
 
+bool L1Controller::Watch(Addr addr, sim::Engine::Slot& watcher) {
+  GLB_CHECK(!mshr_.valid) << "core " << core_ << " issued a second outstanding op";
+  auto* line = cache_.Lookup(addr);
+  if (line == nullptr) return false;
+  hits_->Inc();
+  cache_.Touch(line);
+  watched_ = line;
+  watcher_ = &watcher;
+  engine_.Park(watcher, fabric_.config().l1_latency);
+  return true;
+}
+
+void L1Controller::CreditWatchedHits(std::uint64_t n) {
+  hits_->Inc(n);
+  // A dropped line's frame is invalid and cannot be reused before the
+  // core's next miss, so its stamp is dead either way; what counts is
+  // that the LRU clock advances as the skipped touches would have.
+  cache_.Touch(watched_, n);
+}
+
+void L1Controller::Drop(Cache::Line* line) {
+  if (line == watched_ && watcher_ != nullptr) {
+    watcher_->Disarm();
+    watcher_ = nullptr;
+  }
+  cache_.Invalidate(line);
+}
+
 void L1Controller::Store(Addr addr, Word value, StoreCallback done) {
   prof::Scope prof_scope(prof::Cat::kCoherence);
   GLB_CHECK(!mshr_.valid) << "core " << core_ << " issued a second outstanding op";
@@ -206,7 +234,7 @@ L1Controller::Cache::Line* L1Controller::AllocateFor(Addr line_addr) {
     }
     // S lines are dropped silently; the directory tolerates over-
     // approximate sharer sets (it may send us an Inv later; we ack it).
-    cache_.Invalidate(victim);
+    Drop(victim);
   }
   cache_.Install(victim, line_addr);
   return victim;
@@ -277,7 +305,7 @@ void L1Controller::CompleteMiss(Cache::Line* line) {
   // legal — but the copy must not linger.
   if (done.inv_after_fill) {
     GLB_CHECK(done.op == Mshr::Op::kLoad) << "inv_after_fill outside IS_D";
-    cache_.Invalidate(line);
+    Drop(line);
   }
 
   // Replay the forward belonging to the next transaction, which the
@@ -348,7 +376,7 @@ void L1Controller::OnFwd(const Message& msg) {
       << "forward to a non-owner in " << Name(line->meta.state);
   reply.data = cache_.CopyWords(line);
   if (wants_exclusive) {
-    cache_.Invalidate(line);
+    Drop(line);
   } else {
     line->meta.state = LineState::kS;
   }
@@ -371,7 +399,7 @@ void L1Controller::OnInv(const Message& msg) {
         auto* line = cache_.Lookup(msg.line_addr);
         GLB_CHECK(line != nullptr && line->meta.state == LineState::kS)
             << "SM_D without an S copy";
-        cache_.Invalidate(line);
+        Drop(line);
         mshr_.wait = Mshr::Wait::kIM_D;
         break;
       }
@@ -382,7 +410,7 @@ void L1Controller::OnInv(const Message& msg) {
   } else if (auto* line = cache_.Lookup(msg.line_addr); line != nullptr) {
     GLB_CHECK(line->meta.state == LineState::kS)
         << "Inv for a line in " << Name(line->meta.state);
-    cache_.Invalidate(line);
+    Drop(line);
   }
   // else: silently-evicted copy (or write-back in flight); ack anyway —
   // home counts acknowledgements, not copies.

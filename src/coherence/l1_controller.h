@@ -45,6 +45,19 @@ class L1Controller {
   /// `operand2` the desired one; for other ops `operand2` is ignored.
   void Amo(Addr addr, AmoOp op, Word operand, Word operand2, LoadCallback done);
 
+  /// One poll of a spin wait (core::Core::SpinUntil) whose previous
+  /// poll returned a value that failed the wait. On a hit it counts and
+  /// touches like Load, then, instead of scheduling the result, parks
+  /// `watcher` where that result's event would go and watches the line:
+  /// the line holds the same value for as long as it stays cached, so
+  /// every further poll would hit and fail too. Losing the line (an Inv,
+  /// a FwdGetX, an eviction) disarms `watcher`. Returns false, counting
+  /// nothing, on a miss: the caller then issues a real Load.
+  bool Watch(Addr addr, sim::Engine::Slot& watcher);
+  /// Credits `n` more hits on the line of the last Watch — polls its
+  /// parked spinner skipped — including their LRU touches.
+  void CreditWatchedHits(std::uint64_t n);
+
   /// Incoming protocol message from the NoC.
   void OnMessage(const Message& msg);
 
@@ -137,6 +150,9 @@ class L1Controller {
   /// Performs a read-modify-write on a word held in M.
   Word ApplyAmo(Cache::Line* line, Addr addr, AmoOp op, Word operand, Word operand2);
 
+  /// Invalidates `line`, disarming its spin watcher if it has one.
+  void Drop(Cache::Line* line);
+
   /// Makes room for `line_addr`, spilling a dirty/exclusive victim into
   /// the write-back buffer. Returns the line to install into.
   Cache::Line* AllocateFor(Addr line_addr);
@@ -151,6 +167,11 @@ class L1Controller {
   Cache cache_;
   Mshr mshr_;
   std::unordered_map<Addr, WbEntry> wb_buffer_;
+  /// The line of the last Watch (its frame stays valid to touch until
+  /// the core's next miss) and, while that line stays cached, the
+  /// parked spinner to disarm when it goes.
+  Cache::Line* watched_ = nullptr;
+  sim::Engine::Slot* watcher_ = nullptr;
 
   Counter* hits_ = nullptr;
   Counter* misses_ = nullptr;

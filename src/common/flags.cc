@@ -72,6 +72,12 @@ std::int64_t Flags::GetInt(const std::string& name, std::int64_t def) const {
   return n;
 }
 
+std::uint32_t Flags::GetUint32(const std::string& name, std::uint32_t def) const {
+  const std::int64_t n = GetInt(name, def);
+  if (n < 0 || n > std::int64_t{UINT32_MAX}) BadValue(name, *Find(name));
+  return static_cast<std::uint32_t>(n);
+}
+
 double Flags::GetDouble(const std::string& name, double def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;

@@ -11,7 +11,8 @@
 //
 // Numeric getters parse strictly (base 0 for integers, so 0x10 is
 // legal): an empty value, trailing characters or an out-of-range value
-// exits 2 with "bad value for --NAME: 'VALUE'".
+// exits 2 with "bad value for --NAME: 'VALUE'", as does a count
+// (GetUint32) that is negative or does not fit 32 bits.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,8 @@ class Flags {
 
   std::string GetString(const std::string& name, std::string def) const;
   std::int64_t GetInt(const std::string& name, std::int64_t def) const;
+  /// GetInt for a count: a value outside [0, 2^32 - 1] exits 2 too.
+  std::uint32_t GetUint32(const std::string& name, std::uint32_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 

@@ -33,4 +33,55 @@ void Core::Run(Task program, std::function<void()> on_done) {
   });
 }
 
+void Core::BeginSpin(const Spin& spin) {
+  spin_ = spin;
+  BeginOp(TimeCat::kRead);
+  loads_->Inc();
+  l1_.Load(spin_.addr, [this](Word v) { OnSpinValue(v); });
+}
+
+void Core::OnSpinValue(Word v) {
+  if (spin_.passes(spin_.awaiter, v)) {
+    EndOp();
+    // The resumed coroutine body is workload code until its next
+    // suspension point (host profiler; docs/OBSERVABILITY.md).
+    prof::Scope prof_scope(prof::Cat::kWorkload);
+    spin_.waiter.resume();
+    return;
+  }
+  Repoll();
+}
+
+void Core::Repoll() {
+  // The finished poll's time is charged as its own op would have been;
+  // the next poll starts now.
+  breakdown_[op_cat_] += engine_.Now() - op_start_;
+  op_start_ = engine_.Now();
+  loads_->Inc();
+  // A hit re-reads the value that just failed (the line cannot change
+  // while cached), so it parks; a miss is a real load.
+  if (!l1_.Watch(spin_.addr, spin_slot_)) {
+    l1_.Load(spin_.addr, [this](Word v) { OnSpinValue(v); });
+  }
+}
+
+void Core::SettleSpin() {
+  // The slot's latest hop re-issued the poll at due - period: polls up
+  // to that cycle were issued and every one before it has returned.
+  const Cycle last = spin_slot_.due() - spin_slot_.period();
+  if (last == op_start_) return;
+  const std::uint64_t skipped = (last - op_start_) / spin_slot_.period();
+  loads_->Inc(skipped);
+  l1_.CreditWatchedHits(skipped);
+  breakdown_[op_cat_] += last - op_start_;
+  op_start_ = last;
+}
+
+void Core::SpinSlot::Fire() {
+  // The line went away: the poll issued one period ago returns its
+  // (failing) value now, and the loop's next load misses.
+  core_.SettleSpin();
+  core_.Repoll();
+}
+
 }  // namespace glb::core

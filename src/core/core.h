@@ -12,6 +12,13 @@
 // synchronization runtime re-labels its internal memory traffic via
 // CategoryScope, so a spin load inside a software barrier is charged to
 // Barrier, not Read.
+//
+// A spin wait (SpinUntil) gives the same simulated results as a loop of
+// Loads but costs no event per poll: while the polled line stays cached
+// its value cannot change, so after the first failing hit the core
+// parks in an engine Slot that keeps the poll loop's exact place in the
+// event order, and the skipped polls are credited lazily (docs/
+// PERFORMANCE.md §9).
 #pragma once
 
 #include <functional>
@@ -227,6 +234,37 @@ class Core {
     void await_resume() const noexcept {}
   };
 
+  /// The poll loop `Word v; do v = co_await Load(addr); while
+  /// (!pred(v));` as one awaitable, resuming with the first value that
+  /// passes. `pred` must be a pure function of the value. Every poll is
+  /// still counted (core.loads, l1.hits, the line's LRU stamp, the time
+  /// category), at the cycles and in the event order the loop gives;
+  /// only polls that hit an unchanged line run no event.
+  template <typename Pred>
+  struct SpinAwaiter {
+    Core& core;
+    Addr addr;
+    Pred pred;
+    Word result = 0;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      core.BeginSpin(Spin{addr, &Passes, this, h});
+    }
+    Word await_resume() const noexcept { return result; }
+
+    static bool Passes(void* self, Word v) {
+      auto* a = static_cast<SpinAwaiter*>(self);
+      if (!a->pred(v)) return false;
+      a->result = v;
+      return true;
+    }
+  };
+
+  template <typename Pred>
+  [[nodiscard]] SpinAwaiter<Pred> SpinUntil(Addr addr, Pred pred) {
+    return SpinAwaiter<Pred>{*this, addr, std::move(pred)};
+  }
+
   [[nodiscard]] WaitForAwaiter WaitFor(std::function<void(std::function<void()>)> arm,
                                        TimeCat cat = TimeCat::kBusy) {
     return WaitForAwaiter{*this, std::move(arm), cat};
@@ -248,21 +286,52 @@ class Core {
  private:
   friend struct LoadAwaiter;
 
+  /// The spin in progress: what to poll and how to test and hand back
+  /// a value (set by SpinAwaiter, which lives on the coroutine frame).
+  struct Spin {
+    Addr addr = 0;
+    bool (*passes)(void* awaiter, Word v) = nullptr;
+    void* awaiter = nullptr;
+    std::coroutine_handle<> waiter;
+  };
+
+  /// The core's place in the event order while it is parked in a spin.
+  class SpinSlot final : public sim::Engine::Slot {
+   public:
+    explicit SpinSlot(Core& core) : core_(core) {}
+
+   private:
+    void Fire() override;
+    void Settle() override { core_.SettleSpin(); }
+    Core& core_;
+  };
+
+  void BeginSpin(const Spin& spin);
+  /// A poll's value arrives (real loads only).
+  void OnSpinValue(Word v);
+  /// The poll loop's next iteration, right after a failing value: the
+  /// next Load, parked if it hits.
+  void Repoll();
+  /// Credits the polls a parked spin has skipped so far.
+  void SettleSpin();
+
   void BeginOp(TimeCat def) {
     GLB_CHECK(!op_pending_) << "overlapping operations on core " << id_;
     op_pending_ = true;
     op_cat_ = cat_stack_.empty() ? def : cat_stack_.back();
     op_start_ = engine_.Now();
+    span_start_ = op_start_;
   }
   void EndOp() {
     GLB_CHECK(op_pending_) << "EndOp without BeginOp";
     op_pending_ = false;
     breakdown_[op_cat_] += engine_.Now() - op_start_;
-    if (trace::Active() && engine_.Now() > op_start_) {
+    if (trace::Active() && engine_.Now() > span_start_) {
       // Per-tile compute-vs-barrier timeline. Ops are strictly
       // sequential per core (checked above), so plain spans suffice;
-      // zero-length ops are skipped to keep traces small.
-      trace::Sink().Complete(trace_track_, ToString(op_cat_), op_start_,
+      // zero-length ops are skipped to keep traces small. A spin wait
+      // is one span.
+      trace::Sink().Complete(trace_track_, ToString(op_cat_), span_start_,
                              engine_.Now());
     }
   }
@@ -288,7 +357,14 @@ class Core {
   std::string trace_track_;
   bool op_pending_ = false;
   TimeCat op_cat_ = TimeCat::kBusy;
+  /// Start of the time not yet in breakdown_: the op's start, or in a
+  /// spin the issue cycle of its latest poll.
   Cycle op_start_ = 0;
+  /// Start of the op's trace span (the whole spin, in a spin wait).
+  Cycle span_start_ = 0;
+
+  Spin spin_;
+  SpinSlot spin_slot_{*this};
 
   Counter* loads_ = nullptr;
   Counter* stores_ = nullptr;

@@ -28,10 +28,8 @@ std::unique_ptr<sync::Barrier> MakeBarrier(BarrierKind kind, cmp::CmpSystem& sys
   return sync::MakeBarrier(kind, env);
 }
 
-RunMetrics RunExperiment(const WorkloadFactory& make_workload, BarrierKind kind,
-                         const cmp::CmpConfig& cfg, Cycle max_cycles) {
-  auto workload = make_workload();
-  if (const std::string why = workload->ValidateConfig(cfg.num_cores()); !why.empty()) {
+void ValidateSizeOrExit(const workloads::Workload& workload, std::uint32_t cores) {
+  if (const std::string why = workload.ValidateConfig(cores); !why.empty()) {
     // Diagnosed like a bad flag. Sweeps land here from worker threads:
     // the first to fail reports, and no exit handler runs under the rest.
     static std::mutex report;
@@ -40,6 +38,12 @@ RunMetrics RunExperiment(const WorkloadFactory& make_workload, BarrierKind kind,
     std::cerr << "bad workload size: " << why << "\n";
     std::_Exit(2);
   }
+}
+
+RunMetrics RunExperiment(const WorkloadFactory& make_workload, BarrierKind kind,
+                         const cmp::CmpConfig& cfg, Cycle max_cycles) {
+  auto workload = make_workload();
+  ValidateSizeOrExit(*workload, cfg.num_cores());
   cmp::CmpSystem sys(cfg.ForBarrier(kind));
   workload->Init(sys);
   auto barrier = MakeBarrier(kind, sys);

@@ -96,6 +96,11 @@ RunMetrics CollectMetrics(cmp::CmpSystem& sys, const sim::RunStatus& status,
 RunMetrics CollectSystemMetrics(cmp::CmpSystem& sys, const sim::RunStatus& status,
                                 double wall_ms = 0.0);
 
+/// Exits 2 with "bad workload size: ..." when `workload` cannot be
+/// partitioned over `cores` (Workload::ValidateConfig). Safe to call
+/// from sweep worker threads: the first failure reports.
+void ValidateSizeOrExit(const workloads::Workload& workload, std::uint32_t cores);
+
 /// Runs one experiment to completion (or `max_cycles`) and collects the
 /// metrics. The system is built fresh with its G-line device shaped for
 /// `kind` (CmpConfig::ForBarrier), the workload initialized, one program

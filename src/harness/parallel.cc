@@ -35,6 +35,11 @@ void ParallelFor(std::size_t n, int jobs, const std::function<void(std::size_t)>
 
 std::vector<RunMetrics> RunExperimentsParallel(const std::vector<ExperimentSpec>& specs,
                                                int jobs) {
+  // A bad size anywhere in the sweep exits before any run starts, not
+  // after the runs queued ahead of it.
+  for (const ExperimentSpec& spec : specs) {
+    ValidateSizeOrExit(*FactoryOf(spec)(), spec.cfg.num_cores());
+  }
   std::vector<RunMetrics> results(specs.size());
   ParallelFor(specs.size(), jobs,
               [&](std::size_t i) { results[i] = RunExperiment(specs[i]); });

@@ -70,7 +70,7 @@ Scale Scale::WithFlags(const Flags& flags) const {
     s.unstr_steps = 8;
   }
   const auto u32 = [&flags](const char* name, std::uint32_t fallback) {
-    return static_cast<std::uint32_t>(flags.GetInt(name, fallback));
+    return flags.GetUint32(name, fallback);
   };
   s.synthetic_iters = u32("synthetic-iters", s.synthetic_iters);
   s.k2_n = u32("k2-n", s.k2_n);
@@ -227,11 +227,15 @@ std::unique_ptr<workloads::Workload> MakeWorkloadOrExit(const std::string& name,
   return workload;
 }
 
-RunMetrics RunExperiment(const ExperimentSpec& spec) {
-  const WorkloadFactory factory =
+WorkloadFactory FactoryOf(const ExperimentSpec& spec) {
+  WorkloadFactory factory =
       spec.factory ? spec.factory : MakeWorkloadFactory(spec.workload, spec.scale);
-  GLB_CHECK(factory != nullptr);  // unknown workload name
-  return RunExperiment(factory, spec.barrier, spec.cfg, spec.max_cycles);
+  GLB_CHECK(factory != nullptr) << "unknown workload " << spec.workload;
+  return factory;
+}
+
+RunMetrics RunExperiment(const ExperimentSpec& spec) {
+  return RunExperiment(FactoryOf(spec), spec.barrier, spec.cfg, spec.max_cycles);
 }
 
 }  // namespace glb::harness

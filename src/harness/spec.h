@@ -143,8 +143,13 @@ inline ExperimentSpec FactoryExperiment(WorkloadFactory factory,
   return s;
 }
 
+/// The spec's workload factory: `factory` when set, else the registry
+/// entry (GLB_CHECK-fails on an unknown workload name; CLI front-ends
+/// validate names first via MakeWorkloadOrExit).
+WorkloadFactory FactoryOf(const ExperimentSpec& spec);
+
 /// Runs the spec'd experiment (GLB_CHECK-fails on an unknown workload
-/// name; CLI front-ends validate names first via MakeWorkloadOrExit).
+/// name, as FactoryOf).
 RunMetrics RunExperiment(const ExperimentSpec& spec);
 
 }  // namespace glb::harness

@@ -125,6 +125,11 @@ class CacheArray {
 
   /// Marks `line` most-recently-used.
   void Touch(Line* line) { line->lru_stamp = ++lru_clock_; }
+  /// `times` back-to-back Touch(line) calls.
+  void Touch(Line* line, std::uint64_t times) {
+    lru_clock_ += times;
+    line->lru_stamp = lru_clock_;
+  }
 
   Word ReadWord(const Line* line, Addr a) const {
     return WordsOf(line)[WordIndex(line, a)];

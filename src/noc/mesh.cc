@@ -28,6 +28,8 @@ Mesh::Mesh(sim::Engine& engine, const MeshConfig& cfg, StatSet& stats)
     : engine_(engine),
       cfg_(cfg),
       routers_(cfg.num_nodes()),
+      inject_floor_(cfg.num_nodes(), 0),
+      local_floor_(cfg.num_nodes(), 0),
       link_flits_(cfg.num_nodes()),
       router_flits_(cfg.num_nodes()) {
   GLB_CHECK(cfg.rows > 0 && cfg.cols > 0) << "empty mesh";
@@ -99,15 +101,16 @@ void Mesh::Send(Packet pkt) {
             .json());
   }
   const CoreId src = flight.pkt.src;
-  eng.ScheduleIn(cfg_.router_latency + penalty,
+  eng.ScheduleAt(Book(inject_floor_[src], eng.Now() + cfg_.router_latency + penalty),
                  [this, src, f = std::move(flight)]() mutable {
                    RouteAt(src, std::move(f));
                  });
 }
 
 void Mesh::DeliverLocal(InFlight flight, Cycle penalty) {
-  engine_.ScheduleIn(cfg_.local_latency + penalty,
-                     [f = std::move(flight)]() mutable { f.pkt.deliver(); });
+  const Cycle at =
+      Book(local_floor_[flight.pkt.src], engine_.Now() + cfg_.local_latency + penalty);
+  engine_.ScheduleAt(at, [f = std::move(flight)]() mutable { f.pkt.deliver(); });
 }
 
 void Mesh::RouteAt(CoreId node, InFlight flight) {

@@ -16,6 +16,7 @@
 // (round-robin across VNets per link).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -60,7 +61,12 @@ class Mesh {
   /// cycle count is added to the packet's injection latency, modeling a
   /// slow link or a CRC-detected corruption that forces a retransmit.
   /// Packets are never silently lost: the coherence protocol has no
-  /// end-to-end timeout, so link-level recovery is the contract.
+  /// end-to-end timeout, so link-level recovery is the contract. Nor
+  /// are they reordered: a packet never enters the network (or, sent
+  /// to its own tile, is never delivered) before an earlier packet from
+  /// the same source, so a penalty delays the packets queued behind it
+  /// and every source/destination pair stays FIFO, as the directory
+  /// protocol needs. Without penalties that floor never binds.
   /// nullptr clears.
   using FaultHook = std::function<Cycle(const Packet&)>;
   void SetFaultHook(FaultHook hook) { fault_ = std::move(hook); }
@@ -137,11 +143,21 @@ class Mesh {
   // Starts transmitting the next queued packet on (node, dir) if idle.
   void PumpLink(CoreId node, Dir d);
   void DeliverLocal(InFlight flight, Cycle penalty);
+  /// `earliest`, raised to the last cycle booked in `floor`, which it
+  /// then becomes: the per-source FIFO rule of SetFaultHook.
+  static Cycle Book(Cycle& floor, Cycle earliest) {
+    floor = std::max(floor, earliest);
+    return floor;
+  }
 
   sim::Engine& engine_;
   MeshConfig cfg_;
   std::vector<Router> routers_;
   FaultHook fault_;
+  /// Per source: the cycle its latest packet enters the network, and
+  /// the cycle its latest tile-local packet is delivered.
+  std::vector<Cycle> inject_floor_;
+  std::vector<Cycle> local_floor_;
   std::vector<std::array<std::uint64_t, kNumDirs>> link_flits_;
   std::vector<std::uint64_t> router_flits_;
 

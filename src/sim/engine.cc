@@ -49,27 +49,60 @@ void Engine::ScheduleAt(Cycle at, Callback fn) {
                          << " now=" << now_;
   GLB_DCHECK(static_cast<bool>(fn)) << "null event callback";
   Node* n = AllocNode();
-  n->next = nullptr;
   n->fn = std::move(fn);
   ++pending_;
   if (at - now_ < kRingCycles) {
     // Near future: append to the cycle's FIFO bucket. No allocation, no
     // heap sift — the common case (mesh hops, cache latencies, G-line
     // flushes, even DRAM fills are all inside the ring window).
-    const std::size_t idx = static_cast<std::size_t>(at & kRingMask);
-    Bucket& bkt = ring_[idx];
-    if (bkt.tail != nullptr) {
-      bkt.tail->next = n;
-    } else {
-      bkt.head = n;
-      occupied_[idx >> 6] |= 1ull << (idx & 63);
-    }
-    bkt.tail = n;
+    LinkRing(n, at);
     ++ring_count_;
   } else {
+    n->next = nullptr;
     far_.push_back(FarEvent{at, next_seq_++, n});
     std::push_heap(far_.begin(), far_.end(), After);
   }
+}
+
+void Engine::Park(Slot& slot, Cycle period) {
+  GLB_CHECK(!slot.linked_) << "parking a slot that is already linked";
+  GLB_CHECK(period >= 1 && period < kRingCycles) << "slot period " << period;
+  slot.period_ = period;
+  slot.due_ = now_ + period;
+  slot.armed_ = true;
+  slot.linked_ = true;
+  slot.prev_ = nullptr;
+  slot.next_ = slots_;
+  if (slots_ != nullptr) slots_->prev_ = &slot;
+  slots_ = &slot;
+  ++pending_;
+  ++ring_count_;
+  LinkRing(&slot, slot.due_);
+}
+
+void Engine::SettleSlots() {
+  for (Slot* s = slots_; s != nullptr; s = s->next_) s->Settle();
+}
+
+void Engine::DispatchSlot(Node* n) {
+  Slot* s = static_cast<Slot*>(n);
+  if (s->armed_) {
+    // A hop: the place the poll's next event would take, one period on.
+    s->due_ = now_ + s->period_;
+    LinkRing(n, s->due_);
+    return;
+  }
+  s->linked_ = false;
+  if (s->prev_ != nullptr) {
+    s->prev_->next_ = s->next_;
+  } else {
+    slots_ = s->next_;
+  }
+  if (s->next_ != nullptr) s->next_->prev_ = s->prev_;
+  --pending_;
+  --ring_count_;
+  ++events_processed_;
+  s->Fire();
 }
 
 Cycle Engine::NextRingCycle() const {
@@ -128,6 +161,10 @@ void Engine::RunCurrentCycle() {
     // With many events pending, successive nodes of one bucket can sit
     // a chunk-stride apart; fetch the successor while this event runs.
     if (bkt.head != nullptr) __builtin_prefetch(bkt.head);
+    if (!n->fn) {
+      DispatchSlot(n);
+      continue;
+    }
     Task fn = std::move(n->fn);
     FreeNode(n);
     --pending_;
@@ -146,6 +183,7 @@ RunStatus Engine::RunUntilIdleStatus(Cycle max_cycles) {
   while (pending_ > 0) {
     const Cycle next = NextEventCycle();
     if (next > max_cycles) {
+      SettleSlots();
       return RunStatus{.idle = false,
                        .now = now_,
                        .pending_events = pending_,
@@ -167,6 +205,7 @@ void Engine::RunUntil(Cycle until) {
     RunCurrentCycle();
   }
   now_ = until;
+  SettleSlots();
 }
 
 }  // namespace glb::sim

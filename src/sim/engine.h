@@ -14,6 +14,12 @@
 // recycled through a free list and callbacks are sim::Task (48-byte
 // inline storage), so the bucket fast path performs zero heap
 // allocations in steady state.
+//
+// A Slot is the one node that is not an event: a parked poll loop's
+// place in line (docs/PERFORMANCE.md §9). While armed it hops from
+// bucket to bucket without running anything, so a core that polls an
+// unchanging cached value costs one relink per poll instead of one
+// event, and event order stays exactly what the poll events gave.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +57,7 @@ struct RunStatus {
 class Engine {
  public:
   using Callback = Task;
+  class Slot;
 
   Engine();
   ~Engine();
@@ -69,6 +76,19 @@ class Engine {
   /// the event runs later this same cycle, after already-queued
   /// same-cycle events).
   void ScheduleIn(Cycle delta, Callback fn) { ScheduleAt(now_ + delta, std::move(fn)); }
+
+  /// Links `slot` at the tail of the bucket `period` cycles ahead,
+  /// armed: exactly where an event that re-issues a `period`-cycle
+  /// operation would append its successor if scheduled now. Until it is
+  /// disarmed, every dispatch relinks it `period` cycles further on
+  /// without running anything. 1 <= period < kRingCycles.
+  void Park(Slot& slot, Cycle period);
+
+  /// Calls Settle() on every linked slot, so state the slots' owners
+  /// credit lazily is exact. The run loops do this before they return
+  /// with slots still linked; a mid-run observer (the interval sampler)
+  /// calls it before it reads.
+  void SettleSlots();
 
   /// Runs events until the queue empties or the simulated clock passes
   /// `max_cycles`. Returns true if the queue drained (the simulated
@@ -107,11 +127,55 @@ class Engine {
   static constexpr std::size_t kOccWords = kRingCycles / 64;
   static constexpr std::size_t kNodesPerChunk = 1024;
 
+  /// An event, or (with `fn` empty) the node of a parked Slot.
   struct Node {
     Node* next = nullptr;
     Task fn;
   };
 
+ public:
+  /// A recurring place in the event order that costs no event while it
+  /// recurs. The owner Park()s it where a poll loop's next event would
+  /// go; each dispatch of an armed slot is a hop to the tail of the
+  /// bucket `period` cycles ahead — where that event would have
+  /// appended its successor — and is not counted as an event. A linked
+  /// slot counts as one pending event, so the engine never goes idle
+  /// under it. Once Disarm()ed, its next dispatch unlinks it and runs
+  /// Fire() as an ordinary event, in the place the poll's event would
+  /// have had.
+  class Slot : Node {  // its Node's fn stays empty: dispatch's mark
+   public:
+    Slot() = default;
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+    /// Ends the hops: the next dispatch fires the slot.
+    void Disarm() { armed_ = false; }
+    /// Cycle of the next dispatch and the hop length (while linked).
+    Cycle due() const { return due_; }
+    Cycle period() const { return period_; }
+
+   protected:
+    virtual ~Slot() = default;
+    /// Runs when a disarmed slot is dispatched; the slot is already
+    /// unlinked, so it may Park itself again.
+    virtual void Fire() = 0;
+    /// Credits the hops made so far to whatever the owner accounts
+    /// lazily (Engine::SettleSlots).
+    virtual void Settle() = 0;
+
+   private:
+    friend class Engine;
+    Cycle due_ = 0;
+    Cycle period_ = 1;
+    bool armed_ = false;
+    bool linked_ = false;
+    /// Neighbours in the engine's list of linked slots (SettleSlots).
+    Slot* prev_ = nullptr;
+    Slot* next_ = nullptr;
+  };
+
+ private:
   /// Singly-linked FIFO of same-(cycle mod ring) events.
   struct Bucket {
     Node* head = nullptr;
@@ -133,6 +197,21 @@ class Engine {
   }
 
   Node* AllocNode();
+  /// Appends `n` to the FIFO bucket of ring cycle `at`.
+  void LinkRing(Node* n, Cycle at) {
+    const std::size_t idx = static_cast<std::size_t>(at & kRingMask);
+    Bucket& bkt = ring_[idx];
+    n->next = nullptr;
+    if (bkt.tail != nullptr) {
+      bkt.tail->next = n;
+    } else {
+      bkt.head = n;
+      occupied_[idx >> 6] |= 1ull << (idx & 63);
+    }
+    bkt.tail = n;
+  }
+  /// Dispatches a slot's node: a hop while armed, else unlink and Fire.
+  void DispatchSlot(Node* n);
   void FreeNode(Node* n) {
     n->next = free_;
     free_ = n;
@@ -175,6 +254,8 @@ class Engine {
   /// RunCurrentCycle).
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  /// Linked slots (a doubly-linked list through Slot::prev_/next_).
+  Slot* slots_ = nullptr;
 };
 
 }  // namespace glb::sim

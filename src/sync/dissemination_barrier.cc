@@ -53,10 +53,8 @@ core::Task DisseminationBarrier::Wait(core::Core& core) {
     const CoreId partner =
         static_cast<CoreId>((me + (1u << k)) % num_cores_);
     co_await core.Store(FlagAddr(parity, k, partner), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, k, me));
-      if (f == sense) break;
-    }
+    co_await core.SpinUntil(FlagAddr(parity, k, me),
+                            [sense](Word f) { return f == sense; });
   }
 }
 

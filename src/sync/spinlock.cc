@@ -18,15 +18,13 @@ Task SpinLock::Acquire(Core& core) {
   Cycle backoff = kBackoffBase;
   while (true) {
     // Test: spin in S without bus traffic until the lock looks free.
-    const Word v = co_await core.Load(addr_);
-    if (v == 0) {
-      // Test-and-set: one shot at the exclusive copy.
-      const Word old = co_await core.Amo(addr_, AmoOp::kTestAndSet, 1);
-      if (old == 0) co_return;
-      // Lost the race; back off to damp the GetX storm.
-      co_await core.Compute(backoff);
-      backoff = std::min<Cycle>(backoff * 2, kBackoffMax);
-    }
+    co_await core.SpinUntil(addr_, [](Word v) { return v == 0; });
+    // Test-and-set: one shot at the exclusive copy.
+    const Word old = co_await core.Amo(addr_, AmoOp::kTestAndSet, 1);
+    if (old == 0) co_return;
+    // Lost the race; back off to damp the GetX storm.
+    co_await core.Compute(backoff);
+    backoff = std::min<Cycle>(backoff * 2, kBackoffMax);
   }
 }
 

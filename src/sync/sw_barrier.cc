@@ -45,10 +45,7 @@ Task CentralBarrier::Wait(Core& core) {
     co_await core.Store(sense_, my_sense);
   } else {
     // S2 busy-wait: spins locally in S until the release invalidates.
-    while (true) {
-      const Word s = co_await core.Load(sense_);
-      if (s == my_sense) break;
-    }
+    co_await core.SpinUntil(sense_, [my_sense](Word s) { return s == my_sense; });
   }
 }
 
@@ -116,10 +113,8 @@ Task TreeBarrier::Wait(Core& core) {
     const Word prior = co_await core.Amo(nodes_[node].count_addr, AmoOp::kFetchAdd, 1);
     if (prior + 1 < nodes_[node].expected) {
       // Not last: busy-wait on this node's release word (S2 stage).
-      while (true) {
-        const Word r = co_await core.Load(nodes_[node].release_addr);
-        if (r == my_sense) break;
-      }
+      co_await core.SpinUntil(nodes_[node].release_addr,
+                              [my_sense](Word r) { return r == my_sense; });
       break;
     }
     // Last arriver here: this node is complete.

@@ -115,13 +115,9 @@ core::Task TunedBarrier::Negotiate(core::Core& core) {
       chosen_[0] = static_cast<std::int32_t>(idx);
       co_await core.Store(choice_addr_, static_cast<Word>(idx + 1));
     } else {
-      while (true) {
-        const Word w = co_await core.Load(choice_addr_);
-        if (w != 0) {
-          chosen_[me] = static_cast<std::int32_t>(w - 1);
-          break;
-        }
-      }
+      const Word w =
+          co_await core.SpinUntil(choice_addr_, [](Word v) { return v != 0; });
+      chosen_[me] = static_cast<std::int32_t>(w - 1);
     }
   }
   co_await Candidate(static_cast<std::size_t>(chosen_[me]))->Wait(core);

@@ -80,28 +80,22 @@ Task RecursiveDoublingBarrier::Wait(Core& core) {
     // Extra core: report to the proxy, wait to be released.
     const CoreId proxy = me - pow_;
     co_await core.Store(FlagAddr(parity, arrival_slot, proxy), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, release_slot, me));
-      if (f == sense) break;
-    }
+    co_await core.SpinUntil(FlagAddr(parity, release_slot, me),
+                            [sense](Word f) { return f == sense; });
     co_return;
   }
 
   const bool has_extra = me + pow_ < num_cores_;
   if (has_extra) {
     // Proxy: absorb the extra's arrival before entering the exchange.
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, arrival_slot, me));
-      if (f == sense) break;
-    }
+    co_await core.SpinUntil(FlagAddr(parity, arrival_slot, me),
+                            [sense](Word f) { return f == sense; });
   }
   for (std::uint32_t k = 0; k < rounds_; ++k) {
     const CoreId partner = me ^ (1u << k);
     co_await core.Store(FlagAddr(parity, k, partner), sense);
-    while (true) {
-      const Word f = co_await core.Load(FlagAddr(parity, k, me));
-      if (f == sense) break;
-    }
+    co_await core.SpinUntil(FlagAddr(parity, k, me),
+                            [sense](Word f) { return f == sense; });
   }
   if (has_extra) {
     co_await core.Store(FlagAddr(parity, release_slot, me + pow_), sense);
@@ -160,10 +154,8 @@ Task GaloisFastBarrier::Wait(Core& core) {
       co_await core.Store(ReleaseAddr(parity, 0), sense);
     }
   }
-  while (true) {
-    const Word f = co_await core.Load(ReleaseAddr(parity, me));
-    if (f == sense) break;
-  }
+  co_await core.SpinUntil(ReleaseAddr(parity, me),
+                          [sense](Word f) { return f == sense; });
   // Cascade: wake both children in the id-order binary tree.
   const std::uint64_t left = std::uint64_t{me} * 2 + 1;
   if (left < num_cores_) {

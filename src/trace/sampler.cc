@@ -15,6 +15,9 @@ void Sampler::Start() {
 }
 
 void Sampler::Snapshot() {
+  // Parked spinners credit their skipped polls lazily; bring every
+  // counter and time breakdown up to this point of the run first.
+  engine_.SettleSlots();
   Sample s;
   s.t = engine_.Now();
   const auto visit = [&](const std::string& name, std::uint64_t value) {

@@ -11,7 +11,8 @@
 // deterministic for fixed flags and any --jobs value. The ticks do add
 // to Engine::events_processed(), so `host_events` in a manifest grows
 // with sampling on; every *simulated* observable is unchanged (the
-// sampler only reads state).
+// sampler only reads state, after Engine::SettleSlots has credited the
+// polls that parked spinners skipped).
 //
 // Each sample records the absolute value of every counter/gauge whose
 // value CHANGED since the previous tick (first tick: every nonzero

@@ -85,5 +85,38 @@ TEST(EngineAlloc, RecyclesNodesAcrossEpisodes) {
   EXPECT_EQ(fired, 32u + 10000u);
 }
 
+class ReparkingSlot final : public Engine::Slot {
+ public:
+  explicit ReparkingSlot(Engine& e) : e_(e) {}
+  int fired = 0;
+
+ private:
+  void Fire() override {
+    if (++fired % 2 == 1) e_.Park(*this, 3);  // park again from Fire
+  }
+  void Settle() override {}
+  Engine& e_;
+};
+
+TEST(EngineAlloc, SlotParkHopAndFireAreAllocationFree) {
+  Engine e;
+  ReparkingSlot slot(e);
+  std::uint64_t sink = 0;
+  const auto pattern = [&]() {
+    e.ScheduleIn(0, [&]() { e.Park(slot, 1); });
+    e.ScheduleIn(40, [&]() { slot.Disarm(); });
+    e.ScheduleIn(60, [&]() { slot.Disarm(); });
+    for (Cycle d = 0; d < 64; ++d) e.ScheduleIn(d, [&sink, d]() { sink += d; });
+    e.RunUntilIdle();
+  };
+  pattern();  // warm
+  const std::uint64_t before = g_allocs.load();
+  for (int rep = 0; rep < 16; ++rep) pattern();
+  EXPECT_EQ(g_allocs.load(), before)
+      << "slot park/hop/fire allocated " << (g_allocs.load() - before) << " times";
+  EXPECT_EQ(slot.fired, 2 * 17);
+  EXPECT_GT(sink, 0u);
+}
+
 }  // namespace
 }  // namespace glb::sim

@@ -2,6 +2,9 @@
 // run-control semantics.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.h"
@@ -148,6 +151,138 @@ TEST(Engine, ManyEventsStressOrdering) {
       ASSERT_LT(fired[i - 1].second, fired[i].second) << "FIFO tie-break violated";
     }
   }
+}
+
+/// A seeded soup of delay-0/1/2 and far events, plus one poll loop
+/// that re-arms every cycle from event `kStartId` until event
+/// `kTriggerId` ends it. The poll loop is either a self-rescheduling
+/// 1-cycle Task chain or a parked Slot: every soup event must dispatch
+/// in the same order and cycle either way, and the slot must fire where
+/// the chain's last step ran.
+class PollSoup {
+ public:
+  static constexpr int kStartId = 3;
+  static constexpr int kTriggerId = 60;
+  static constexpr int kRoots = 100;
+  /// Log entry of the poll loop's final step (the chain's last event,
+  /// the slot's Fire).
+  static constexpr int kPollEnd = -1;
+
+  PollSoup(std::uint64_t seed, bool use_slot)
+      : rng_(seed), use_slot_(use_slot), slot_(*this) {}
+
+  void Run() {
+    for (int i = 0; i < kRoots; ++i) {
+      const Cycle at = i == kStartId ? 10 : i == kTriggerId ? 120 : Pick(0, 200);
+      e_.ScheduleAt(at, [this, i] { Dispatch(i); });
+    }
+    next_id_ = kRoots;
+    ASSERT_TRUE(e_.RunUntilIdle());
+  }
+
+  std::vector<std::pair<int, Cycle>> log;
+  std::uint64_t chain_steps = 0;
+  std::uint64_t events() const { return e_.events_processed(); }
+
+ private:
+  class LoggingSlot final : public Engine::Slot {
+   public:
+    explicit LoggingSlot(PollSoup& soup) : soup_(soup) {}
+
+   private:
+    void Fire() override { soup_.log.emplace_back(kPollEnd, soup_.e_.Now()); }
+    void Settle() override {}
+    PollSoup& soup_;
+  };
+
+  Cycle Pick(Cycle lo, Cycle hi) {
+    return std::uniform_int_distribution<Cycle>(lo, hi)(rng_);
+  }
+
+  void Dispatch(int id) {
+    log.emplace_back(id, e_.Now());
+    if (id == kStartId) {
+      if (use_slot_) {
+        e_.Park(slot_, 1);
+      } else {
+        e_.ScheduleIn(1, [this] { ChainStep(); });
+      }
+    }
+    if (id == kTriggerId) {
+      if (use_slot_) {
+        slot_.Disarm();
+      } else {
+        stop_ = true;
+      }
+    }
+    if (next_id_ >= 3000) return;
+    for (Cycle children = Pick(0, 2); children > 0; --children) {
+      static constexpr Cycle kDelays[] = {0, 1, 2, Engine::kRingCycles + 5};
+      const Cycle delay = kDelays[Pick(0, 3)];
+      const int child = next_id_++;
+      e_.ScheduleIn(delay, [this, child] { Dispatch(child); });
+    }
+  }
+
+  void ChainStep() {
+    if (stop_) {
+      log.emplace_back(kPollEnd, e_.Now());
+      return;
+    }
+    ++chain_steps;
+    e_.ScheduleIn(1, [this] { ChainStep(); });
+  }
+
+  Engine e_;
+  std::mt19937_64 rng_;
+  const bool use_slot_;
+  LoggingSlot slot_;
+  bool stop_ = false;
+  int next_id_ = 0;
+};
+
+TEST(Engine, SlotKeepsPollChainOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    PollSoup chain(seed, /*use_slot=*/false);
+    PollSoup slot(seed, /*use_slot=*/true);
+    chain.Run();
+    slot.Run();
+    ASSERT_GT(chain.log.size(), 200u);
+    EXPECT_EQ(slot.log, chain.log);
+    // Hops are not events: the slot saves exactly the chain's re-arms.
+    EXPECT_GT(chain.chain_steps, 100u);
+    EXPECT_EQ(chain.events() - slot.events(), chain.chain_steps);
+  }
+}
+
+class CountingSlot final : public Engine::Slot {
+ public:
+  int fired = 0;
+  int settled = 0;
+
+ private:
+  void Fire() override { ++fired; }
+  void Settle() override { ++settled; }
+};
+
+TEST(Engine, LinkedSlotIsPendingAndSettledOnCutOff) {
+  Engine e;
+  CountingSlot slot;
+  e.ScheduleAt(4, [&] { e.Park(slot, 2); });
+  const RunStatus cut = e.RunUntilIdleStatus(100);
+  EXPECT_FALSE(cut.idle) << "an armed slot keeps the machine live";
+  EXPECT_EQ(cut.now, 100u);
+  EXPECT_EQ(cut.pending_events, 1u);
+  EXPECT_EQ(cut.next_event_at, 102u);
+  EXPECT_EQ(slot.due(), 102u);
+  EXPECT_EQ(slot.settled, 1) << "the cut-off run settles linked slots";
+  EXPECT_EQ(e.events_processed(), 1u) << "hops are not events";
+  slot.Disarm();
+  EXPECT_TRUE(e.RunUntilIdle());
+  EXPECT_EQ(slot.fired, 1);
+  EXPECT_EQ(e.Now(), 102u);
+  EXPECT_EQ(e.events_processed(), 2u);
 }
 
 #if GLB_DCHECK_ENABLED

@@ -466,6 +466,44 @@ TEST(NocFaults, ScriptedDelayAndRetransmitAddExactPenalty) {
   EXPECT_EQ(s2.CounterValue("fault.noc_drop"), 1u);
 }
 
+// The directory protocol needs every source/destination pair to stay
+// FIFO: a penalty on one packet must hold back the next one on the same
+// pair instead of letting it overtake, in the mesh and on the tile.
+TEST(NocFaults, PenaltyKeepsPairFifoOrder) {
+  for (const CoreId dst : {CoreId{1}, CoreId{0}}) {
+    SCOPED_TRACE(dst == 0 ? "tile-local" : "through the mesh");
+    sim::Engine e;
+    StatSet s;
+    noc::MeshConfig mc;
+    mc.rows = 2;
+    mc.cols = 2;
+    noc::Mesh mesh(e, mc, s);
+    FaultPlan plan;
+    plan.script = {{0, FaultSite::kNocDelay, std::to_string(dst), 25}};
+    FaultInjector inj(e, plan, s);
+    inj.Arm(mesh);
+    std::vector<int> order;
+    Cycle second_at = kCycleNever;
+    for (int i = 1; i <= 2; ++i) {
+      noc::Packet pkt;
+      pkt.src = 0;
+      pkt.dst = dst;
+      pkt.vnet = noc::VNet::kRequest;
+      pkt.traffic = noc::TrafficClass::kRequest;
+      pkt.bytes = 8;
+      pkt.deliver = [&order, &e, &second_at, i]() {
+        order.push_back(i);
+        if (i == 2) second_at = e.Now();
+      };
+      mesh.Send(std::move(pkt));
+    }
+    e.RunUntilIdle();
+    EXPECT_EQ(s.CounterValue("fault.noc_delay"), 1u) << "only packet 1 is delayed";
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_GT(second_at, Cycle{25}) << "packet 2 waited behind packet 1";
+  }
+}
+
 TEST(NocFaults, LocalDeliveryAlsoPenalized) {
   sim::Engine e;
   StatSet s;
