@@ -21,6 +21,14 @@ for preset in "${PRESETS[@]}"; do
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j
   ctest --preset "$preset" -j "$(nproc)"
+  if [ "$preset" = default ]; then
+    # Where the gate's wall-clock goes: the five slowest tests of this
+    # pass, read back from ctest's log.
+    echo "--- five slowest tests [$preset] ---"
+    awk '/^[0-9]+\/[0-9]+ Test: / { sub(/^[0-9]+\/[0-9]+ Test: /, ""); name = $0 }
+         /^Test time =/ { printf "%8.2f s  %s\n", $4, name }' \
+      build/Testing/Temporary/LastTest.log | sort -rn | awk 'NR <= 5'
+  fi
 done
 
 # Hierarchical smoke: the full fig5 --hier sweep (64/256/1024 cores,

@@ -78,7 +78,8 @@ void DirController::SendData(CoreId to, const Cache::Line* line, Grant grant) {
   msg.line_addr = line->line_addr;
   msg.from = tile_;
   msg.grant = grant;
-  msg.data = array_.CopyWords(line);
+  msg.data = fabric_.LineBuffer();
+  array_.CopyWords(line, msg.data);
   fabric_.Send(tile_, to, std::move(msg));
 }
 
@@ -135,9 +136,9 @@ void DirController::Open(const Message& msg) {
   GLB_TRACE(engine_.Now(), "dir",
             "bank " << tile_ << " opens " << ToString(msg.type) << " @" << msg.line_addr
                     << " from core " << msg.from);
-  // Bank/tag access latency before the directory acts.
-  engine_.ScheduleIn(fabric_.config().l2_latency,
-                              [this, msg]() { Process(msg); });
+  // Bank/tag access latency before the directory acts. An init-capture
+  // holds a non-const Message, so the task moves it and stays inline.
+  engine_.ScheduleIn(fabric_.config().l2_latency, [this, m = msg] { Process(m); });
 }
 
 void DirController::Process(const Message& msg) {
@@ -176,7 +177,7 @@ void DirController::ProcessPut(const Message& msg) {
 }
 
 void DirController::ProcessGet(const Message& msg) {
-  EnsureResident(msg.line_addr, [this, msg]() {
+  EnsureResident(msg.line_addr, [this, msg = msg]() {
     auto* line = array_.Lookup(msg.line_addr);
     GLB_CHECK(line != nullptr) << "EnsureResident lied";
     array_.Touch(line);
@@ -249,7 +250,7 @@ void DirController::ProcessGet(const Message& msg) {
 // Residency: DRAM fetch, allocation, recall of victims
 // ---------------------------------------------------------------------------
 
-void DirController::EnsureResident(Addr line_addr, std::function<void()> cont) {
+void DirController::EnsureResident(Addr line_addr, sim::Task cont) {
   if (array_.Lookup(line_addr) != nullptr) {
     cont();
     return;
@@ -259,15 +260,15 @@ void DirController::EnsureResident(Addr line_addr, std::function<void()> cont) {
   engine_.ScheduleIn(
       fabric_.config().dram_latency,
       [this, line_addr, cont = std::move(cont)]() mutable {
-        auto data = std::make_shared<std::vector<Word>>(
-            array_.geometry().line_bytes / kWordBytes);
-        fabric_.backing().ReadLine(line_addr, data->data());
+        std::vector<Word> data = fabric_.LineBuffer();
+        data.resize(array_.geometry().words_per_line());
+        fabric_.backing().ReadLine(line_addr, data.data());
         TryInstall(line_addr, std::move(data), std::move(cont));
       });
 }
 
-void DirController::TryInstall(Addr line_addr, std::shared_ptr<std::vector<Word>> data,
-                               std::function<void()> cont) {
+void DirController::TryInstall(Addr line_addr, std::vector<Word> data,
+                               sim::Task cont) {
   auto* victim = array_.VictimFor(
       line_addr, [this](const Cache::Line& l) { return !LineBusy(l.line_addr); });
   if (victim == nullptr) {
@@ -288,11 +289,12 @@ void DirController::TryInstall(Addr line_addr, std::shared_ptr<std::vector<Word>
     return;
   }
   array_.Install(victim, line_addr);
-  array_.FillWords(victim, *data);
+  array_.FillWords(victim, data);
+  fabric_.Recycle(std::move(data));
   cont();
 }
 
-void DirController::StartRecall(Cache::Line* victim, std::function<void()> cont) {
+void DirController::StartRecall(Cache::Line* victim, sim::Task cont) {
   const Addr vaddr = victim->line_addr;
   GLB_CHECK(!LineBusy(vaddr)) << "recalling a busy line";
   recalls_->Inc();
@@ -402,17 +404,17 @@ void DirController::Close(Addr line_addr) {
         TxnTraceName(node.mapped().is_recall, node.mapped().type, line_addr),
         node.mapped().trace_id, engine_.Now());
   }
-  std::deque<Message> queued = std::move(node.mapped().queued);
-  std::function<void()> resume = std::move(node.mapped().on_recall_done);
+  std::vector<Message> queued = std::move(node.mapped().queued);
+  sim::Task resume = std::move(node.mapped().on_recall_done);
 
   if (!queued.empty()) {
     Message next = std::move(queued.front());
-    queued.pop_front();
+    queued.erase(queued.begin());
     Open(next);
     // Re-attach the remaining arrivals behind the freshly-opened txn.
     txns_.at(line_addr).queued = std::move(queued);
   }
-  if (resume != nullptr) resume();
+  if (resume) resume();
 }
 
 }  // namespace glb::coherence

@@ -10,9 +10,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +20,7 @@
 #include "mem/backing_store.h"
 #include "mem/cache_array.h"
 #include "sim/engine.h"
+#include "sim/task.h"
 
 namespace glb::coherence {
 
@@ -81,10 +79,11 @@ class DirController {
     CoreId requester = kInvalidCore;
     bool is_recall = false;
     std::uint32_t acks_left = 0;
-    /// Requests that arrived while this transaction was open.
-    std::deque<Message> queued;
+    /// Requests that arrived while this transaction was open, oldest
+    /// first (rarely any, so a vector: empty, it costs no allocation).
+    std::vector<Message> queued;
     /// Recall continuation: resumes the parent allocation.
-    std::function<void()> on_recall_done;
+    sim::Task on_recall_done;
     /// Trace correlation id of the transaction's async span (0 =
     /// tracing was off when it opened).
     std::uint64_t trace_id = 0;
@@ -97,14 +96,13 @@ class DirController {
   void ProcessGet(const Message& msg);
   /// Runs `cont` once the line is resident in this bank (allocating,
   /// recalling a victim and fetching DRAM as needed).
-  void EnsureResident(Addr line_addr, std::function<void()> cont);
+  void EnsureResident(Addr line_addr, sim::Task cont);
   /// Finds a frame for `line_addr` (recalling or retrying as needed),
   /// installs the fetched DRAM image, then runs `cont`.
-  void TryInstall(Addr line_addr, std::shared_ptr<std::vector<Word>> data,
-                  std::function<void()> cont);
+  void TryInstall(Addr line_addr, std::vector<Word> data, sim::Task cont);
   /// Recalls all L1 copies of `victim`, writes it back to DRAM and
   /// invalidates it, then runs `cont`.
-  void StartRecall(Cache::Line* victim, std::function<void()> cont);
+  void StartRecall(Cache::Line* victim, sim::Task cont);
   void FinishRecall(Addr line_addr);
 
   void OnInvAck(const Message& msg);

@@ -35,21 +35,36 @@ void Fabric::Send(CoreId from, CoreId to, Message msg) {
     sent = stats_.GetCounter(std::string("coh.sent.") + ToString(msg.type));
   }
   sent->Inc();
-  const bool to_home = GoesToHome(msg.type);
   noc::Packet pkt;
   pkt.src = from;
   pkt.dst = to;
   pkt.vnet = VNetOf(msg.type);
   pkt.traffic = TrafficOf(msg.type);
   pkt.bytes = msg.data.empty() ? cfg_.control_bytes : cfg_.data_bytes();
-  pkt.deliver = [this, to, to_home, m = std::move(msg)]() {
-    if (to_home) {
-      dirs_[to]->OnMessage(m);
-    } else {
-      l1s_[to]->OnMessage(m);
-    }
-  };
+  std::uint32_t h;
+  if (free_msgs_.empty()) {
+    h = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(msg));
+  } else {
+    h = free_msgs_.back();
+    free_msgs_.pop_back();
+    in_flight_[h] = std::move(msg);
+  }
+  pkt.deliver = [this, to, h] { Deliver(to, h); };
   mesh_.Send(std::move(pkt));
+}
+
+void Fabric::Deliver(CoreId to, std::uint32_t h) {
+  // Moved out before the controller runs: it sends, which may reuse
+  // this slot or grow the pool under it.
+  Message msg = std::move(in_flight_[h]);
+  free_msgs_.push_back(h);
+  if (GoesToHome(msg.type)) {
+    dirs_[to]->OnMessage(msg);
+  } else {
+    l1s_[to]->OnMessage(msg);
+  }
+  Recycle(std::move(msg.data));
 }
 
 }  // namespace glb::coherence

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -42,8 +44,26 @@ class Fabric {
 
   /// Ships a protocol message; the destination controller type is
   /// implied by the message type (requests/responses-to-home go to the
-  /// directory bank, forwards/fills go to the L1).
+  /// directory bank, forwards/fills go to the L1). The message waits in
+  /// a recycled pool and its packet carries only the pool handle, so a
+  /// send allocates nothing once the pool has grown.
   void Send(CoreId from, CoreId to, Message msg);
+
+  /// An empty payload buffer to fill (CacheArray::CopyWords) for
+  /// Message::data: a delivered message's, recycled, when one is spare,
+  /// so a line payload costs no allocation in steady state.
+  std::vector<Word> LineBuffer() {
+    if (spare_lines_.empty()) return {};
+    std::vector<Word> buf = std::move(spare_lines_.back());
+    spare_lines_.pop_back();
+    return buf;
+  }
+  /// Takes back a payload buffer whose contents are no longer needed.
+  void Recycle(std::vector<Word>&& buf) {
+    if (buf.capacity() == 0) return;
+    buf.clear();
+    spare_lines_.push_back(std::move(buf));
+  }
 
   /// Functional drain for post-run inspection: dirty L2 lines first,
   /// then Modified L1 lines (the freshest copy wins). The simulated
@@ -73,6 +93,9 @@ class Fabric {
     }
   }
 
+  /// Hands in-flight message `h` to `to`'s controller.
+  void Deliver(CoreId to, std::uint32_t h);
+
   sim::Engine& engine_;
   noc::Mesh& mesh_;
   mem::BackingStore& backing_;
@@ -84,6 +107,12 @@ class Fabric {
   /// string-concat + map lookup per message (the coherence hot path).
   /// Bound lazily so the manifest lists only the types actually sent.
   std::array<Counter*, kNumMsgTypes> sent_by_type_{};
+  /// Messages in flight, by the handle their packet's deliver task
+  /// captures; the handles of free slots wait in free_msgs_.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_msgs_;
+  /// Delivered payload buffers, ready for LineBuffer.
+  std::vector<std::vector<Word>> spare_lines_;
 };
 
 }  // namespace glb::coherence

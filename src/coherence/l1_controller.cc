@@ -60,6 +60,12 @@ void L1Controller::Send(Message msg) {
   fabric_.Send(core_, home, std::move(msg));
 }
 
+std::vector<Word> L1Controller::CopyLine(const Cache::Line* line) {
+  std::vector<Word> buf = fabric_.LineBuffer();
+  cache_.CopyWords(line, buf);
+  return buf;
+}
+
 // ---------------------------------------------------------------------------
 // Core-facing operations
 // ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ void L1Controller::StartMiss(Mshr::Op op, Addr addr, AmoOp amo, Word operand,
             "core " << core_ << " " << ToString(req.type) << " @" << mshr_.line_addr);
   // The tag lookup that discovered the miss costs one L1 cycle.
   engine_.ScheduleIn(fabric_.config().l1_latency,
-                              [this, req]() { Send(req); });
+                     [this, req = std::move(req)]() mutable { Send(std::move(req)); });
 }
 
 // ---------------------------------------------------------------------------
@@ -224,12 +230,12 @@ L1Controller::Cache::Line* L1Controller::AllocateFor(Addr line_addr) {
           << "duplicate write-back for line " << victim->line_addr;
       WbEntry entry;
       entry.state = (st == LineState::kM) ? WbEntry::State::kMI_A : WbEntry::State::kEI_A;
-      entry.data = cache_.CopyWords(victim);
+      entry.data = CopyLine(victim);
       wb_buffer_.emplace(victim->line_addr, std::move(entry));
       Message put;
       put.type = (st == LineState::kM) ? MsgType::kPutM : MsgType::kPutE;
       put.line_addr = victim->line_addr;
-      if (st == LineState::kM) put.data = cache_.CopyWords(victim);
+      if (st == LineState::kM) put.data = CopyLine(victim);
       Send(std::move(put));
     }
     // S lines are dropped silently; the directory tolerates over-
@@ -344,10 +350,11 @@ void L1Controller::OnFwd(const Message& msg) {
     Message reply;
     reply.type = MsgType::kDataWB;
     reply.line_addr = msg.line_addr;
-    reply.data = it->second.data;
+    reply.data = fabric_.LineBuffer();
+    reply.data.assign(it->second.data.begin(), it->second.data.end());
     it->second.state = WbEntry::State::kRelinquished;
     engine_.ScheduleIn(fabric_.config().l1_latency,
-                                [this, reply]() { Send(reply); });
+                       [this, reply = std::move(reply)]() mutable { Send(std::move(reply)); });
     return;
   }
 
@@ -374,14 +381,14 @@ void L1Controller::OnFwd(const Message& msg) {
                              << " does not hold @" << msg.line_addr;
   GLB_CHECK(line->meta.state == LineState::kM || line->meta.state == LineState::kE)
       << "forward to a non-owner in " << Name(line->meta.state);
-  reply.data = cache_.CopyWords(line);
+  reply.data = CopyLine(line);
   if (wants_exclusive) {
     Drop(line);
   } else {
     line->meta.state = LineState::kS;
   }
   engine_.ScheduleIn(fabric_.config().l1_latency,
-                              [this, reply]() { Send(reply); });
+                     [this, reply = std::move(reply)]() mutable { Send(std::move(reply)); });
 }
 
 void L1Controller::OnInv(const Message& msg) {
@@ -424,6 +431,7 @@ void L1Controller::OnPutAck(const Message& msg) {
   auto it = wb_buffer_.find(msg.line_addr);
   GLB_CHECK(it != wb_buffer_.end()) << "PutAck without write-back in flight";
   if (it->second.state == WbEntry::State::kRelinquished) stale_puts_->Inc();
+  fabric_.Recycle(std::move(it->second.data));
   wb_buffer_.erase(it);
 }
 

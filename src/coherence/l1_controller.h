@@ -158,6 +158,8 @@ class L1Controller {
   Cache::Line* AllocateFor(Addr line_addr);
 
   void Send(Message msg);
+  /// A copy of a valid line's data in a recycled payload buffer.
+  std::vector<Word> CopyLine(const Cache::Line* line);
 
   Fabric& fabric_;
   /// The fabric's engine, cached at construction: the L1 hot path

@@ -83,14 +83,18 @@ enum class Grant : std::uint8_t { kShared, kExclusive, kModified };
 /// while the line is held in M).
 enum class AmoOp : std::uint8_t { kFetchAdd, kSwap, kTestAndSet, kCompareAndSwap };
 
+/// Field order packs the header into 16 bytes, so a `[this, msg]`
+/// capture fits sim::Task's inline buffer.
 struct Message {
   MsgType type = MsgType::kGetS;
-  Addr line_addr = 0;
-  CoreId from = kInvalidCore;
   Grant grant = Grant::kShared;
-  /// Full line payload for kData / kDataWB / kPutM.
+  CoreId from = kInvalidCore;
+  Addr line_addr = 0;
+  /// Full line payload for kData / kDataWB / kPutM; senders take it from
+  /// Fabric::LineBuffer, and the fabric recycles it after delivery.
   std::vector<Word> data;
 };
+static_assert(sizeof(Message) + sizeof(void*) <= sim::Task::kInlineBytes);
 
 /// Timing and sizing knobs (defaults follow Table 1 of the paper).
 struct CoherenceConfig {

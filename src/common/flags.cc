@@ -78,6 +78,18 @@ std::uint32_t Flags::GetUint32(const std::string& name, std::uint32_t def) const
   return static_cast<std::uint32_t>(n);
 }
 
+std::uint64_t Flags::GetUint64(const std::string& name, std::uint64_t def) const {
+  const std::string* v = Find(name);
+  if (v == nullptr) return def;
+  // strtoull negates a leading '-' silently; a count has no sign.
+  if (v->find('-') != std::string::npos) BadValue(name, *v);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v->c_str(), &end, 0);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) BadValue(name, *v);
+  return n;
+}
+
 double Flags::GetDouble(const std::string& name, double def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;

@@ -12,7 +12,7 @@
 // Numeric getters parse strictly (base 0 for integers, so 0x10 is
 // legal): an empty value, trailing characters or an out-of-range value
 // exits 2 with "bad value for --NAME: 'VALUE'", as does a count
-// (GetUint32) that is negative or does not fit 32 bits.
+// (GetUint32, GetUint64) that is negative or does not fit its width.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,9 @@ class Flags {
   std::int64_t GetInt(const std::string& name, std::int64_t def) const;
   /// GetInt for a count: a value outside [0, 2^32 - 1] exits 2 too.
   std::uint32_t GetUint32(const std::string& name, std::uint32_t def) const;
+  /// A 64-bit count, such as a cycle number: a negative value or one
+  /// above 2^64 - 1 exits 2 (a cast of GetInt would wrap -1 around).
+  std::uint64_t GetUint64(const std::string& name, std::uint64_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 

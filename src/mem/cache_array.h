@@ -141,10 +141,11 @@ class CacheArray {
     GLB_CHECK(line->valid) << "data of an invalid frame";
     return {WordsOf(line), geo_.words_per_line()};
   }
-  /// Copy of a valid line's data (a message payload).
-  std::vector<Word> CopyWords(const Line* line) const {
+  /// Copies a valid line's data into `out` (a message payload),
+  /// reusing its capacity.
+  void CopyWords(const Line* line, std::vector<Word>& out) const {
     const auto w = Words(line);
-    return {w.begin(), w.end()};
+    out.assign(w.begin(), w.end());
   }
   /// Overwrites a valid line's data with a full line image.
   void FillWords(Line* line, std::span<const Word> src) {

@@ -34,6 +34,10 @@ Mesh::Mesh(sim::Engine& engine, const MeshConfig& cfg, StatSet& stats)
       router_flits_(cfg.num_nodes()) {
   GLB_CHECK(cfg.rows > 0 && cfg.cols > 0) << "empty mesh";
   GLB_CHECK(cfg.link_bytes > 0) << "zero-width links";
+  // Room for a few packets per tile up front, so a mesh meets its
+  // first burst without growing (reserved memory stays non-resident
+  // until a packet lands in it); busier runs grow the slab.
+  slab_.reserve(std::size_t{kSlabSlotsPerNode} * cfg.num_nodes());
   for (int c = 0; c < kNumTrafficClasses; ++c) {
     const std::string name = ToString(static_cast<TrafficClass>(c));
     msgs_by_class_[static_cast<std::size_t>(c)] = stats.GetCounter("noc.msgs." + name);
@@ -75,65 +79,101 @@ void Mesh::Send(Packet pkt) {
   prof::Scope prof_scope(prof::Cat::kNoc);
   GLB_CHECK(pkt.src < cfg_.num_nodes() && pkt.dst < cfg_.num_nodes())
       << "packet endpoints out of range: " << pkt.src << "->" << pkt.dst;
-  GLB_CHECK(pkt.deliver != nullptr) << "packet without delivery closure";
+  GLB_CHECK(pkt.deliver) << "packet without a deliver task";
   const Cycle penalty = fault_ != nullptr ? fault_(pkt) : 0;
   sim::Engine& eng = engine_;
-  InFlight flight{std::move(pkt), eng.Now()};
-  if (flight.pkt.src == flight.pkt.dst) {
+  const CoreId src = pkt.src;
+  if (src == pkt.dst) {
     local_msgs_->Inc();
-    DeliverLocal(std::move(flight), penalty);
+    const Handle h = Park(std::move(pkt));
+    eng.ScheduleAt(Book(local_floor_[src], eng.Now() + cfg_.local_latency + penalty),
+                   [this, h] { Deliver(h); });
     return;
   }
-  const auto cls = static_cast<std::size_t>(flight.pkt.traffic);
+  const auto cls = static_cast<std::size_t>(pkt.traffic);
+  const std::uint32_t hops = Hops(src, pkt.dst);
   msgs_by_class_[cls]->Inc();
-  bytes_by_class_[cls]->Inc(flight.pkt.bytes);
-  flits_sent_->Inc(static_cast<std::uint64_t>(FlitsOf(flight.pkt.bytes)) *
-                   Hops(flight.pkt.src, flight.pkt.dst));
-  total_hops_->Inc(Hops(flight.pkt.src, flight.pkt.dst));
+  bytes_by_class_[cls]->Inc(pkt.bytes);
+  flits_sent_->Inc(static_cast<std::uint64_t>(FlitsOf(pkt.bytes)) * hops);
+  total_hops_->Inc(hops);
+  const Handle h = Park(std::move(pkt));
   if (trace::Active()) {
-    flight.trace_id = trace::Sink().NextId();
-    trace::Sink().AsyncBegin(
-        "noc/packets", PacketTraceName(flight.pkt), flight.trace_id, eng.Now(),
-        trace::Args()
-            .Add("bytes", flight.pkt.bytes)
-            .Add("hops", Hops(flight.pkt.src, flight.pkt.dst))
-            .Add("class", ToString(flight.pkt.traffic))
-            .json());
+    InFlight& f = slab_[h];
+    f.trace_id = trace::Sink().NextId();
+    trace::Sink().AsyncBegin("noc/packets", PacketTraceName(f.pkt), f.trace_id, eng.Now(),
+                             trace::Args()
+                                 .Add("bytes", f.pkt.bytes)
+                                 .Add("hops", hops)
+                                 .Add("class", ToString(f.pkt.traffic))
+                                 .json());
   }
-  const CoreId src = flight.pkt.src;
   eng.ScheduleAt(Book(inject_floor_[src], eng.Now() + cfg_.router_latency + penalty),
-                 [this, src, f = std::move(flight)]() mutable {
-                   RouteAt(src, std::move(f));
-                 });
+                 [this, src, h] { RouteAt(src, h); });
 }
 
-void Mesh::DeliverLocal(InFlight flight, Cycle penalty) {
-  const Cycle at =
-      Book(local_floor_[flight.pkt.src], engine_.Now() + cfg_.local_latency + penalty);
-  engine_.ScheduleAt(at, [f = std::move(flight)]() mutable { f.pkt.deliver(); });
+Mesh::Handle Mesh::Park(Packet pkt) {
+  Handle h = free_;
+  if (h == kNoPacket) {
+    GLB_CHECK(slab_.size() < kNoPacket) << "more packets in flight than handles";
+    h = static_cast<Handle>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    free_ = slab_[h].next;
+  }
+  InFlight& f = slab_[h];
+  f.pkt = std::move(pkt);
+  f.injected_at = engine_.Now();
+  f.trace_id = 0;
+  f.enqueued_at = 0;
+  f.next = kNoPacket;
+  return h;
 }
 
-void Mesh::RouteAt(CoreId node, InFlight flight) {
+void Mesh::Deliver(Handle h) {
+  // Moved out before the slot is freed and run: the delivery may send,
+  // reusing this slot or growing the slab under it.
+  sim::Task deliver = std::move(slab_[h].pkt.deliver);
+  slab_[h].next = free_;
+  free_ = h;
+  deliver();
+}
+
+void Mesh::Push(Fifo& q, Handle h) {
+  slab_[h].next = kNoPacket;
+  if (q.empty()) {
+    q.head = h;
+  } else {
+    slab_[q.tail].next = h;
+  }
+  q.tail = h;
+}
+
+Mesh::Handle Mesh::Pop(Fifo& q) {
+  const Handle h = q.head;
+  q.head = slab_[h].next;
+  if (q.head == kNoPacket) q.tail = kNoPacket;
+  return h;
+}
+
+void Mesh::RouteAt(CoreId node, Handle h) {
   prof::Scope prof_scope(prof::Cat::kNoc);
   sim::Engine& eng = engine_;
-  router_flits_[node] += FlitsOf(flight.pkt.bytes);
-  if (node == flight.pkt.dst) {
-    latency_->Record(eng.Now() - flight.injected_at);
+  InFlight& f = slab_[h];
+  router_flits_[node] += FlitsOf(f.pkt.bytes);
+  if (node == f.pkt.dst) {
+    latency_->Record(eng.Now() - f.injected_at);
     GLB_TRACE(eng.Now(), "noc",
-              "deliver " << flight.pkt.src << "->" << flight.pkt.dst << " ("
-                         << ToString(flight.pkt.traffic) << ", " << flight.pkt.bytes
-                         << "B)");
-    if (trace::Active() && flight.trace_id != 0) {
-      trace::Sink().AsyncEnd("noc/packets", PacketTraceName(flight.pkt),
-                             flight.trace_id, eng.Now());
+              "deliver " << f.pkt.src << "->" << f.pkt.dst << " ("
+                         << ToString(f.pkt.traffic) << ", " << f.pkt.bytes << "B)");
+    if (trace::Active() && f.trace_id != 0) {
+      trace::Sink().AsyncEnd("noc/packets", PacketTraceName(f.pkt), f.trace_id, eng.Now());
     }
-    flight.pkt.deliver();
+    Deliver(h);
     return;
   }
-  const Dir d = NextDir(node, flight.pkt.dst);
-  OutLink& link = routers_[node].out[d];
-  flight.enqueued_at = eng.Now();
-  link.queues[static_cast<std::size_t>(flight.pkt.vnet)].push_back(std::move(flight));
+  const Dir d = NextDir(node, f.pkt.dst);
+  f.enqueued_at = eng.Now();
+  Push(routers_[node].out[d].queues[static_cast<std::size_t>(f.pkt.vnet)], h);
   PumpLink(node, d);
 }
 
@@ -155,11 +195,11 @@ void Mesh::PumpLink(CoreId node, Dir d) {
   if (chosen < 0) return;
   link.rr_next = static_cast<std::uint8_t>((chosen + 1) % kNumVNets);
 
-  InFlight flight = std::move(link.queues[static_cast<std::size_t>(chosen)].front());
-  link.queues[static_cast<std::size_t>(chosen)].pop_front();
+  const Handle h = Pop(link.queues[static_cast<std::size_t>(chosen)]);
   link.transmitting = true;
 
-  const Cycle serialization = FlitsOf(flight.pkt.bytes);
+  const InFlight& f = slab_[h];
+  const Cycle serialization = FlitsOf(f.pkt.bytes);
   const CoreId next = Neighbour(node, d);
   link_flits_[node][d] += serialization;
 
@@ -167,11 +207,11 @@ void Mesh::PumpLink(CoreId node, Dir d) {
     // One span per link occupancy: start = head flit on the wire,
     // dur = serialization; `queued` shows arbitration/backpressure wait.
     trace::Sink().Complete(
-        "noc/link " + std::to_string(node) + kDirName[d], PacketTraceName(flight.pkt),
+        "noc/link " + std::to_string(node) + kDirName[d], PacketTraceName(f.pkt),
         eng.Now(), eng.Now() + serialization,
         trace::Args()
-            .Add("queued", eng.Now() - flight.enqueued_at)
-            .Add("bytes", flight.pkt.bytes)
+            .Add("queued", eng.Now() - f.enqueued_at)
+            .Add("bytes", f.pkt.bytes)
             .json());
   }
 
@@ -183,9 +223,7 @@ void Mesh::PumpLink(CoreId node, Dir d) {
   // Packet appears at the neighbour's routing stage after serialization,
   // wire propagation, and that router's pipeline.
   eng.ScheduleIn(serialization + cfg_.link_latency + cfg_.router_latency,
-                 [this, next, f = std::move(flight)]() mutable {
-                   RouteAt(next, std::move(f));
-                 });
+                 [this, next, h] { RouteAt(next, h); });
 }
 
 }  // namespace glb::noc

@@ -14,13 +14,20 @@
 // Buffers are unbounded, so the network itself cannot deadlock; virtual
 // networks exist for protocol-class separation and fair arbitration
 // (round-robin across VNets per link).
+//
+// Packets in flight live in one recycled slab addressed by 32-bit
+// handles, and every link FIFO is a list of handles threaded through
+// the slab, so once the slab has grown to the peak in-flight count a
+// message costs no allocation. A delivery may send (every coherence
+// reply does) and so grow the slab: no reference into it is held
+// across `deliver` or a Park.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/stats.h"
@@ -105,25 +112,45 @@ class Mesh {
   /// ejection; locally delivered messages never enter the mesh).
   std::uint64_t RouterFlits(CoreId node) const { return router_flits_[node]; }
 
+  /// Slots the in-flight slab holds: the peak number of packets in
+  /// flight at once so far (tests watch it grow).
+  std::size_t SlabSlots() const { return slab_.size(); }
+
  private:
   // Output directions from a router.
   enum Dir : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth = 3, kNumDirs = 4 };
 
+  /// Slab slots reserved per tile at construction.
+  static constexpr std::uint32_t kSlabSlotsPerNode = 4;
+  /// Index of a packet's slot in the slab.
+  using Handle = std::uint32_t;
+  static constexpr Handle kNoPacket = std::numeric_limits<Handle>::max();
+
   struct InFlight {
     Packet pkt;
-    Cycle injected_at;
+    Cycle injected_at = 0;
     /// Trace correlation id for the packet-lifetime async span
     /// (0 = tracing was off at injection).
     std::uint64_t trace_id = 0;
     /// When the packet entered its current output-link queue (tracing
     /// only; exposes queueing vs. serialization delay per hop).
     Cycle enqueued_at = 0;
+    /// The packet behind this one in its link FIFO, or the next free
+    /// slot while this one is free.
+    Handle next = kNoPacket;
+  };
+
+  /// Intrusive FIFO of slab handles.
+  struct Fifo {
+    Handle head = kNoPacket;
+    Handle tail = kNoPacket;
+    bool empty() const { return head == kNoPacket; }
   };
 
   // One directed link: per-VNet FIFO + round-robin arbitration; the link
   // transmits one flit per cycle while any queue is non-empty.
   struct OutLink {
-    std::array<std::deque<InFlight>, kNumVNets> queues;
+    std::array<Fifo, kNumVNets> queues;
     bool transmitting = false;
     std::uint8_t rr_next = 0;
   };
@@ -137,12 +164,18 @@ class Mesh {
   Dir NextDir(CoreId node, CoreId dst) const;
   CoreId Neighbour(CoreId node, Dir d) const;
 
+  /// Moves `pkt` into a free slab slot, injected now.
+  Handle Park(Packet pkt);
+  /// Frees the packet's slot and runs its `deliver`.
+  void Deliver(Handle h);
+  void Push(Fifo& q, Handle h);
+  Handle Pop(Fifo& q);
+
   // Packet has finished the router pipeline at `node`; either ejects or
   // enqueues on the proper output link.
-  void RouteAt(CoreId node, InFlight flight);
+  void RouteAt(CoreId node, Handle h);
   // Starts transmitting the next queued packet on (node, dir) if idle.
   void PumpLink(CoreId node, Dir d);
-  void DeliverLocal(InFlight flight, Cycle penalty);
   /// `earliest`, raised to the last cycle booked in `floor`, which it
   /// then becomes: the per-source FIFO rule of SetFaultHook.
   static Cycle Book(Cycle& floor, Cycle earliest) {
@@ -153,6 +186,9 @@ class Mesh {
   sim::Engine& engine_;
   MeshConfig cfg_;
   std::vector<Router> routers_;
+  /// Every packet in flight, by handle; free slots chain from `free_`.
+  std::vector<InFlight> slab_;
+  Handle free_ = kNoPacket;
   FaultHook fault_;
   /// Per source: the cycle its latest packet enters the network, and
   /// the cycle its latest tile-local packet is delivered.

@@ -1,16 +1,18 @@
 // NoC packet vocabulary.
 //
 // The mesh is payload-agnostic: a Packet carries routing metadata plus a
-// delivery closure that the destination's network interface runs when
-// the last flit arrives. Protocol content therefore never leaks into the
+// `deliver` task that the destination's network interface runs when the
+// last flit arrives. Protocol content therefore never leaks into the
 // network layer; the network only needs sizes and classes for timing and
-// accounting.
+// accounting. `deliver` is a move-only sim::Task, so a capture that fits
+// its 48-byte buffer (a `this` plus a few ids or a pool handle, as the
+// coherence fabric sends) costs no allocation.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.h"
+#include "sim/task.h"
 
 namespace glb::noc {
 
@@ -45,7 +47,7 @@ struct Packet {
   /// Total size on the wire including header.
   std::uint32_t bytes = 0;
   /// Runs at the destination when the packet fully arrives.
-  std::function<void()> deliver;
+  sim::Task deliver;
 };
 
 }  // namespace glb::noc

@@ -371,6 +371,25 @@ TEST(FlagsDeathTest, BadNumericValuesExit2NamingTheFlag) {
   EXPECT_EXIT(get_double("--r=1e999"), testing::ExitedWithCode(2), "bad value for --r");
 }
 
+TEST(Flags, Uint64TakesTheFullUnsignedRange) {
+  const char* argv[] = {"prog", "--hex=0x10", "--max=18446744073709551615"};
+  Flags f(3, const_cast<char**>(argv));
+  EXPECT_EQ(f.GetUint64("hex", 0), 16u);
+  EXPECT_EQ(f.GetUint64("max", 0), UINT64_MAX);
+  EXPECT_EQ(f.GetUint64("absent", 7), 7u);
+}
+
+TEST(FlagsDeathTest, NegativeOrOversizedUint64Exits2) {
+  const auto get = [](const char* arg) {
+    const char* argv[] = {"prog", arg};
+    Flags(2, const_cast<char**>(argv)).GetUint64("c", 0);
+  };
+  EXPECT_EXIT(get("--c=-1"), testing::ExitedWithCode(2), "bad value for --c: '-1'");
+  EXPECT_EXIT(get("--c=18446744073709551616"), testing::ExitedWithCode(2),
+              "bad value for --c");
+  EXPECT_EXIT(get("--c=5x"), testing::ExitedWithCode(2), "bad value for --c: '5x'");
+}
+
 TEST(Flags, BoolSpellings) {
   const char* argv[] = {"prog", "--t1=true", "--t2=1", "--t3=yes", "--f1=false"};
   Flags f(5, const_cast<char**>(argv));

@@ -2,10 +2,11 @@
 # EXIT and its stderr matches the regex STDERR. Used for command-line
 # rejection tests, where a plain ctest WILL_FAIL would accept any
 # nonzero exit, aborts included.
-# An optional second command line CMD2 must meet the same expectations.
+# Optional further command lines CMD2 .. CMD6 must meet the same
+# expectations.
 #
 #   cmake -DCMD="prog;--bad" -DEXIT=2 -DSTDERR="unknown flag" -P expect_exit.cmake
-foreach(cmd_var CMD CMD2)
+foreach(cmd_var CMD CMD2 CMD3 CMD4 CMD5 CMD6)
   if(NOT DEFINED ${cmd_var})
     continue()
   endif()

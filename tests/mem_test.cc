@@ -211,8 +211,9 @@ TEST(CacheArray, NeighbouringFramesKeepTheirWords) {
         a.WriteWord(l, wa, value(wa));
       }
     }
+    std::vector<Word> copy;  // one buffer, refilled per line
     for (const Array::Line* l : frames) {
-      const std::vector<Word> copy = a.CopyWords(l);
+      a.CopyWords(l, copy);
       ASSERT_EQ(copy.size(), wpl);
       for (Addr w = 0; w < wpl; ++w) {
         const Addr wa = l->line_addr + w * kWordBytes;
@@ -229,7 +230,9 @@ TEST(CacheArray, FillWordsReplacesTheWholeLine) {
   a.Install(l, 0x100);
   const std::vector<Word> image = {1, 2, 3, 4, 5, 6, 7, 8};
   a.FillWords(l, image);
-  EXPECT_EQ(a.CopyWords(l), image);
+  std::vector<Word> copy(3, 99);  // a stale buffer is replaced, not appended to
+  a.CopyWords(l, copy);
+  EXPECT_EQ(copy, image);
   EXPECT_EQ(a.ReadWord(l, 0x138), 8u);
   EXPECT_DEATH(a.FillWords(l, std::vector<Word>(4, 0)), "line image of 4 words");
 }

@@ -1,13 +1,16 @@
 // NoC tests: XY routing, latency model, serialization, contention,
-// per-VN FIFO ordering, traffic accounting.
+// per-VN FIFO ordering, traffic accounting, and deliveries that send
+// (the in-flight slab growing under a running delivery).
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "noc/mesh.h"
 #include "sim/engine.h"
+#include "trace/trace.h"
 
 namespace glb::noc {
 namespace {
@@ -252,6 +255,124 @@ TEST(MeshHeatmap, LinkFlitsSumToFlitsSent) {
   // Every flit crosses exactly Hops(src, dst) links (the mesh.h
   // invariant the heatmap block inherits).
   EXPECT_EQ(link_sum, f.stats.CounterValue("noc.flits_sent"));
+}
+
+
+// A chain of packets in which every delivery sends the next link and,
+// every 97th, a burst of 100 one-shot packets on all three virtual
+// networks: the bursts outgrow the slab's reserve, so the slab
+// reallocates while a delivery is running. Each delivery reads its own
+// capture only after its sends, so a delivery run in place inside the
+// slab would read freed memory (ASan) or a wrong index. Some links are
+// tile-local, and the bursts contend with the chain for links.
+struct Chain {
+  static constexpr int kLinks = 10'000;
+  static constexpr int kBurstEvery = 97;
+  static constexpr int kBurst = 100;
+
+  Fixture& f;
+  /// (link, delivery cycle) in delivery order.
+  std::vector<std::pair<int, Cycle>> links;
+  int burst_sent = 0;
+  int burst_delivered = 0;
+
+  explicit Chain(Fixture& fixture) : f(fixture) {}
+
+  void SendLink(int k) {
+    const auto n = f.cfg.num_nodes();
+    Packet p;
+    p.src = static_cast<CoreId>(k) % n;
+    p.dst = k % 5 == 0 ? p.src : static_cast<CoreId>(k * 7 + 3) % n;
+    p.vnet = static_cast<VNet>(k % kNumVNets);
+    p.traffic = TrafficClass::kCoherence;
+    p.bytes = 11 + static_cast<std::uint32_t>(k % 4) * 40;
+    p.deliver = [this, k] {
+      if (k + 1 < kLinks) SendLink(k + 1);
+      if (k % kBurstEvery == 0) {
+        for (int b = 0; b < kBurst; ++b) SendBurst(k + b);
+      }
+      links.emplace_back(k, f.engine.Now());
+    };
+    f.mesh->Send(std::move(p));
+  }
+
+  void SendBurst(int seed) {
+    const auto n = f.cfg.num_nodes();
+    Packet p;
+    p.src = static_cast<CoreId>(seed * 5) % n;
+    p.dst = static_cast<CoreId>(seed * 11 + 1) % n;
+    p.vnet = static_cast<VNet>(seed % kNumVNets);
+    p.traffic = TrafficClass::kReply;
+    p.bytes = 75;
+    p.deliver = [this] { ++burst_delivered; };
+    f.mesh->Send(std::move(p));
+    ++burst_sent;
+  }
+
+  /// Runs the whole chain and checks that every packet arrived once and
+  /// the chain in order.
+  void Run() {
+    SendLink(0);
+    f.engine.RunUntilIdle();
+    ASSERT_EQ(links.size(), static_cast<std::size_t>(kLinks));
+    for (int k = 0; k < kLinks; ++k) {
+      ASSERT_EQ(links[static_cast<std::size_t>(k)].first, k) << "chain out of order";
+    }
+    EXPECT_EQ(burst_delivered, burst_sent);
+    EXPECT_EQ(burst_sent, (kLinks + kBurstEvery - 1) / kBurstEvery * kBurst);
+  }
+};
+
+TEST(MeshReentrancy, ChainGrowsSlabMidDelivery) {
+  Fixture f;  // 4x4: the slab reserves 64 slots
+  Chain chain(f);
+  chain.Run();
+  EXPECT_GT(f.mesh->SlabSlots(), std::size_t{Chain::kBurst})
+      << "the bursts must outgrow the reserve while a delivery runs";
+  EXPECT_EQ(f.stats.CounterValue("noc.local_msgs") +
+                f.stats.SumCountersWithPrefix("noc.msgs."),
+            static_cast<std::uint64_t>(Chain::kLinks + chain.burst_sent));
+}
+
+// PumpLink and RouteAt read the parked packet for trace args: tracing
+// must see every packet and link crossing, and change no timing.
+TEST(MeshReentrancy, ChainUnderTracing) {
+  Fixture plain_f;
+  Chain plain(plain_f);
+  plain.Run();
+
+  Fixture f;
+  Chain traced(f);
+  trace::TraceSink sink;
+  trace::SetSink(&sink);
+  traced.Run();
+  trace::SetSink(nullptr);
+  EXPECT_EQ(traced.links, plain.links) << "tracing changed delivery timing";
+  // An async begin/end pair per mesh packet plus one span per link
+  // crossing; tile-local packets are not traced.
+  EXPECT_EQ(sink.num_events(), 2 * f.stats.SumCountersWithPrefix("noc.msgs.") +
+                                   f.stats.CounterValue("noc.total_hops"));
+}
+
+// A penalty delays a packet at injection and holds its source's later
+// packets behind it; the chain still arrives whole and in order.
+TEST(MeshReentrancy, ChainUnderFaultPenalty) {
+  Fixture plain_f;
+  Chain plain(plain_f);
+  plain.Run();
+
+  Fixture f;
+  std::uint64_t penalized = 0;
+  f.mesh->SetFaultHook([&penalized](const Packet& p) -> Cycle {
+    if (p.bytes % 3 != 0) return 0;
+    ++penalized;
+    return 7;
+  });
+  Chain chain(f);
+  chain.Run();
+  EXPECT_GT(penalized, 0u);
+  ASSERT_FALSE(chain.links.empty());
+  EXPECT_GT(chain.links.back().second, plain.links.back().second);
 }
 
 }  // namespace

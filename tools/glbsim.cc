@@ -159,9 +159,7 @@ glb::harness::TenantSpec ParseTenantOrExit(const glb::Flags& flags,
   // tenants of different rects do comparable per-core work;
   // --scale-cores pins every tenant to one reference size.
   t.scale = flags.Has("scale-cores")
-                ? harness::Scale::FromFlags(
-                      flags, static_cast<std::uint32_t>(
-                                 flags.GetInt("scale-cores", 32)))
+                ? harness::Scale::FromFlags(flags, flags.GetUint32("scale-cores", 32))
                 : harness::Scale::FromFlags(flags, t.rect.num_cores());
   return t;
 }
@@ -175,7 +173,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
   harness::RunSpec spec;
   spec.cfg = common.Config();
   if (flags.Has("max-cycles")) {
-    spec.max_cycles = static_cast<Cycle>(flags.GetInt("max-cycles", 0));
+    spec.max_cycles = flags.GetUint64("max-cycles", 0);
   }
   for (const std::string& value : tenant_flags) {
     spec.tenants.push_back(ParseTenantOrExit(flags, value));
@@ -191,7 +189,7 @@ int RunMultiTenant(const glb::Flags& flags, const glb::bench::CommonFlags& commo
   const bool want_csv = flags.GetBool("csv", false);
   const bool want_stats = flags.GetBool("stats", false);
   const bool want_progress = flags.GetBool("progress", false);
-  const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
+  const Cycle sample_interval = flags.GetUint64("sample-interval", 0);
   bench::RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
@@ -328,13 +326,11 @@ int main(int argc, char** argv) {
   spec.barrier =
       harness::BarrierKindFromNameOrExit(flags.GetString("barrier", "GL"));
   spec.scale = flags.Has("scale-cores")
-                   ? harness::Scale::FromFlags(
-                         flags, static_cast<std::uint32_t>(
-                                    flags.GetInt("scale-cores", 32)))
+                   ? harness::Scale::FromFlags(flags, flags.GetUint32("scale-cores", 32))
                    : harness::Scale::FromFlags(flags);
   spec.cfg = common.Config();
   if (flags.Has("max-cycles")) {
-    spec.max_cycles = static_cast<Cycle>(flags.GetInt("max-cycles", 0));
+    spec.max_cycles = flags.GetUint64("max-cycles", 0);
   }
   const cmp::CmpConfig cfg = spec.cfg.ForBarrier(spec.barrier);
 
@@ -345,7 +341,7 @@ int main(int argc, char** argv) {
   const bool want_csv = flags.GetBool("csv", false);
   const bool want_stats = flags.GetBool("stats", false);
   const bool want_progress = flags.GetBool("progress", false);
-  const auto sample_interval = static_cast<Cycle>(flags.GetInt("sample-interval", 0));
+  const Cycle sample_interval = flags.GetUint64("sample-interval", 0);
   bench::RejectUnreadFlagsOrExit(flags);
   prof::Enable(want_profile);
 
