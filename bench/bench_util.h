@@ -255,21 +255,22 @@ inline cmp::CmpConfig ConfigForCores(const Flags& flags, std::uint32_t cores) {
   auto cfg = cmp::CmpConfig::WithCores(cores);
   // Fault campaign / resilience knobs (all off by default).
   cfg.fault = fault::PlanFromFlags(flags);
-  cfg.gline.watchdog_timeout =
-      static_cast<Cycle>(flags.GetInt("fault_watchdog", 0));
-  cfg.gline.max_retries =
-      static_cast<std::uint32_t>(flags.GetInt("fault_retries", 2));
+  // Counts are unsigned: a negative value exits 2 instead of wrapping
+  // into a huge window or retry budget.
+  cfg.gline.watchdog_timeout = flags.GetUint64("fault_watchdog", 0);
+  cfg.gline.max_retries = flags.GetUint32("fault_retries", 2);
   // Self-healing v2: adaptive watchdog window and hardware rejoin (see
   // gline/barrier_network.h). All off by default (= v1 behavior). Every
   // node of the chip's G-line device, flat or clustered, shares them.
   cfg.gline.watchdog_mult = flags.GetDouble("fault_watchdog_mult", 0.0);
-  cfg.gline.watchdog_alpha = flags.GetDouble("fault_watchdog_alpha", 0.25);
-  cfg.gline.watchdog_max =
-      static_cast<Cycle>(flags.GetInt("fault_watchdog_max", 0));
-  cfg.gline.probe_after =
-      static_cast<std::uint32_t>(flags.GetInt("fault_probe_after", 0));
-  cfg.gline.probe_successes =
-      static_cast<std::uint32_t>(flags.GetInt("fault_probe_successes", 2));
+  if (!(cfg.gline.watchdog_mult >= 0.0)) {
+    std::cerr << "bad value for --fault_watchdog_mult: '"
+              << flags.GetString("fault_watchdog_mult", "")
+              << "' (a window multiplier must be >= 0)\n";
+    std::exit(2);
+  }
+  cfg.gline.probe_after = flags.GetUint32("fault_probe_after", 0);
+  cfg.gline.probe_successes = flags.GetUint32("fault_probe_successes", 2);
   if (cfg.fault.enabled() && !cfg.gline.resilient()) {
     std::cerr << "note: --fault_* injection enabled without --fault_watchdog; "
                  "the barrier network may hang (that is the point of the "

@@ -32,13 +32,12 @@ for preset in "${PRESETS[@]}"; do
 done
 
 # Hierarchical smoke: the full fig5 --hier sweep (64/256/1024 cores,
-# latency + wire-count curves) and a short gl-hier fault campaign, so a
-# regression in the multi-level network fails the gate even though the
-# figures themselves are only rebuilt on demand.
+# latency + wire-count curves), so a regression in the multi-level
+# network fails the gate even though the figures themselves are only
+# rebuilt on demand. The gl-hier fault campaign is a ctest
+# (FaultCampaign.Hier).
 echo "=== gl-hier sweep ==="
 ./build/bench/fig5_barrier_latency --hier --jobs "$(nproc)" > /dev/null
-./build/bench/fault_campaign --barrier gl-hier --seeds 3 --episodes 6 \
-  --jobs "$(nproc)" > /dev/null
 
 # Scaling-study smoke: one bounded 256-core point through the fig6/fig7
 # --scale sweeps — EM3D on the hierarchical network with the weak-scaled

@@ -64,18 +64,6 @@ CmpSystem::CmpSystem(const CmpConfig& cfg)
     cores_.back()->SetBarrierDevice(chip_barrier_device());
   }
 
-  if (cfg.gline.resilient() && gline_.config().flat()) {
-    // The flat node's degraded-mode fallback: a hybrid barrier unit at a
-    // central tile, reached over the coherent data NoC. A clustered
-    // device keeps its own fallbacks (see gline/hierarchy.h).
-    fallback_unit_ = std::make_unique<sync::HybridBarrierUnit>(
-        mesh_, mesh_.NodeAt(cfg.rows / 2, cfg.cols / 2), cfg.num_cores(), stats_);
-    gline_.node(0, 0).SetFallback([unit = fallback_unit_.get()](
-                                      CoreId core, std::function<void()> on_release) {
-      unit->Arrive(core, std::move(on_release));
-    });
-  }
-
   if (cfg.fault.enabled()) {
     injector_ = std::make_unique<fault::FaultInjector>(engine_, cfg.fault, stats_);
     injector_->Arm(gline_);

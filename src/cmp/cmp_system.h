@@ -25,7 +25,6 @@
 #include "noc/mesh.h"
 #include "sim/engine.h"
 #include "sync/barrier_kind.h"
-#include "sync/hybrid_barrier.h"
 
 namespace glb::cmp {
 
@@ -134,9 +133,6 @@ class CmpSystem {
   coherence::Fabric fabric_;
   gline::HierarchicalBarrierNetwork gline_;
   std::vector<std::unique_ptr<core::Core>> cores_;
-  /// The flat device's degraded-mode fallback: a hybrid barrier unit
-  /// over the data NoC (built only in resilient mode).
-  std::unique_ptr<sync::HybridBarrierUnit> fallback_unit_;
   std::unique_ptr<fault::FaultInjector> injector_;
 };
 

@@ -130,7 +130,7 @@ void BarrierNetwork::ResetControllers() {
 }
 
 // ---------------------------------------------------------------------------
-// Fault hook / fallback wiring
+// Fault hook
 // ---------------------------------------------------------------------------
 
 void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
@@ -138,11 +138,6 @@ void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
   for (auto& l : mgline_h_) l->SetDeliverFaultHook(hook);
   sgline_v_->SetDeliverFaultHook(hook);
   mgline_v_->SetDeliverFaultHook(hook);
-}
-
-void BarrierNetwork::SetFallback(FallbackArrive arrive) {
-  GLB_CHECK(!degraded_) << "fallback changed after the network degraded";
-  fallback_arrive_ = std::move(arrive);
 }
 
 // ---------------------------------------------------------------------------
@@ -159,14 +154,10 @@ void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
   if (degraded_) {
     if (cfg_.rejoin_enabled() && !probe_active_ &&
         fb_episodes_since_probe_ >= cfg_.probe_after) {
-      // Probe only from a fresh episode boundary: every release callback
-      // consumed means no arrival of this episode predates the probe, so
-      // the hardware count can reach the full core count.
-      bool fresh = true;
-      for (CoreId n = 0; n < num_cores() && fresh; ++n) {
-        if (release_cb_[n] != nullptr) fresh = false;
-      }
-      if (fresh) StartProbe();
+      // Probe only from a fresh episode boundary: an empty software batch
+      // means no arrival of this episode predates the probe, so the
+      // hardware count can reach the full core count.
+      if (fb_batch_.empty()) StartProbe();
     }
     release_cb_[core] = std::move(on_release);
     if (fb_arrived_++ == 0) first_arrival_ = engine_.Now();
@@ -177,7 +168,7 @@ void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
       trace_.deg_first = engine_.Now();
     }
     if (probe_active_) ProbeSignalArrival(core);
-    ForwardToFallback(core);
+    GatherInSoftware(core);
     return;
   }
 
@@ -275,6 +266,12 @@ void BarrierNetwork::SetCompletionHook(std::function<void()> hook) {
 void BarrierNetwork::TriggerRelease() {
   GLB_CHECK(release_pending_) << "TriggerRelease without a deferred completion";
   release_pending_ = false;
+  // The held batch decides, not degraded_: a clean probe can rejoin the
+  // node while its software batch still waits at the parent.
+  if (!fb_batch_.empty()) {
+    ReleaseSoftwareBatch();
+    return;
+  }
   StartRelease();
 }
 
@@ -409,8 +406,7 @@ void BarrierNetwork::EmitEpisodeTrace() {
 
 Cycle BarrierNetwork::WatchdogWindow() const {
   if (!cfg_.adaptive() || ewma_span_ <= 0.0) return cfg_.watchdog_timeout;
-  const Cycle cap =
-      cfg_.watchdog_max > 0 ? cfg_.watchdog_max : 64 * cfg_.watchdog_timeout;
+  const Cycle cap = kWatchdogCapFactor * cfg_.watchdog_timeout;
   const double w = cfg_.watchdog_mult * ewma_span_;
   if (w <= static_cast<double>(cfg_.watchdog_timeout)) return cfg_.watchdog_timeout;
   if (w >= static_cast<double>(cap)) return cap;
@@ -422,7 +418,7 @@ void BarrierNetwork::RecordEpisodeSpan(Cycle span) {
   const double s = static_cast<double>(span);
   ewma_span_ = ewma_span_ == 0.0
                    ? s
-                   : (1.0 - cfg_.watchdog_alpha) * ewma_span_ + cfg_.watchdog_alpha * s;
+                   : (1.0 - kWatchdogAlpha) * ewma_span_ + kWatchdogAlpha * s;
 }
 
 void BarrierNetwork::ArmWatchdog() {
@@ -567,58 +563,50 @@ void BarrierNetwork::Degrade() {
   // Hand the stranded arrivals to the fallback; late arrivals follow
   // through Arrive's degraded path.
   for (CoreId core = 0; core < num_cores(); ++core) {
-    if (release_cb_[core] != nullptr) ForwardToFallback(core);
+    if (release_cb_[core] != nullptr) GatherInSoftware(core);
   }
 }
 
-void BarrierNetwork::ForwardToFallback(CoreId core) {
-  auto on_release = [this, core]() { OnFallbackRelease(core); };
-  if (fallback_arrive_ != nullptr) {
-    fallback_arrive_(core, std::move(on_release));
-  } else {
-    InternalFallbackArrive(core, std::move(on_release));
+void BarrierNetwork::GatherInSoftware(CoreId core) {
+  fb_batch_.push_back(core);
+  if (fb_batch_.size() < num_cores()) return;
+  if (completion_hook_ != nullptr) {
+    // The same hand-off as a healthy gather: the parent's release
+    // reaches TriggerRelease, which releases this batch.
+    release_pending_ = true;
+    completion_hook_();
+    return;
   }
+  // Root: one software-barrier episode, modelled as a flat latency.
+  engine_.ScheduleIn(kFallbackLatency, [this]() { ReleaseSoftwareBatch(); });
 }
 
-void BarrierNetwork::InternalFallbackArrive(CoreId core,
-                                            std::function<void()> on_release) {
-  internal_fb_waiters_.emplace_back(core, std::move(on_release));
-  if (internal_fb_waiters_.size() < num_cores()) return;
-  // All cores present: model one software-barrier episode as a flat
-  // latency, then release everyone.
-  auto waiters = std::move(internal_fb_waiters_);
-  internal_fb_waiters_.clear();
-  engine_.ScheduleIn(cfg_.fallback_latency, [waiters = std::move(waiters)]() {
-    for (const auto& [w_core, w_cb] : waiters) w_cb();
-  });
-}
-
-void BarrierNetwork::OnFallbackRelease(CoreId core) {
-  GLB_CHECK(release_cb_[core] != nullptr)
-      << "fallback released core " << core << " which never arrived";
-  auto cb = std::move(release_cb_[core]);
-  release_cb_[core] = nullptr;
-  if (++fb_released_ >= num_cores()) {
-    fb_released_ = 0;
-    fb_arrived_ = 0;
-    ++fb_episodes_since_probe_;
-    RecordEpisodeSpan(engine_.Now() - first_arrival_);
-    completed_->Inc();
-    degraded_episodes_.Inc();
-    if (recovering_since_ != kCycleNever) {
-      recovery_latency_->Record(engine_.Now() - recovering_since_);
-      recovering_since_ = kCycleNever;
-    }
-    if (trace::Active() && trace_.deg_active) {
-      trace_.deg_active = false;
-      auto& sink = trace::Sink();
-      const std::uint64_t id = sink.NextId();
-      sink.AsyncBegin(trace_.track, "episode", id, trace_.deg_first,
-                      trace::Args().Add("n", num_cores()).Add("degraded", true).json());
-      sink.AsyncEnd(trace_.track, "episode", id, engine_.Now());
-    }
+void BarrierNetwork::ReleaseSoftwareBatch() {
+  // Detach the batch first: a release callback may re-arrive at once.
+  std::vector<CoreId> batch;
+  batch.swap(fb_batch_);
+  fb_arrived_ = 0;
+  ++fb_episodes_since_probe_;
+  RecordEpisodeSpan(engine_.Now() - first_arrival_);
+  completed_->Inc();
+  degraded_episodes_.Inc();
+  if (recovering_since_ != kCycleNever) {
+    recovery_latency_->Record(engine_.Now() - recovering_since_);
+    recovering_since_ = kCycleNever;
   }
-  cb();
+  if (trace::Active() && trace_.deg_active) {
+    trace_.deg_active = false;
+    auto& sink = trace::Sink();
+    const std::uint64_t id = sink.NextId();
+    sink.AsyncBegin(trace_.track, "episode", id, trace_.deg_first,
+                    trace::Args().Add("n", num_cores()).Add("degraded", true).json());
+    sink.AsyncEnd(trace_.track, "episode", id, engine_.Now());
+  }
+  for (const CoreId core : batch) {
+    auto cb = std::move(release_cb_[core]);
+    release_cb_[core] = nullptr;
+    cb();
+  }
 }
 
 void BarrierNetwork::OnEpisodeFullyReleased() {

@@ -50,7 +50,11 @@
 // re-signal of every outstanding arrival — legal because arrivals are
 // level-coded in bar_reg, not edge-coded on the wire), and finally
 // trips a `degraded` flag that routes this and all later episodes
-// through a fallback (SetFallback; the device picks which one).
+// through the one software fallback: the node counts arrivals in
+// software and completes through the healthy gather's path. A node with
+// a completion hook hands the batch to its parent and releases it in
+// TriggerRelease; the root releases it kFallbackLatency cycles later
+// (see gline/hierarchy.h).
 // A release wave that is itself partially lost is re-driven directly:
 // the gather had legitimately completed, so the releases are owed
 // unconditionally. The invariant maintained under any fault plan:
@@ -61,7 +65,8 @@
 // bit):
 //   * Adaptive watchdog: with `watchdog_mult` > 0 the window tracks an
 //     EWMA of observed episode spans —
-//       window = clamp(mult * ewma, watchdog_timeout, watchdog_max)
+//       window = clamp(mult * ewma, watchdog_timeout,
+//                      kWatchdogCapFactor * watchdog_timeout)
 //     — so DVFS stragglers and skewed partitions stretch the window
 //     instead of tripping spurious degradation, while the floor keeps
 //     real drops recovering as fast as v1.
@@ -92,6 +97,16 @@
 
 namespace glb::gline {
 
+/// Cost of one degraded-mode episode at the root: the software fallback
+/// releases the whole batch this many cycles after its last arrival.
+/// A modelling choice: the cost does not grow with the core count, and
+/// no paper figure or baseline runs degraded.
+inline constexpr Cycle kFallbackLatency = 32;
+/// Adaptive watchdog: EWMA weight of the newest episode span, and the
+/// window ceiling as a multiple of the (level's) watchdog_timeout.
+inline constexpr double kWatchdogAlpha = 0.25;
+inline constexpr Cycle kWatchdogCapFactor = 64;
+
 struct BarrierNetConfig {
   /// Transmitter budget per line (paper: six).
   std::uint32_t max_transmitters = 6;
@@ -113,19 +128,12 @@ struct BarrierNetConfig {
   /// Hardware retries (reset + re-signal) per episode before the network
   /// trips its sticky `degraded` flag and falls back to software.
   std::uint32_t max_retries = 2;
-  /// Modeled cost of one episode of the built-in software fallback,
-  /// used when no external fallback device is wired in (tests).
-  Cycle fallback_latency = 32;
 
   // --- self-healing v2 (0 = v1 behavior, bit-for-bit) ----------------
   /// Adaptive watchdog: window = clamp(watchdog_mult * EWMA(episode
-  /// span), watchdog_timeout, watchdog_max). 0 keeps the fixed window.
+  /// span), watchdog_timeout, kWatchdogCapFactor * watchdog_timeout).
+  /// 0 keeps the fixed window.
   double watchdog_mult = 0.0;
-  /// EWMA smoothing factor for the episode-span estimate.
-  double watchdog_alpha = 0.25;
-  /// Hard ceiling of the adaptive window (0 = 64 * watchdog_timeout):
-  /// bounds how far stragglers can push fault-detection latency.
-  Cycle watchdog_max = 0;
   /// Hardware rejoin: fallback episodes between shadow-probes of the
   /// degraded hardware path. 0 keeps the v1 sticky degradation.
   std::uint32_t probe_after = 0;
@@ -171,23 +179,13 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// Pass nullptr to restore auto-release.
   void SetCompletionHook(std::function<void()> hook);
 
-  /// Starts the deferred release wave of a completed gather.
+  /// Releases a completed gather held for the upper level: the batch a
+  /// degraded node gathered in software, else the hardware release wave.
   void TriggerRelease();
 
   /// Installs `hook` on every G-line (S-CSMA count corruption / batch
   /// loss; see fault::FaultInjector). nullptr clears.
   void SetLineFaultHook(GLine::DeliverFaultHook hook);
-
-  // --- degraded-mode fallback ------------------------------------------
-
-  /// Software fallback transport used once the network degrades: it
-  /// receives one forwarded arrival per core and must run each release
-  /// callback once all num_cores() cores arrived. When no fallback is
-  /// installed, a built-in counting barrier with `fallback_latency`
-  /// release cost is used.
-  using FallbackArrive =
-      std::function<void(CoreId core, std::function<void()> on_release)>;
-  void SetFallback(FallbackArrive arrive);
 
   /// True while episodes complete through the software fallback (sticky
   /// unless cfg.probe_after re-enables rejoin).
@@ -289,10 +287,12 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// Trips the sticky degraded flag and moves the network — outstanding
   /// arrivals included — onto the software fallback.
   void Degrade();
-  void ForwardToFallback(CoreId core);
-  void OnFallbackRelease(CoreId core);
-  /// Built-in counting fallback used when none is wired in.
-  void InternalFallbackArrive(CoreId core, std::function<void()> on_release);
+  /// Degraded-mode gather: adds `core` to the software batch and, once
+  /// every core is in, hands the batch to the parent (completion hook)
+  /// or schedules its release (root).
+  void GatherInSoftware(CoreId core);
+  /// Completes a degraded episode: releases the software batch.
+  void ReleaseSoftwareBatch();
   /// Episode fully over (every owed release delivered).
   void OnEpisodeFullyReleased();
   /// Re-evaluates the MasterH completion condition for a row.
@@ -351,10 +351,10 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// First fault detection of the current episode (kCycleNever =
   /// healthy); recovery latency is measured from here to completion.
   Cycle recovering_since_ = kCycleNever;
-  /// Degraded-mode bookkeeping: releases delivered by the fallback in
-  /// the current episode, and the built-in fallback's gathered waiters.
-  std::uint32_t fb_released_ = 0;
-  std::vector<std::pair<CoreId, std::function<void()>>> internal_fb_waiters_;
+  /// Degraded-mode software gather, in arrival order. A full batch stays
+  /// here until it is released: while it waits at the parent or for
+  /// kFallbackLatency, and also across a rejoin that lands meanwhile.
+  std::vector<CoreId> fb_batch_;
 
   // --- v2: adaptive watchdog + rejoin ---------------------------------
   Health health_ = Health::kHealthy;
@@ -397,8 +397,6 @@ class BarrierNetwork final : public core::BarrierDevice {
     bool deg_active = false;
     Cycle deg_first = 0;
   } trace_;
-
-  FallbackArrive fallback_arrive_;
 
   Counter* completed_ = nullptr;
   Counter* signals_ = nullptr;

@@ -54,12 +54,10 @@ void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
     if (cfg_.node.adaptive()) {
       // Depth-aware windows: a level-k episode spans the slowest
       // subtree below it (k extra gather/release hops plus the leaf
-      // skew), so its floor and ceiling grow with depth. Fixed-window
-      // mode keeps the uniform v1 windows bit-for-bit.
+      // skew), so its floor grows with depth, and with it the ceiling
+      // (a multiple of the floor). Fixed-window mode keeps the uniform
+      // v1 windows bit-for-bit.
       sub.watchdog_timeout = cfg_.node.watchdog_timeout * (k + 1);
-      if (cfg_.node.watchdog_max > 0) {
-        sub.watchdog_max = cfg_.node.watchdog_max * (k + 1);
-      }
     }
     Level lv;
     lv.mesh_rows = mr;
@@ -118,35 +116,17 @@ void HierarchicalBarrierNetwork::ChainLevels() {
       BarrierNetwork* child = n.net.get();
       BarrierNetwork* parent = up.nodes[n.parent_node].net.get();
       const CoreId slot = n.parent_slot;
-      // Chain: node completion arrives at the level above; the upper
-      // release triggers this node's deferred release wave.
+      // Chain: node completion, in hardware or (degraded) in software,
+      // arrives at the level above; the upper release triggers this
+      // node's deferred release.
       child->SetCompletionHook([child, parent, slot]() {
         parent->Arrive(slot, [child]() { child->TriggerRelease(); });
       });
-      if (cfg_.node.resilient()) {
-        // Degraded non-root nodes must keep deferring to the parent:
-        // buffer local arrivals and forward ONE arrival upward when the
-        // node is full; the parent's release releases the batch. The
-        // batch is snapshotted before Arrive so releases delivered
-        // synchronously cannot mix with next-episode arrivals.
-        child->SetFallback([this, k, i](CoreId /*core*/,
-                                        std::function<void()> on_release) {
-          Node& nn = levels_[k].nodes[i];
-          nn.fb.push_back(std::move(on_release));
-          if (nn.fb.size() < nn.net->num_cores()) return;
-          auto batch = std::make_shared<std::vector<std::function<void()>>>();
-          batch->swap(nn.fb);
-          BarrierNetwork* up_net = levels_[k + 1].nodes[nn.parent_node].net.get();
-          up_net->Arrive(nn.parent_slot, [batch]() {
-            for (auto& cb : *batch) cb();
-          });
-        });
-      }
     }
   }
-  // The root has no completion hook: its own release wave starting IS
-  // the global release, and (resilient) its built-in counting fallback
-  // is safe because every arrival it sees is a fully-gathered subtree.
+  // The root has no completion hook: its own release IS the global
+  // release, and a degraded root's counting fallback is safe because
+  // every arrival it sees is a fully-gathered subtree.
 }
 
 void HierarchicalBarrierNetwork::Arrive(CoreId core,

@@ -29,17 +29,15 @@
 //
 // Resilience: with `watchdog_timeout` set every node runs
 // BarrierNetwork's watchdog/retry/degrade machinery, and a degraded
-// node falls back one of three ways:
-//   * the flat node uses the fallback its owner installs (CmpSystem
-//     wires a sync::HybridBarrierUnit over the NoC);
-//   * a clustered root keeps the built-in counting fallback (its
-//     arrivals are already fully-gathered clusters);
-//   * a non-root node must NOT count and release its own cores — that
-//     would release a cluster before the rest of the chip arrived — so
-//     it buffers local arrivals and forwards one arrival to its parent
-//     when full; the parent's release releases the buffered batch.
-// At every depth no core is released before all cores arrived, and
-// every episode completes.
+// node has one fallback: it counts its arrivals in software and
+// completes through the same path as a healthy gather. A non-root node
+// must NOT release its own cores — that would release a cluster before
+// the rest of the chip arrived — so its full batch arrives at the
+// parent through the completion hook, and the parent's release
+// releases the batch. The root (the flat node at depth 1) releases its
+// batch after the flat kFallbackLatency; its arrivals are whole
+// subtrees, so that is the global release. At every depth no core is
+// released before all cores arrived, and every episode completes.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +80,7 @@ struct HierConfig {
   /// Every node's transmitter budget, policy and resilience knobs; its
   /// stat_prefix roots the device's names ("glh" -> node prefixes
   /// "glh.l0.c3"). With the adaptive watchdog on, a clustered device
-  /// scales level k's window floor and ceiling by (k+1): a level-k
+  /// scales level k's window floor (and so its ceiling) by (k+1): a level-k
   /// episode spans the slowest subtree below it, so upper levels
   /// legitimately run longer windows (depth-aware straggler tolerance).
   BarrierNetConfig node{.policy = TxPolicy::kReject, .stat_prefix = "glh"};
@@ -157,9 +155,6 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
     std::uint32_t nrows, ncols;  // dims of this node's network
     std::uint32_t parent_node = 0;  // index within the level above
     CoreId parent_slot = 0;         // local id within the parent network
-    /// Degraded-mode buffering (resilient non-root nodes only): local
-    /// releases owed, forwarded upward as one arrival.
-    std::vector<std::function<void()>> fb;
   };
   struct Level {
     std::uint32_t mesh_rows, mesh_cols;  // the mesh this level tiles

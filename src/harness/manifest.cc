@@ -133,13 +133,16 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
   w.Field("relaxed_tx_policy", cfg.gline.policy == gline::TxPolicy::kRelaxed);
   w.Field("watchdog_timeout", cfg.gline.watchdog_timeout);
   w.Field("max_retries", cfg.gline.max_retries);
-  w.Field("fallback_latency", cfg.gline.fallback_latency);
+  // fallback_latency, watchdog_alpha and watchdog_max echo constants
+  // under their old keys, so manifests keep their shape (watchdog_max 0
+  // means kWatchdogCapFactor x watchdog_timeout).
+  w.Field("fallback_latency", gline::kFallbackLatency);
   if (cfg.gline.adaptive() || cfg.gline.rejoin_enabled()) {
     // Self-healing v2 knobs appear only when live so v1 manifests stay
     // byte-identical.
     w.Field("watchdog_mult", cfg.gline.watchdog_mult);
-    w.Field("watchdog_alpha", cfg.gline.watchdog_alpha);
-    w.Field("watchdog_max", cfg.gline.watchdog_max);
+    w.Field("watchdog_alpha", gline::kWatchdogAlpha);
+    w.Field("watchdog_max", Cycle{0});
     w.Field("probe_after", cfg.gline.probe_after);
     w.Field("probe_successes", cfg.gline.probe_successes);
   }
@@ -158,11 +161,11 @@ void WriteConfig(json::Writer& w, const cmp::CmpConfig& cfg) {
     w.Field("max_transmitters", dev.node.max_transmitters);
     w.Field("watchdog_timeout", dev.node.watchdog_timeout);
     w.Field("max_retries", dev.node.max_retries);
-    w.Field("fallback_latency", dev.node.fallback_latency);
+    w.Field("fallback_latency", gline::kFallbackLatency);
     if (dev.node.adaptive() || dev.node.rejoin_enabled()) {
       w.Field("watchdog_mult", dev.node.watchdog_mult);
-      w.Field("watchdog_alpha", dev.node.watchdog_alpha);
-      w.Field("watchdog_max", dev.node.watchdog_max);
+      w.Field("watchdog_alpha", gline::kWatchdogAlpha);
+      w.Field("watchdog_max", Cycle{0});
       w.Field("probe_after", dev.node.probe_after);
       w.Field("probe_successes", dev.node.probe_successes);
     }

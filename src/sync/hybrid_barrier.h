@@ -42,9 +42,8 @@ class HybridBarrierUnit {
   void Arrive(CoreId core, std::function<void()> on_release);
 
   /// Reprograms the unit's participant count (memory-mapped config
-  /// register). Used when the unit backs a partial-participation
-  /// barrier, e.g. as the G-line network's degraded-mode fallback.
-  /// Illegal mid-episode.
+  /// register), for a HYB barrier over fewer participants than the
+  /// unit has slots. Illegal mid-episode.
   void SetExpected(std::uint32_t expected);
 
   CoreId home_tile() const { return home_; }

@@ -1,12 +1,11 @@
 // Fault-injection subsystem + self-healing barrier network tests:
 // FaultPlan parsing, scripted and probabilistic injection decisions,
 // watchdog-driven retry, the early-release guard, release-wave
-// re-drive, degraded-mode fallback (built-in and external), NoC link
-// penalties, and the loud Engine stall status.
+// re-drive, the degraded-mode software fallback, NoC link penalties,
+// and the loud Engine stall status.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -372,7 +371,7 @@ TEST(SelfHealing, PersistentFaultDegradesToFallbackAndSticks) {
   EXPECT_GT(rec->count(), 0u);
 
   // Sticky: the next episode goes straight through the fallback, with
-  // the built-in fallback_latency (32) release cost and no new timeouts.
+  // its kFallbackLatency (32) release cost and no new timeouts.
   const Cycle t = f.engine.Now() + 10;
   const auto again = f.RunOneBarrier(std::vector<Cycle>(4, t));
   for (CoreId c = 0; c < 4; ++c) {
@@ -382,24 +381,6 @@ TEST(SelfHealing, PersistentFaultDegradesToFallbackAndSticks) {
   EXPECT_EQ(f.stats.CounterValue("gl.timeouts"), 3u) << "no watchdog when degraded";
   EXPECT_EQ(f.stats.CounterValue("gl.degraded_episodes"), 2u);
   EXPECT_EQ(f.net->barriers_completed(), 2u);
-}
-
-TEST(SelfHealing, ExternalFallbackIsUsedOnceDegraded) {
-  FaultPlan plan;
-  plan.gline_drop_rate = 1.0;
-  FaultNetFixture f(2, 2, plan, /*watchdog=*/50, /*retries=*/0);
-  std::vector<std::pair<CoreId, std::function<void()>>> waiters;
-  f.net->SetFallback([&](CoreId core, std::function<void()> on_release) {
-    waiters.emplace_back(core, std::move(on_release));
-    if (waiters.size() == f.net->num_cores()) {
-      for (auto& [c, cb] : waiters) cb();
-      waiters.clear();
-    }
-  });
-  const auto released = f.RunOneBarrier(std::vector<Cycle>(4, 10));
-  for (CoreId c = 0; c < 4; ++c) ASSERT_NE(released[c], kCycleNever);
-  EXPECT_TRUE(f.net->degraded());
-  EXPECT_EQ(f.net->barriers_completed(), 1u);
 }
 
 TEST(SelfHealing, ResilientModeOffPreservesFourCycleLatency) {

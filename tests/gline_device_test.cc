@@ -5,8 +5,11 @@
 //     4-cycle network and give identical runs;
 //   * each shape registers exactly the stats it uses, pinned against a
 //     checked-in name list (tests/data/gline_stat_names.txt);
-//   * a clustered run registers no flat-network ("gl.*") or NoC-fallback
-//     ("hyb.*") stat, even with every resilience knob armed.
+//   * a clustered run registers no flat-network ("gl.*") stat, and
+//     neither shape a NoC-fallback ("hyb.*") one, even with every
+//     resilience knob armed;
+//   * once degraded, both shapes run the one software fallback: at depth
+//     1 they still agree, and no barrier arrival touches the NoC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +34,8 @@ struct Outcome {
   core::TimeBreakdown breakdown;
   std::uint64_t events = 0;
   std::vector<std::string> stat_names;
+  std::uint64_t degraded_episodes = 0;
+  std::uint64_t noc_msgs = 0;
 };
 
 Outcome RunOn(const std::string& workload, const harness::Scale& scale, BarrierKind kind,
@@ -42,7 +47,11 @@ Outcome RunOn(const std::string& workload, const harness::Scale& scale, BarrierK
   EXPECT_TRUE(sys.RunPrograms(
       [&](core::Core& c, CoreId id) { return wl->Body(c, id, *barrier); }));
   EXPECT_EQ(wl->Validate(sys), "");
-  Outcome out{sys.LastFinish(), sys.TotalBreakdown(), sys.engine().events_processed(), {}};
+  Outcome out{sys.LastFinish(), sys.TotalBreakdown(), sys.engine().events_processed(), {},
+              sys.gline().AggregateCounter("degraded_episodes"), 0};
+  for (const char* cls : {"request", "reply", "coherence"}) {
+    out.noc_msgs += sys.stats().CounterValue(std::string("noc.msgs.") + cls);
+  }
   sys.stats().ForEachCounter(
       [&](const std::string& name, const Counter&) { out.stat_names.push_back(name); });
   sys.stats().ForEachHistogram(
@@ -128,6 +137,33 @@ TEST(ClusteredDevice, RegistersNoFlatNetworkOrNocFallbackStat) {
        RunOn("Synthetic", scale, BarrierKind::kGLH, cfg).stat_names) {
     EXPECT_NE(name.rfind("gl.", 0), 0u) << name;
     EXPECT_NE(name.rfind("hyb.", 0), 0u) << name;
+  }
+  // The flat chip degrades to the same software fallback: no NoC unit.
+  for (const std::string& name :
+       RunOn("Synthetic", scale, BarrierKind::kGL, cfg).stat_names) {
+    EXPECT_NE(name.rfind("hyb.", 0), 0u) << name;
+  }
+}
+
+TEST(GlineDevice, DepthOneGlAndGlhAgreeWhenDegraded) {
+  // Every assertion is lost and no retry is allowed, so each node
+  // degrades on its first episode and runs the rest in software.
+  harness::Scale scale;
+  scale.synthetic_iters = 50;
+  for (const std::uint32_t cores : {16u, 36u}) {
+    cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(cores);
+    cfg.fault.gline_drop_rate = 1.0;
+    cfg.gline.watchdog_timeout = 200;
+    cfg.gline.max_retries = 0;
+    const Outcome gl = RunOn("Synthetic", scale, BarrierKind::kGL, cfg);
+    const Outcome glh = RunOn("Synthetic", scale, BarrierKind::kGLH, cfg);
+    EXPECT_EQ(gl.finish, glh.finish) << cores;
+    EXPECT_EQ(gl.breakdown.cycles, glh.breakdown.cycles) << cores;
+    EXPECT_EQ(gl.degraded_episodes, glh.degraded_episodes) << cores;
+    EXPECT_GT(gl.degraded_episodes, 0u) << cores;
+    // Synthetic is barrier-only: every NoC message would be the barrier's.
+    EXPECT_EQ(gl.noc_msgs, 0u) << cores;
+    EXPECT_EQ(glh.noc_msgs, 0u) << cores;
   }
 }
 

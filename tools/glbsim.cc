@@ -82,9 +82,8 @@ void Usage() {
       "                          enables retry + software fallback)\n"
       "  --fault_retries N       hardware retries before degrading (default 2)\n"
       "  --fault_watchdog_mult M adaptive watchdog: window = clamp(M * EWMA of\n"
-      "                          episode spans, floor=--fault_watchdog, cap)\n"
-      "                          (0 = fixed window; --fault_watchdog_alpha A\n"
-      "                          EWMA weight, --fault_watchdog_max C cap)\n"
+      "                          episode spans, floor=--fault_watchdog,\n"
+      "                          cap=64 * floor) (0 = fixed window)\n"
       "  --fault_probe_after N   shadow-probe the hardware path after N degraded\n"
       "                          fallback episodes (0 = sticky degraded mode)\n"
       "  --fault_probe_successes K  consecutive clean probes to rejoin (default 2)\n"
