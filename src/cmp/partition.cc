@@ -45,14 +45,14 @@ class RectDevice final : public core::BarrierDevice {
              core::BarrierDevice* inner)
       : rect_(rect), mesh_cols_(mesh_cols), inner_(inner) {}
 
-  void Arrive(CoreId core, std::function<void()> on_release) override {
+  void Arrive(CoreId core, core::BarrierWaiter& waiter) override {
     const std::uint32_t r = core / mesh_cols_;
     const std::uint32_t c = core % mesh_cols_;
     GLB_CHECK(rect_.Contains(r, c))
         << "core " << core << " arrived at a tenant barrier outside its rect "
         << rect_.ToString();
     const CoreId local = (r - rect_.row0) * rect_.cols + (c - rect_.col0);
-    inner_->Arrive(local, std::move(on_release));
+    inner_->Arrive(local, waiter);
   }
 
  private:

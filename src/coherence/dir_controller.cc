@@ -25,6 +25,9 @@ std::string TxnTraceName(bool is_recall, MsgType type, Addr line_addr) {
 
 DirController::DirController(Fabric& fabric, CoreId tile, const mem::CacheGeometry& geo)
     : fabric_(fabric), engine_(fabric.engine()), tile_(tile), array_(geo) {
+  // Buckets for a busy bank up front: a table never shrinks, so growing
+  // it would be a run-time allocation at each new peak of open lines.
+  txns_.reserve(kReservedTxns);
   auto& stats = fabric_.stats();
   requests_ = stats.GetCounter("l2.requests");
   l2_misses_ = stats.GetCounter("l2.misses");
@@ -45,7 +48,7 @@ void DirController::DumpTransactions(std::ostream& os) const {
     os << "bank " << tile_ << " line 0x" << std::hex << addr << std::dec
        << ": type=" << ToString(txn.type) << " req=" << txn.requester
        << " recall=" << txn.is_recall << " acks_left=" << txn.acks_left
-       << " queued=" << txn.queued.size();
+       << " queued=" << txn.num_queued;
     const auto* line = array_.Lookup(addr);
     if (line != nullptr) {
       os << " dir_state=" << static_cast<int>(line->meta.state)
@@ -101,7 +104,7 @@ void DirController::OnMessage(const Message& msg) {
     case MsgType::kPutM:
     case MsgType::kPutE: {
       if (auto it = txns_.find(msg.line_addr); it != txns_.end()) {
-        it->second.queued.push_back(msg);
+        Enqueue(it->second, msg);
         return;
       }
       Open(msg);
@@ -131,7 +134,7 @@ void DirController::Open(const Message& msg) {
                                  .Add("type", ToString(msg.type))
                                  .json());
   }
-  txns_.emplace(msg.line_addr, std::move(txn));
+  Insert(msg.line_addr, std::move(txn));
   requests_->Inc();
   GLB_TRACE(engine_.Now(), "dir",
             "bank " << tile_ << " opens " << ToString(msg.type) << " @" << msg.line_addr
@@ -176,8 +179,16 @@ void DirController::ProcessPut(const Message& msg) {
   Close(msg.line_addr);
 }
 
-void DirController::ProcessGet(const Message& msg) {
-  EnsureResident(msg.line_addr, [this, msg = msg]() {
+void DirController::ProcessGet(const Message& request) {
+  // The continuation keeps only the header fields: a whole Message
+  // (with its payload vector) would overflow sim::Task's inline buffer.
+  struct Header {
+    MsgType type;
+    CoreId from;
+    Addr line_addr;
+  };
+  EnsureResident(request.line_addr, [this, msg = Header{request.type, request.from,
+                                                         request.line_addr}]() {
     auto* line = array_.Lookup(msg.line_addr);
     GLB_CHECK(line != nullptr) << "EnsureResident lied";
     array_.Touch(line);
@@ -328,7 +339,7 @@ void DirController::StartRecall(Cache::Line* victim, sim::Task cont) {
     fwds_sent_->Inc();
     SendCtl(victim->meta.owner, MsgType::kFwdGetX, vaddr);
   }
-  txns_.emplace(vaddr, std::move(txn));
+  Insert(vaddr, std::move(txn));
 }
 
 void DirController::FinishRecall(Addr line_addr) {
@@ -395,6 +406,38 @@ void DirController::OnOwnerData(const Message& msg) {
   Close(msg.line_addr);
 }
 
+void DirController::Insert(Addr line_addr, Txn txn) {
+  std::vector<TxnNode>& spare = fabric_.SpareTxns();
+  if (spare.empty()) {
+    txns_.emplace(line_addr, std::move(txn));
+    return;
+  }
+  TxnNode node = std::move(spare.back());
+  spare.pop_back();
+  node.key() = line_addr;
+  node.mapped() = std::move(txn);
+  txns_.insert(std::move(node));
+}
+
+void DirController::Enqueue(Txn& txn, const Message& msg) {
+  std::uint32_t slot = free_queued_;
+  if (slot == kNoQueued) {
+    slot = static_cast<std::uint32_t>(queued_.size());
+    queued_.emplace_back();
+  } else {
+    free_queued_ = queued_[slot].next;
+  }
+  queued_[slot].msg = msg;
+  queued_[slot].next = kNoQueued;
+  if (txn.queue_tail == kNoQueued) {
+    txn.queue_head = slot;
+  } else {
+    queued_[txn.queue_tail].next = slot;
+  }
+  txn.queue_tail = slot;
+  ++txn.num_queued;
+}
+
 void DirController::Close(Addr line_addr) {
   auto node = txns_.extract(line_addr);
   GLB_CHECK(!node.empty()) << "closing a line with no transaction";
@@ -404,15 +447,26 @@ void DirController::Close(Addr line_addr) {
         TxnTraceName(node.mapped().is_recall, node.mapped().type, line_addr),
         node.mapped().trace_id, engine_.Now());
   }
-  std::vector<Message> queued = std::move(node.mapped().queued);
+  const Txn& done = node.mapped();
+  const std::uint32_t head = done.queue_head;
+  const std::uint32_t tail = done.queue_tail;
+  const std::uint32_t num_queued = done.num_queued;
   sim::Task resume = std::move(node.mapped().on_recall_done);
+  fabric_.SpareTxns().push_back(std::move(node));
 
-  if (!queued.empty()) {
-    Message next = std::move(queued.front());
-    queued.erase(queued.begin());
+  if (head != kNoQueued) {
+    Message next = std::move(queued_[head].msg);
+    const std::uint32_t rest = queued_[head].next;
+    queued_[head].next = free_queued_;
+    free_queued_ = head;
     Open(next);
     // Re-attach the remaining arrivals behind the freshly-opened txn.
-    txns_.at(line_addr).queued = std::move(queued);
+    if (rest != kNoQueued) {
+      Txn& reopened = txns_.at(line_addr);
+      reopened.queue_head = rest;
+      reopened.queue_tail = tail;
+      reopened.num_queued = num_queued - 1;
+    }
   }
   if (resume) resume();
 }

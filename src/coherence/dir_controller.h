@@ -73,6 +73,16 @@ class DirController {
 
  private:
   using Cache = mem::CacheArray<DirMeta>;
+  static constexpr std::uint32_t kNoQueued = 0xFFFFFFFFu;
+  /// Open transactions a bank's table holds before it rehashes.
+  static constexpr std::size_t kReservedTxns = 16;
+
+  /// A request waiting behind an open transaction; `next` links the
+  /// line's queue, or the free slots.
+  struct Queued {
+    Message msg;
+    std::uint32_t next = kNoQueued;
+  };
 
   struct Txn {
     MsgType type = MsgType::kGetS;  // kGetS / kGetX; recalls use is_recall
@@ -80,8 +90,10 @@ class DirController {
     bool is_recall = false;
     std::uint32_t acks_left = 0;
     /// Requests that arrived while this transaction was open, oldest
-    /// first (rarely any, so a vector: empty, it costs no allocation).
-    std::vector<Message> queued;
+    /// first: a list through the bank's queued_ slab.
+    std::uint32_t queue_head = kNoQueued;
+    std::uint32_t queue_tail = kNoQueued;
+    std::uint32_t num_queued = 0;
     /// Recall continuation: resumes the parent allocation.
     sim::Task on_recall_done;
     /// Trace correlation id of the transaction's async span (0 =
@@ -108,6 +120,11 @@ class DirController {
   void OnInvAck(const Message& msg);
   void OnOwnerData(const Message& msg);
 
+  /// Adds the open transaction of `line_addr`, in a recycled table node
+  /// when the fabric has one.
+  void Insert(Addr line_addr, Txn txn);
+  /// Queues `msg` behind `txn`.
+  void Enqueue(Txn& txn, const Message& msg);
   /// Completes the open transaction on `line_addr` and pumps the queue.
   void Close(Addr line_addr);
 
@@ -121,6 +138,19 @@ class DirController {
   const CoreId tile_;
   Cache array_;
   std::unordered_map<Addr, Txn> txns_;
+
+ public:
+  /// A transaction-table node. Closed transactions leave theirs with
+  /// the fabric (Fabric::SpareTxns), shared by every bank, and Insert
+  /// reuses them, so a request costs no allocation once the chip has
+  /// reached its peak number of open transactions.
+  using TxnNode = std::unordered_map<Addr, Txn>::node_type;
+
+ private:
+  /// Every queued request of the bank; it grows only to the peak number
+  /// queued at once.
+  std::vector<Queued> queued_;
+  std::uint32_t free_queued_ = kNoQueued;
 
   Counter* requests_ = nullptr;
   Counter* l2_misses_ = nullptr;

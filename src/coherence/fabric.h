@@ -58,6 +58,10 @@ class Fabric {
     spare_lines_.pop_back();
     return buf;
   }
+  /// Transaction-table nodes of closed directory transactions, ready
+  /// for any bank's next one (DirController::TxnNode).
+  std::vector<DirController::TxnNode>& SpareTxns() { return spare_txns_; }
+
   /// Takes back a payload buffer whose contents are no longer needed.
   void Recycle(std::vector<Word>&& buf) {
     if (buf.capacity() == 0) return;
@@ -113,6 +117,7 @@ class Fabric {
   std::vector<std::uint32_t> free_msgs_;
   /// Delivered payload buffers, ready for LineBuffer.
   std::vector<std::vector<Word>> spare_lines_;
+  std::vector<DirController::TxnNode> spare_txns_;
 };
 
 }  // namespace glb::coherence

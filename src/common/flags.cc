@@ -14,6 +14,26 @@ namespace {
 }
 }  // namespace
 
+bool ParseInt64(const std::string& text, std::int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(text.c_str(), &end, 0);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *out = n;
+  return true;
+}
+
+bool ParseUint64(const std::string& text, std::uint64_t* out) {
+  // strtoull negates a leading '-' silently; a count has no sign.
+  if (text.find('-') != std::string::npos) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(text.c_str(), &end, 0);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *out = n;
+  return true;
+}
+
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -65,10 +85,8 @@ std::string Flags::GetString(const std::string& name, std::string def) const {
 std::int64_t Flags::GetInt(const std::string& name, std::int64_t def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;
-  char* end = nullptr;
-  errno = 0;
-  const long long n = std::strtoll(v->c_str(), &end, 0);
-  if (end == v->c_str() || *end != '\0' || errno == ERANGE) BadValue(name, *v);
+  std::int64_t n = 0;
+  if (!ParseInt64(*v, &n)) BadValue(name, *v);
   return n;
 }
 
@@ -81,12 +99,8 @@ std::uint32_t Flags::GetUint32(const std::string& name, std::uint32_t def) const
 std::uint64_t Flags::GetUint64(const std::string& name, std::uint64_t def) const {
   const std::string* v = Find(name);
   if (v == nullptr) return def;
-  // strtoull negates a leading '-' silently; a count has no sign.
-  if (v->find('-') != std::string::npos) BadValue(name, *v);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(v->c_str(), &end, 0);
-  if (end == v->c_str() || *end != '\0' || errno == ERANGE) BadValue(name, *v);
+  std::uint64_t n = 0;
+  if (!ParseUint64(*v, &n)) BadValue(name, *v);
   return n;
 }
 

@@ -25,6 +25,14 @@
 
 namespace glb {
 
+/// The strict number parsers behind the Flags getters, for number
+/// fields inside flag values (--fault_script entries): true with the
+/// value when `text` is a whole number of the type in base 0 (so 0x10
+/// is legal), false on an empty string, trailing characters or a value
+/// out of range. ParseUint64 also refuses any sign: -5 is not 2^64 - 5.
+bool ParseInt64(const std::string& text, std::int64_t* out);
+bool ParseUint64(const std::string& text, std::uint64_t* out);
+
 class Flags {
  public:
   Flags(int argc, char** argv);

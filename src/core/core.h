@@ -187,51 +187,76 @@ class Core {
     void await_resume() const noexcept {}
   };
 
-  struct GlBarrierAwaiter {
+  /// GlBarrier(): the bar_reg write reaches the controllers
+  /// `gl_notify_overhead` cycles after the call, and the core leaves its
+  /// `bnz bar_reg` loop `gl_resume_overhead` cycles after the release.
+  /// The awaiter is its own waiter: both hops are engine batch members,
+  /// so the cores of one release cost one event (docs/PERFORMANCE.md
+  /// §11), in the places their events would have had.
+  struct GlBarrierAwaiter : BarrierWaiter {
+    explicit GlBarrierAwaiter(Core& c) : core(c) {}
     Core& core;
+    std::coroutine_handle<> waiter;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       GLB_CHECK(core.barrier_dev_ != nullptr)
           << "GlBarrier() without a barrier device on core " << core.id_;
       core.BeginOp(TimeCat::kBarrier);
       core.NoteBarrier();
-      // `mov 1, bar_reg` reaches the controllers after the notify
-      // overhead; the release is observed after the resume overhead.
-      core.engine_.ScheduleIn(core.cfg_.gl_notify_overhead, [this, h]() {
-        core.barrier_dev_->Arrive(core.id_, [this, h]() {
-          core.engine_.ScheduleIn(core.cfg_.gl_resume_overhead, [this, h]() {
-            core.EndOp();
-            // Post-release coroutine body is workload code (host profiler).
-            prof::Scope prof_scope(prof::Cat::kWorkload);
-            h.resume();
-          });
-        });
-      });
+      waiter = h;
+      run = &Notify;
+      core.engine_.JoinIn(core.cfg_.gl_notify_overhead, *this);
     }
     void await_resume() const noexcept {}
+
+   private:
+    static void Notify(sim::Engine::Member& m) {
+      auto& a = static_cast<GlBarrierAwaiter&>(m);
+      a.run = &Released;
+      a.core.barrier_dev_->Arrive(a.core.id_, a);
+    }
+    static void Released(sim::Engine::Member& m) {
+      auto& a = static_cast<GlBarrierAwaiter&>(m);
+      a.run = &Resume;
+      a.core.engine_.JoinIn(a.core.cfg_.gl_resume_overhead, a);
+    }
+    static void Resume(sim::Engine::Member& m) {
+      auto& a = static_cast<GlBarrierAwaiter&>(m);
+      a.core.EndOp();
+      // Post-release coroutine body is workload code (host profiler).
+      prof::Scope prof_scope(prof::Cat::kWorkload);
+      a.waiter.resume();
+    }
   };
 
-  /// Generic suspension: `arm(resume)` is called at suspension time and
-  /// must eventually invoke `resume` exactly once (from an engine
-  /// event). Latency is attributed to `cat` (subject to CategoryScope
-  /// overrides). This is how devices other than the cache hierarchy —
-  /// e.g. memory-mapped barrier units — block a core.
-  struct WaitForAwaiter {
+  /// WaitOn(dev, cat): arrives at `dev` now and resumes inside its
+  /// release, with the wait charged to `cat` (subject to CategoryScope
+  /// overrides). This is how a barrier device with no notify/resume
+  /// overhead of its own, the memory-mapped HYB unit, blocks a core.
+  struct DeviceAwaiter : BarrierWaiter {
+    DeviceAwaiter(Core& c, BarrierDevice& d, TimeCat t) : core(c), dev(d), cat(t) {}
     Core& core;
-    std::function<void(std::function<void()>)> arm;
+    BarrierDevice& dev;
     TimeCat cat;
+    std::coroutine_handle<> waiter;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
       core.BeginOp(cat);
-      arm([this, h]() {
-        core.EndOp();
-        // The resumed coroutine body is workload code until its next
-        // suspension point (host profiler; docs/OBSERVABILITY.md).
-        prof::Scope prof_scope(prof::Cat::kWorkload);
-        h.resume();
-      });
+      waiter = h;
+      run = &Resume;
+      dev.Arrive(core.id_, *this);
     }
     void await_resume() const noexcept {}
+
+   private:
+    static void Resume(sim::Engine::Member& m) {
+      auto& a = static_cast<DeviceAwaiter&>(m);
+      a.core.EndOp();
+      // The resumed coroutine body is workload code until its next
+      // suspension point (host profiler; docs/OBSERVABILITY.md).
+      prof::Scope prof_scope(prof::Cat::kWorkload);
+      a.waiter.resume();
+    }
   };
 
   /// The poll loop `Word v; do v = co_await Load(addr); while
@@ -265,9 +290,8 @@ class Core {
     return SpinAwaiter<Pred>{*this, addr, std::move(pred)};
   }
 
-  [[nodiscard]] WaitForAwaiter WaitFor(std::function<void(std::function<void()>)> arm,
-                                       TimeCat cat = TimeCat::kBusy) {
-    return WaitForAwaiter{*this, std::move(arm), cat};
+  [[nodiscard]] DeviceAwaiter WaitOn(BarrierDevice& dev, TimeCat cat = TimeCat::kBusy) {
+    return DeviceAwaiter(*this, dev, cat);
   }
 
   [[nodiscard]] LoadAwaiter Load(Addr addr) { return LoadAwaiter{*this, addr}; }
@@ -281,7 +305,7 @@ class Core {
   [[nodiscard]] ComputeAwaiter Compute(Cycle cycles) {
     return ComputeAwaiter{*this, cycles};
   }
-  [[nodiscard]] GlBarrierAwaiter GlBarrier() { return GlBarrierAwaiter{*this}; }
+  [[nodiscard]] GlBarrierAwaiter GlBarrier() { return GlBarrierAwaiter(*this); }
 
  private:
   friend struct LoadAwaiter;

@@ -7,14 +7,33 @@
 // caller and resumes it when the subroutine finishes, all inside the
 // discrete-event simulation — simulated time passes only at the
 // architectural awaitables (Load/Store/Amo/Compute/GlBarrier).
+//
+// Frames are recycled: a finished coroutine's frame goes to a
+// per-thread free list of its size class and the next frame of that
+// class reuses it, so a workload that calls a subroutine per barrier
+// (sync::Barrier::Wait) allocates only until the lists have warmed up.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <exception>
 #include <utility>
 
 namespace glb::core {
+
+/// Coroutine-frame allocation (task.cc). Frames up to 1 KiB are cached
+/// per thread by 64-byte size class; each block is allocated on its
+/// own, so one freed on another thread is cached there. Sanitizer
+/// builds bypass the cache so ASan still sees every frame.
+void* FrameAlloc(std::size_t size);
+void FrameFree(void* frame, std::size_t size) noexcept;
+/// Frames this thread has taken from operator new so far: cache misses,
+/// or every frame where the cache is bypassed (allocation-count tests).
+std::uint64_t FrameAllocations();
+/// False in the sanitizer builds that bypass the cache.
+bool FrameCacheEnabled();
 
 class Task {
  public:
@@ -30,6 +49,11 @@ class Task {
     bool* done_flag = nullptr;
     /// Optional top-level completion hook, run at final suspension.
     std::function<void()> on_complete;
+
+    static void* operator new(std::size_t size) { return FrameAlloc(size); }
+    static void operator delete(void* frame, std::size_t size) noexcept {
+      FrameFree(frame, size);
+    }
 
     Task get_return_object() { return Task(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }

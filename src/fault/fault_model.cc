@@ -1,11 +1,11 @@
 #include "fault/fault_model.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <utility>
 
-#include "common/check.h"
 
 namespace glb::fault {
 
@@ -37,19 +37,17 @@ bool FaultSiteFromName(const std::string& name, FaultSite* site) {
   return true;
 }
 
-FaultSite FaultSiteFromNameOrExit(const std::string& name) {
-  FaultSite site;
-  if (!FaultSiteFromName(name, &site)) {
-    std::cerr << "unknown fault site '" << name
-              << "' (want gline_drop|gline_dup|csma_corrupt|core_freeze|"
-                 "noc_delay|noc_drop|core_slow|work_skew)\n";
-    std::exit(2);
-  }
-  return site;
-}
-
 namespace {
 
+[[noreturn]] void BadScriptEntry(const std::string& entry, const std::string& why) {
+  std::cerr << "bad --fault_script entry '" << entry << "': " << why
+            << " (want cycle:site[:target[:magnitude]])\n";
+  std::exit(2);
+}
+
+/// Parses "cycle:site[:target[:magnitude]],..."; a malformed entry
+/// exits 2 and quotes it. The cycle is an unsigned 64-bit count; the
+/// magnitude a signed 32-bit one, negative only for an S-CSMA skew.
 std::vector<ScriptedFault> ParseScript(const std::string& spec) {
   std::vector<ScriptedFault> script;
   std::istringstream entries(spec);
@@ -57,19 +55,29 @@ std::vector<ScriptedFault> ParseScript(const std::string& spec) {
   while (std::getline(entries, entry, ',')) {
     if (entry.empty()) continue;
     std::istringstream fields(entry);
-    std::string cycle, site, target, mag;
-    GLB_CHECK(std::getline(fields, cycle, ':') && std::getline(fields, site, ':'))
-        << "bad --fault_script entry '" << entry
-        << "' (want cycle:site[:target[:magnitude]])";
+    std::string cycle, site, target, mag, extra;
+    if (!std::getline(fields, cycle, ':') || !std::getline(fields, site, ':')) {
+      BadScriptEntry(entry, "missing site");
+    }
     std::getline(fields, target, ':');
     std::getline(fields, mag, ':');
+    if (std::getline(fields, extra)) BadScriptEntry(entry, "too many fields");
     ScriptedFault f;
-    f.cycle = static_cast<Cycle>(std::strtoull(cycle.c_str(), nullptr, 10));
-    f.site = FaultSiteFromNameOrExit(site);
+    if (!ParseUint64(cycle, &f.cycle)) BadScriptEntry(entry, "bad cycle '" + cycle + "'");
+    if (!FaultSiteFromName(site, &f.site)) {
+      BadScriptEntry(entry, "unknown fault site '" + site +
+                                "' (want gline_drop|gline_dup|csma_corrupt|core_freeze|"
+                                "noc_delay|noc_drop|core_slow|work_skew)");
+    }
     f.target = target;
-    f.magnitude = mag.empty()
-                      ? 0
-                      : static_cast<std::int32_t>(std::strtol(mag.c_str(), nullptr, 10));
+    if (!mag.empty()) {
+      std::int64_t m = 0;
+      const std::int64_t lowest = f.site == FaultSite::kCsmaCorrupt ? INT32_MIN : 0;
+      if (!ParseInt64(mag, &m) || m < lowest || m > INT32_MAX) {
+        BadScriptEntry(entry, "bad magnitude '" + mag + "'");
+      }
+      f.magnitude = static_cast<std::int32_t>(m);
+    }
     script.push_back(std::move(f));
   }
   return script;
@@ -99,14 +107,11 @@ FaultPlan PlanFromFlags(const Flags& flags) {
   p.noc_delay_rate = RateFromFlag(flags, "fault_noc_delay");
   p.noc_drop_rate = RateFromFlag(flags, "fault_noc_drop");
   p.core_slow_rate = RateFromFlag(flags, "fault_slow");
-  p.csma_max_skew =
-      static_cast<std::uint32_t>(flags.GetInt("fault_csma_skew", 2));
-  p.core_freeze_cycles =
-      static_cast<Cycle>(flags.GetInt("fault_freeze_cycles", 2000));
-  p.noc_delay_cycles =
-      static_cast<Cycle>(flags.GetInt("fault_noc_delay_cycles", 50));
-  p.noc_retransmit_cycles =
-      static_cast<Cycle>(flags.GetInt("fault_noc_retransmit_cycles", 30));
+  // Magnitudes are unsigned: -1 is a bad value, not a 2^64 - 1 stall.
+  p.csma_max_skew = flags.GetUint32("fault_csma_skew", 2);
+  p.core_freeze_cycles = flags.GetUint64("fault_freeze_cycles", 2000);
+  p.noc_delay_cycles = flags.GetUint64("fault_noc_delay_cycles", 50);
+  p.noc_retransmit_cycles = flags.GetUint64("fault_noc_retransmit_cycles", 30);
   p.core_slow_factor = flags.GetDouble("fault_slow_factor", 2.0);
   p.work_skew = flags.GetDouble("fault_skew", 0.0);
   p.script = ParseScript(flags.GetString("fault_script", ""));

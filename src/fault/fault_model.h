@@ -61,10 +61,6 @@ const char* ToString(FaultSite site);
 /// slow, skew) stay accepted. Returns false on an unknown name.
 bool FaultSiteFromName(const std::string& name, FaultSite* site);
 
-/// CLI wrapper: prints the valid names to stderr and exits with status 2
-/// on an unknown name (same convention as BarrierKindFromNameOrExit).
-FaultSite FaultSiteFromNameOrExit(const std::string& name);
-
 /// One scripted injection. Fires at the first matching opportunity at or
 /// after `cycle` (exact-cycle matching would make tests brittle against
 /// one-cycle schedule shifts), then is consumed.
@@ -140,8 +136,8 @@ struct FaultPlan {
 ///   --fault_script "cycle:site[:target[:magnitude]],..."
 /// where site is one of gline_drop|gline_dup|csma_corrupt|core_freeze|
 /// noc_delay|noc_drop|core_slow|work_skew (plus the short aliases
-/// csma|freeze|slow|skew). Unknown names, and rates (R) outside
-/// [0, 1], exit with status 2.
+/// csma|freeze|slow|skew). Rates (R) outside [0, 1], negative
+/// magnitudes (N, K) and malformed script entries exit with status 2.
 FaultPlan PlanFromFlags(const Flags& flags);
 
 }  // namespace glb::fault

@@ -43,7 +43,9 @@ BarrierNetwork::BarrierNetwork(sim::Engine& engine, std::uint32_t rows,
   mh_.resize(rows_);
   sh_.resize(num_cores());
   sv_.resize(rows_);
-  release_cb_.resize(num_cores());
+  waiters_.assign(num_cores(), nullptr);
+  up_.self = this;
+  up_.run = [](sim::Engine::Member& m) { static_cast<UpWaiter&>(m).self->TriggerRelease(); };
   release_owed_.assign(num_cores(), false);
   trace_.track = pfx + "/ctx0";
   BuildLines(ctx_pfx);
@@ -144,12 +146,11 @@ void BarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {
 // Arrival / gather phase
 // ---------------------------------------------------------------------------
 
-void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
+void BarrierNetwork::Arrive(CoreId core, core::BarrierWaiter& waiter) {
   prof::Scope prof_scope(prof::Cat::kBarrier);
   GLB_CHECK(core < num_cores()) << "bad core id " << core;
-  GLB_CHECK(release_cb_[core] == nullptr)
+  GLB_CHECK(waiters_[core] == nullptr)
       << "core " << core << " arrived twice at the same barrier";
-  GLB_CHECK(on_release != nullptr) << "arrival without release callback";
 
   if (degraded_) {
     if (cfg_.rejoin_enabled() && !probe_active_ &&
@@ -159,7 +160,7 @@ void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
       // hardware count can reach the full core count.
       if (fb_batch_.empty()) StartProbe();
     }
-    release_cb_[core] = std::move(on_release);
+    waiters_[core] = &waiter;
     if (fb_arrived_++ == 0) first_arrival_ = engine_.Now();
     GLB_TRACE(engine_.Now(), "gl",
               "core " << core << " arrives (degraded, via fallback)");
@@ -172,7 +173,7 @@ void BarrierNetwork::Arrive(CoreId core, std::function<void()> on_release) {
     return;
   }
 
-  release_cb_[core] = std::move(on_release);
+  waiters_[core] = &waiter;
   if (++arrived_ == 1) {
     first_arrival_ = engine_.Now();
     // The previous episode's watchdog stays responsible while its
@@ -225,25 +226,25 @@ void BarrierNetwork::CheckVerticalComplete() {
     if (!probe_active_) return;
     // Shadow-probe completion: the hardware gather finished. It is
     // clean iff its count matches every core — and it must be
-    // intercepted HERE, before the completion hook or release wave,
+    // intercepted HERE, before the parent arrival or release wave,
     // because the fallback owns every in-flight episode.
     if (!mv_.node0_flag || mv_.scnt != rows_ - 1) return;
     EndProbe(probe_arrived_ == num_cores());
     return;
   }
   if (!mv_.node0_flag || mv_.scnt != rows_ - 1) return;
-  if (resilient() && completion_hook_ != nullptr && arrived_ != num_cores()) {
-    // With a completion hook installed an early completion would
-    // propagate to an upper hierarchy level and release OTHER clusters
-    // early, so it must be stopped here, not in StartRelease.
+  if (resilient() && parent_ != nullptr && arrived_ != num_cores()) {
+    // With a parent an early completion would propagate to an upper
+    // hierarchy level and release OTHER clusters early, so it must be
+    // stopped here, not in StartRelease.
     HandleEarlyCompletion("early hooked completion");
     return;
   }
   mv_.state = MasterState::kWaiting;
-  if (completion_hook_ != nullptr) {
+  if (parent_ != nullptr) {
     // Hierarchy: hold the release until the upper level says go.
     release_pending_ = true;
-    completion_hook_();
+    parent_->Arrive(parent_slot_, up_);
     return;
   }
   StartRelease();
@@ -258,9 +259,11 @@ void BarrierNetwork::HandleEarlyCompletion(const char* what) {
   HandleEpisodeFault();
 }
 
-void BarrierNetwork::SetCompletionHook(std::function<void()> hook) {
-  GLB_CHECK(!release_pending_) << "hook changed while release pending";
-  completion_hook_ = std::move(hook);
+void BarrierNetwork::SetParent(BarrierNetwork& parent, CoreId slot) {
+  GLB_CHECK(!release_pending_) << "parent changed while release pending";
+  GLB_CHECK(slot < parent.num_cores()) << "bad parent slot " << slot;
+  parent_ = &parent;
+  parent_slot_ = slot;
 }
 
 void BarrierNetwork::TriggerRelease() {
@@ -312,7 +315,7 @@ void BarrierNetwork::StartRelease() {
     // release. Cores re-arriving for the next episode while this wave
     // is still in flight must not be confused with them.
     for (CoreId core = 0; core < num_cores(); ++core) {
-      release_owed_[core] = release_cb_[core] != nullptr;
+      release_owed_[core] = waiters_[core] != nullptr;
     }
   }
   // [Scnt=Max & MasterH(flag=1)] / [MglineV=ON], and MasterV resets.
@@ -352,13 +355,13 @@ void BarrierNetwork::ReleaseRowNode(CoreId core) {
 }
 
 void BarrierNetwork::ReleaseCore(CoreId core) {
-  if (release_cb_[core] == nullptr) {
+  if (waiters_[core] == nullptr) {
     GLB_CHECK(resilient()) << "releasing core " << core << " which never arrived";
     return;  // duplicated release signal; the core already left
   }
   if (resilient() && !release_owed_[core]) {
-    // The callback belongs to the core's NEXT episode: it re-arrived
-    // while this wave was still in flight. Not ours to run.
+    // The waiter belongs to the core's NEXT episode: it re-arrived
+    // while this wave was still in flight. Not ours to release.
     return;
   }
   release_latency_->Record(engine_.Now() - last_arrival_);
@@ -366,14 +369,13 @@ void BarrierNetwork::ReleaseCore(CoreId core) {
     if (trace_.first_release == kCycleNever) trace_.first_release = engine_.Now();
     if (--trace_.outstanding == 0) EmitEpisodeTrace();
   }
-  auto cb = std::move(release_cb_[core]);
-  release_cb_[core] = nullptr;
+  core::BarrierWaiter* w = std::exchange(waiters_[core], nullptr);
   if (resilient()) {
     release_owed_[core] = false;
     GLB_CHECK(to_release_ > 0) << "release accounting underflow";
     if (--to_release_ == 0) OnEpisodeFullyReleased();
   }
-  cb();
+  w->Release();
 }
 
 void BarrierNetwork::EmitEpisodeTrace() {
@@ -487,7 +489,7 @@ void BarrierNetwork::RecoverGather() {
   // the fault hooks again — a persistent fault keeps the watchdog busy
   // until the retry budget runs out.
   for (CoreId core = 0; core < num_cores(); ++core) {
-    if (release_cb_[core] == nullptr) continue;
+    if (waiters_[core] == nullptr) continue;
     const std::uint32_t row = RowOf(core);
     if (ColOf(core) == 0) {
       mh_[row].mcnt = true;
@@ -508,7 +510,7 @@ void BarrierNetwork::RecoverRelease() {
                                         trace::Args().Add("owed", to_release_).json()));
   for (std::uint32_t row = 0; row < rows_; ++row) {
     // Only cores from the wave's membership snapshot are owed; a core
-    // with a fresh callback but no owed release already re-arrived for
+    // with a fresh waiter but no owed release already re-arrived for
     // the next episode and must be left gathering.
     bool row_stuck = false;
     for (std::uint32_t col = 0; col < cols_; ++col) {
@@ -528,7 +530,7 @@ void BarrierNetwork::RecoverRelease() {
     // releases its slaves atomically or not at all), so after releasing
     // them the only legitimate row state is: no counts, and Mcnt iff
     // the master core already re-arrived for the next episode.
-    mh_[row] = MasterH{.mcnt = release_cb_[NodeAt(row, 0)] != nullptr};
+    mh_[row] = MasterH{.mcnt = waiters_[NodeAt(row, 0)] != nullptr};
     if (row > 0) sv_[row].state = SlaveState::kSignaling;
     sgline_h_[row]->CancelPending();
     CheckRowComplete(row);
@@ -563,18 +565,18 @@ void BarrierNetwork::Degrade() {
   // Hand the stranded arrivals to the fallback; late arrivals follow
   // through Arrive's degraded path.
   for (CoreId core = 0; core < num_cores(); ++core) {
-    if (release_cb_[core] != nullptr) GatherInSoftware(core);
+    if (waiters_[core] != nullptr) GatherInSoftware(core);
   }
 }
 
 void BarrierNetwork::GatherInSoftware(CoreId core) {
   fb_batch_.push_back(core);
   if (fb_batch_.size() < num_cores()) return;
-  if (completion_hook_ != nullptr) {
+  if (parent_ != nullptr) {
     // The same hand-off as a healthy gather: the parent's release
     // reaches TriggerRelease, which releases this batch.
     release_pending_ = true;
-    completion_hook_();
+    parent_->Arrive(parent_slot_, up_);
     return;
   }
   // Root: one software-barrier episode, modelled as a flat latency.
@@ -582,7 +584,7 @@ void BarrierNetwork::GatherInSoftware(CoreId core) {
 }
 
 void BarrierNetwork::ReleaseSoftwareBatch() {
-  // Detach the batch first: a release callback may re-arrive at once.
+  // Detach the batch first: a released core may re-arrive at once.
   std::vector<CoreId> batch;
   batch.swap(fb_batch_);
   fb_arrived_ = 0;
@@ -602,11 +604,7 @@ void BarrierNetwork::ReleaseSoftwareBatch() {
                     trace::Args().Add("n", num_cores()).Add("degraded", true).json());
     sink.AsyncEnd(trace_.track, "episode", id, engine_.Now());
   }
-  for (const CoreId core : batch) {
-    auto cb = std::move(release_cb_[core]);
-    release_cb_[core] = nullptr;
-    cb();
-  }
+  for (const CoreId core : batch) std::exchange(waiters_[core], nullptr)->Release();
 }
 
 void BarrierNetwork::OnEpisodeFullyReleased() {

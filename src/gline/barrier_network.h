@@ -52,9 +52,8 @@
 // trips a `degraded` flag that routes this and all later episodes
 // through the one software fallback: the node counts arrivals in
 // software and completes through the healthy gather's path. A node with
-// a completion hook hands the batch to its parent and releases it in
-// TriggerRelease; the root releases it kFallbackLatency cycles later
-// (see gline/hierarchy.h).
+// a parent hands the batch to it and releases it in TriggerRelease; the
+// root releases it kFallbackLatency cycles later (see gline/hierarchy.h).
 // A release wave that is itself partially lost is re-driven directly:
 // the gather had legitimately completed, so the releases are owed
 // unconditionally. The invariant maintained under any fault plan:
@@ -84,7 +83,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -168,16 +166,18 @@ class BarrierNetwork final : public core::BarrierDevice {
   BarrierNetwork(const BarrierNetwork&) = delete;
   BarrierNetwork& operator=(const BarrierNetwork&) = delete;
 
-  /// Core `core` (local id) wrote bar_reg := 1; `on_release` runs when
-  /// the hardware clears the register.
-  void Arrive(CoreId core, std::function<void()> on_release) override;
+  using core::BarrierDevice::Arrive;
+  /// Core `core` (local id) wrote bar_reg := 1; `waiter` is released
+  /// when the hardware clears the register.
+  void Arrive(CoreId core, core::BarrierWaiter& waiter) override;
 
-  /// Defers the release: when the gather completes, `hook` runs instead
-  /// of the release wave, and the network holds until TriggerRelease.
-  /// This is how hierarchical (multi-level) G-line networks chain
-  /// cluster networks under a top-level one (paper §5 future work).
-  /// Pass nullptr to restore auto-release.
-  void SetCompletionHook(std::function<void()> hook);
+  /// Chains this network under `parent` as its core `slot`: when the
+  /// gather completes (in hardware or, degraded, in software) the
+  /// network arrives at the parent instead of starting its release
+  /// wave, and holds until the parent releases that slot. This is how
+  /// hierarchical (multi-level) G-line networks chain cluster networks
+  /// under a top-level one (paper §5 future work).
+  void SetParent(BarrierNetwork& parent, CoreId slot);
 
   /// Releases a completed gather held for the upper level: the batch a
   /// degraded node gathered in software, else the hardware release wave.
@@ -288,7 +288,7 @@ class BarrierNetwork final : public core::BarrierDevice {
   /// arrivals included — onto the software fallback.
   void Degrade();
   /// Degraded-mode gather: adds `core` to the software batch and, once
-  /// every core is in, hands the batch to the parent (completion hook)
+  /// every core is in, hands the batch to the parent (SetParent)
   /// or schedules its release (root).
   void GatherInSoftware(CoreId core);
   /// Completes a degraded episode: releases the software batch.
@@ -324,12 +324,19 @@ class BarrierNetwork final : public core::BarrierDevice {
   std::vector<std::unique_ptr<GLine>> mgline_h_;  // per row: master -> slaves
   std::unique_ptr<GLine> sgline_v_;               // column 0: slaves -> master
   std::unique_ptr<GLine> mgline_v_;               // column 0: master -> slaves
-  std::vector<std::function<void()>> release_cb_;  // per core
+  /// Per core: the waiter of its outstanding arrival, else null.
+  std::vector<core::BarrierWaiter*> waiters_;
   std::uint32_t arrived_ = 0;
   Cycle last_arrival_ = 0;
   Cycle first_arrival_ = 0;
-  /// When set, completion defers the release wave (hierarchy hook).
-  std::function<void()> completion_hook_;
+  /// When set, completion arrives here as core `parent_slot_` with
+  /// `up_` as its waiter, and the release wave waits (SetParent).
+  struct UpWaiter : core::BarrierWaiter {
+    BarrierNetwork* self = nullptr;
+  };
+  BarrierNetwork* parent_ = nullptr;
+  CoreId parent_slot_ = 0;
+  UpWaiter up_;
   bool release_pending_ = false;
 
   // --- resilience state (inert unless cfg.resilient()) ----------------
@@ -342,8 +349,8 @@ class BarrierNetwork final : public core::BarrierDevice {
   std::uint32_t to_release_ = 0;
   bool release_inflight_ = false;
   /// Per-core membership of the in-flight release wave. A core with a
-  /// release callback but no owed release already re-arrived for the
-  /// NEXT episode; recovery must never release it.
+  /// waiter but no owed release already re-arrived for the NEXT
+  /// episode; recovery must never release it.
   std::vector<bool> release_owed_;
   /// All episodes complete through the software fallback while set
   /// (sticky in v1; cleared by a successful rejoin in v2).

@@ -21,31 +21,67 @@ GLine::GLine(sim::Engine& engine, std::string name, std::uint32_t num_transmitte
         << " (use TxPolicy::kRelaxed for longer-latency/segmented lines)";
     latency_ = (num_transmitters + max_transmitters - 1) / max_transmitters;
   }
+  pending_.resize(latency_ + 1);
+  for (Batch& b : pending_) {
+    b.line = this;
+    b.run = &GLine::RunFlush;
+  }
 }
 
 void GLine::Assert() {
   const Cycle now = engine_.Now();
   if (signals_ != nullptr) signals_->Inc();
-  auto [it, fresh] = pending_.try_emplace(now, 0u);
-  ++it->second;
-  GLB_CHECK(it->second <= std::max(num_transmitters_, 1u))
-      << "more simultaneous assertions than transmitters on " << name_;
-  if (fresh) {
-    engine_.ScheduleIn(latency_, [this, now, ep = epoch_]() { Flush(now, ep); });
+  Batch& b = pending_[now % pending_.size()];
+  if (b.at != now) {
+    // First assertion this cycle: the slot's last batch was flushed or
+    // cancelled (it was asserted latency+1 or more cycles ago).
+    b.at = now;
+    b.count = 0;
+    if (!b.queued) {
+      b.queued = true;
+      b.flush_epoch = epoch_;
+      engine_.JoinIn(latency_, b);
+    } else {
+      // A reset earlier this cycle cancelled the slot's batch while its
+      // flush is still queued: this batch gets a flush event of its own.
+      engine_.ScheduleIn(latency_, [this, &b, ep = epoch_] {
+        if (ep == epoch_) Flush(b);
+      });
+    }
   }
+  ++b.count;
+  GLB_CHECK(b.count <= std::max(num_transmitters_, 1u))
+      << "more simultaneous assertions than transmitters on " << name_;
 }
 
 void GLine::CancelPending() {
   ++epoch_;
-  pending_.clear();
+  for (Batch& b : pending_) {
+    b.at = kCycleNever;
+    b.count = 0;
+  }
 }
 
-void GLine::Flush(Cycle asserted_at, std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // batch was cancelled by a reset
-  auto it = pending_.find(asserted_at);
-  GLB_CHECK(it != pending_.end()) << "lost G-line batch on " << name_;
-  std::uint32_t count = it->second;
-  pending_.erase(it);
+bool GLine::has_pending() const {
+  for (const Batch& b : pending_) {
+    if (b.count > 0) return true;
+  }
+  return false;
+}
+
+void GLine::RunFlush(sim::Engine::Member& m) {
+  Batch& b = static_cast<Batch&>(m);
+  b.queued = false;
+  if (b.flush_epoch != b.line->epoch_) return;  // cancelled by a reset
+  b.line->Flush(b);
+}
+
+void GLine::Flush(Batch& b) {
+  GLB_CHECK(b.count > 0) << "lost G-line batch on " << name_;
+  const std::uint64_t epoch = epoch_;
+  std::uint32_t count = b.count;
+  b.at = kCycleNever;
+  b.count = 0;
   if (fault_ != nullptr) {
     count = fault_(*this, count);
     if (count == 0) return;  // the whole batch was lost on the wire

@@ -14,11 +14,16 @@
 //              modeling either electrically longer-latency G-lines or
 //              chained line segments with relay controllers (both are
 //              sketched as future work in §5 of the paper).
+//
+// A cycle's assertions form one batch, kept in a ring of latency+1
+// slots indexed by the assertion cycle: at any cycle t the batches in
+// flight were asserted in t-latency .. t. Each slot's flush is an
+// engine batch member, so the flushes of one wave share events with
+// the core hops around them (docs/PERFORMANCE.md §11).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,7 +50,7 @@ class GLine {
   GLine(sim::Engine& engine, std::string name, std::uint32_t num_transmitters,
         std::uint32_t max_transmitters, TxPolicy policy, Counter* signal_counter);
 
-  // In-flight Flush events capture `this`, so a GLine must never move;
+  // In-flight flushes point into the line, so a GLine must never move;
   // containers hold lines through std::unique_ptr.
   GLine(GLine&&) = delete;
   GLine& operator=(GLine&&) = delete;
@@ -65,7 +70,7 @@ class GLine {
   /// recovery, degradation and rejoin probes.
   void CancelPending();
 
-  bool has_pending() const { return !pending_.empty(); }
+  bool has_pending() const;
 
   /// Installs (or clears, with nullptr) the delivery fault hook.
   void SetDeliverFaultHook(DeliverFaultHook hook) { fault_ = std::move(hook); }
@@ -75,16 +80,28 @@ class GLine {
   const std::string& name() const { return name_; }
 
  private:
-  void Flush(Cycle asserted_at, std::uint64_t epoch);
+  /// One assertion cycle's S-CSMA count and its flush.
+  struct Batch : sim::Engine::Member {
+    GLine* line = nullptr;
+    Cycle at = kCycleNever;  // assertion cycle; kCycleNever = empty
+    std::uint32_t count = 0;
+    /// The slot's flush member is in the engine, queued in `flush_epoch`.
+    bool queued = false;
+    std::uint64_t flush_epoch = 0;
+  };
+
+  static void RunFlush(sim::Engine::Member& m);
+  /// Delivers `b`'s count and empties the slot.
+  void Flush(Batch& b);
 
   sim::Engine& engine_;
   std::string name_;
   std::uint32_t num_transmitters_;
   Cycle latency_;
-  // Bumped by CancelPending; stale flush events compare and bail out.
+  // Bumped by CancelPending; stale flushes compare and bail out.
   std::uint64_t epoch_ = 0;
-  // Open per-cycle batches (several can be in flight when latency > 1).
-  std::map<Cycle, std::uint32_t> pending_;
+  // latency_ + 1 slots, by assertion cycle modulo their number.
+  std::vector<Batch> pending_;
   std::vector<Receiver> receivers_;
   Counter* signals_ = nullptr;
   DeliverFaultHook fault_;

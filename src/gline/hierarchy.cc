@@ -42,6 +42,7 @@ HierarchicalBarrierNetwork::HierarchicalBarrierNetwork(sim::Engine& engine,
   completed_ = stats.GetCounter(cfg_.node.stat_prefix + ".barriers_completed");
   BuildLevels(stats);
   ChainLevels();
+  BuildPorts();
 }
 
 void HierarchicalBarrierNetwork::BuildLevels(StatSet& stats) {
@@ -113,59 +114,64 @@ void HierarchicalBarrierNetwork::ChainLevels() {
       const Node& p = up.nodes[n.parent_node];
       n.parent_slot = (gr - p.row0) * p.ncols + (gc - p.col0);
 
-      BarrierNetwork* child = n.net.get();
-      BarrierNetwork* parent = up.nodes[n.parent_node].net.get();
-      const CoreId slot = n.parent_slot;
       // Chain: node completion, in hardware or (degraded) in software,
       // arrives at the level above; the upper release triggers this
       // node's deferred release.
-      child->SetCompletionHook([child, parent, slot]() {
-        parent->Arrive(slot, [child]() { child->TriggerRelease(); });
-      });
+      n.net->SetParent(*up.nodes[n.parent_node].net, n.parent_slot);
     }
   }
-  // The root has no completion hook: its own release IS the global
-  // release, and a degraded root's counting fallback is safe because
-  // every arrival it sees is a fully-gathered subtree.
+  // The root has no parent: its own release IS the global release, and
+  // a degraded root's counting fallback is safe because every arrival
+  // it sees is a fully-gathered subtree.
 }
 
-void HierarchicalBarrierNetwork::Arrive(CoreId core,
-                                        std::function<void()> on_release) {
+void HierarchicalBarrierNetwork::BuildPorts() {
+  const Level& l0 = levels_.front();
+  ports_.resize(num_cores());
+  for (CoreId core = 0; core < num_cores(); ++core) {
+    const std::uint32_t r = core / cols_, c = core % cols_;
+    const Node& leaf = l0.nodes[NodeIndexAt(l0, r, c)];
+    Port& p = ports_[core];
+    p.device = this;
+    p.leaf = leaf.net.get();
+    p.local = (r - leaf.row0) * leaf.ncols + (c - leaf.col0);
+    // Count the global barrier on the LAST core release (not at the
+    // root's completion): correct even when nodes complete through the
+    // degraded fallback path, where the root's gather may be bypassed
+    // entirely.
+    p.run = [](sim::Engine::Member& m) {
+      Port& port = static_cast<Port&>(m);
+      HierarchicalBarrierNetwork& dev = *port.device;
+      if (++dev.released_ == dev.num_cores()) {
+        dev.released_ = 0;
+        dev.completed_->Inc();
+      }
+      std::exchange(port.inner, nullptr)->Release();
+    };
+  }
+}
+
+void HierarchicalBarrierNetwork::Arrive(CoreId core, core::BarrierWaiter& waiter) {
   GLB_CHECK(core < num_cores()) << "bad core id " << core;
-  GLB_CHECK(on_release != nullptr) << "arrival without release callback";
   if (arrival_fault_ != nullptr) {
     const Cycle stall = arrival_fault_(core);
     if (stall > 0) {
-      engine_.ScheduleIn(stall, [this, core, cb = std::move(on_release)]() mutable {
-        DoArrive(core, std::move(cb));
-      });
+      engine_.ScheduleIn(stall, [this, core, w = &waiter] { DoArrive(core, *w); });
       return;
     }
   }
-  DoArrive(core, std::move(on_release));
+  DoArrive(core, waiter);
 }
 
-void HierarchicalBarrierNetwork::DoArrive(CoreId core,
-                                          std::function<void()> on_release) {
-  const Level& l0 = levels_.front();
-  const std::uint32_t r = core / cols_, c = core % cols_;
-  const Node& leaf = l0.nodes[NodeIndexAt(l0, r, c)];
-  const CoreId local = (r - leaf.row0) * leaf.ncols + (c - leaf.col0);
+void HierarchicalBarrierNetwork::DoArrive(CoreId core, core::BarrierWaiter& waiter) {
+  Port& port = ports_[core];
   if (cfg_.flat()) {
     // The single node counts its own episodes: that count is global.
-    leaf.net->Arrive(local, std::move(on_release));
+    port.leaf->Arrive(port.local, waiter);
     return;
   }
-  // Count the global barrier on the LAST core release (not at the root's
-  // completion): correct even when nodes complete through the degraded
-  // fallback path, where the root's gather may be bypassed entirely.
-  leaf.net->Arrive(local, [this, cb = std::move(on_release)]() {
-    if (++released_ == num_cores()) {
-      released_ = 0;
-      completed_->Inc();
-    }
-    cb();
-  });
+  port.inner = &waiter;
+  port.leaf->Arrive(port.local, port);
 }
 
 void HierarchicalBarrierNetwork::SetLineFaultHook(GLine::DeliverFaultHook hook) {

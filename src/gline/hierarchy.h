@@ -33,7 +33,7 @@
 // completes through the same path as a healthy gather. A non-root node
 // must NOT release its own cores — that would release a cluster before
 // the rest of the chip arrived — so its full batch arrives at the
-// parent through the completion hook, and the parent's release
+// parent as the node's own arrival there, and the parent's release
 // releases the batch. The root (the flat node at depth 1) releases its
 // batch after the flat kFallbackLatency; its arrivals are whole
 // subtrees, so that is the global release. At every depth no core is
@@ -103,8 +103,9 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   HierarchicalBarrierNetwork(const HierarchicalBarrierNetwork&) = delete;
   HierarchicalBarrierNetwork& operator=(const HierarchicalBarrierNetwork&) = delete;
 
+  using core::BarrierDevice::Arrive;
   /// bar_reg write of a core (global id, row-major over the full mesh).
-  void Arrive(CoreId core, std::function<void()> on_release) override;
+  void Arrive(CoreId core, core::BarrierWaiter& waiter) override;
 
   // --- fault-injection hooks (see fault::FaultInjector) ---------------
 
@@ -163,9 +164,21 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
     std::vector<Node> nodes;
   };
 
+  /// A core's entry into its leaf node, built once: the leaf, the
+  /// core's id there, and (clustered devices) the waiter the leaf
+  /// releases, which counts the global episode and then releases the
+  /// core's own waiter.
+  struct Port : core::BarrierWaiter {
+    HierarchicalBarrierNetwork* device = nullptr;
+    BarrierNetwork* leaf = nullptr;
+    CoreId local = 0;
+    core::BarrierWaiter* inner = nullptr;
+  };
+
   void BuildLevels(StatSet& stats);
   void ChainLevels();
-  void DoArrive(CoreId core, std::function<void()> on_release);
+  void BuildPorts();
+  void DoArrive(CoreId core, core::BarrierWaiter& waiter);
   /// Node index within `level` covering mesh position (r, c).
   static std::uint32_t NodeIndexAt(const Level& level, std::uint32_t r,
                                    std::uint32_t c);
@@ -175,6 +188,7 @@ class HierarchicalBarrierNetwork final : public core::BarrierDevice {
   HierConfig cfg_;
   StatSet& stats_;
   std::vector<Level> levels_;  // [0] = leaves over cores, back() = root
+  std::vector<Port> ports_;    // per core
   /// Releases delivered in the current global episode; the global
   /// completion counter increments when this wraps at num_cores (a
   /// clustered device only: the flat node counts its own episodes).

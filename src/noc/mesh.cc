@@ -107,8 +107,13 @@ void Mesh::Send(Packet pkt) {
                                  .Add("class", ToString(f.pkt.traffic))
                                  .json());
   }
-  eng.ScheduleAt(Book(inject_floor_[src], eng.Now() + cfg_.router_latency + penalty),
-                 [this, src, h] { RouteAt(src, h); });
+  ScheduleRoute(Book(inject_floor_[src], eng.Now() + cfg_.router_latency + penalty), src, h);
+}
+
+void Mesh::ScheduleRoute(Cycle at, CoreId node, Handle h) {
+  const CoreId dst = slab_[h].pkt.dst;
+  if (node != dst) ++routers_[node].out[NextDir(node, dst)].inbound;
+  engine_.ScheduleAt(at, [this, node, h] { RouteAt(node, h); });
 }
 
 Mesh::Handle Mesh::Park(Packet pkt) {
@@ -173,7 +178,9 @@ void Mesh::RouteAt(CoreId node, Handle h) {
   }
   const Dir d = NextDir(node, f.pkt.dst);
   f.enqueued_at = eng.Now();
-  Push(routers_[node].out[d].queues[static_cast<std::size_t>(f.pkt.vnet)], h);
+  OutLink& link = routers_[node].out[d];
+  --link.inbound;
+  Push(link.queues[static_cast<std::size_t>(f.pkt.vnet)], h);
   PumpLink(node, d);
 }
 
@@ -196,7 +203,6 @@ void Mesh::PumpLink(CoreId node, Dir d) {
   link.rr_next = static_cast<std::uint8_t>((chosen + 1) % kNumVNets);
 
   const Handle h = Pop(link.queues[static_cast<std::size_t>(chosen)]);
-  link.transmitting = true;
 
   const InFlight& f = slab_[h];
   const Cycle serialization = FlitsOf(f.pkt.bytes);
@@ -215,15 +221,20 @@ void Mesh::PumpLink(CoreId node, Dir d) {
             .json());
   }
 
-  // Link becomes free once the tail flit has left this router.
-  eng.ScheduleIn(serialization, [this, node, d]() {
-    routers_[node].out[d].transmitting = false;
-    PumpLink(node, d);
-  });
+  // Link becomes free once the tail flit has left this router. Only
+  // something that could meet it busy needs that event (header comment).
+  bool queued = false;
+  for (const Fifo& q : link.queues) queued = queued || !q.empty();
+  if (queued || link.inbound > 0 || serialization >= cfg_.router_latency) {
+    link.transmitting = true;
+    eng.ScheduleIn(serialization, [this, node, d]() {
+      routers_[node].out[d].transmitting = false;
+      PumpLink(node, d);
+    });
+  }
   // Packet appears at the neighbour's routing stage after serialization,
   // wire propagation, and that router's pipeline.
-  eng.ScheduleIn(serialization + cfg_.link_latency + cfg_.router_latency,
-                 [this, next, h] { RouteAt(next, h); });
+  ScheduleRoute(eng.Now() + serialization + cfg_.link_latency + cfg_.router_latency, next, h);
 }
 
 }  // namespace glb::noc

@@ -11,6 +11,15 @@
 // (flits = ceil(bytes / link_bytes)) and adds `link_latency` cycles of
 // propagation. Queueing delay emerges from link occupancy, which is how
 // software-barrier hot-spots show up as latency in the paper.
+//
+// A link schedules its link-free event only when something could meet
+// it busy: a packet queued behind, a packet already on its way to that
+// router and bound for that link (`inbound_`), or a transmission at
+// least `router_latency` cycles long. Otherwise every later arrival is
+// scheduled at least `router_latency` cycles ahead and so lands after
+// the cycle the link frees: the event would find nothing to do, and
+// skipping it leaves the order of every other event unchanged
+// (docs/PERFORMANCE.md §11).
 // Buffers are unbounded, so the network itself cannot deadlock; virtual
 // networks exist for protocol-class separation and fair arbitration
 // (round-robin across VNets per link).
@@ -151,8 +160,12 @@ class Mesh {
   // transmits one flit per cycle while any queue is non-empty.
   struct OutLink {
     std::array<Fifo, kNumVNets> queues;
+    /// A link-free event is scheduled (see the header comment).
     bool transmitting = false;
     std::uint8_t rr_next = 0;
+    /// Packets whose RouteAt at this link's router is scheduled and
+    /// whose next hop is this link.
+    std::uint32_t inbound = 0;
   };
 
   struct Router {
@@ -166,6 +179,9 @@ class Mesh {
 
   /// Moves `pkt` into a free slab slot, injected now.
   Handle Park(Packet pkt);
+  /// Schedules the packet's RouteAt at `node`, counting it inbound on
+  /// its next link there.
+  void ScheduleRoute(Cycle at, CoreId node, Handle h);
   /// Frees the packet's slot and runs its `deliver`.
   void Deliver(Handle h);
   void Push(Fifo& q, Handle h);

@@ -64,6 +64,25 @@ void Engine::ScheduleAt(Cycle at, Callback fn) {
   }
 }
 
+void Engine::JoinAt(Cycle at, Member& m) {
+  GLB_DCHECK(at >= now_) << "joining a batch in the past: at=" << at << " now=" << now_;
+  m.next = nullptr;
+  if (at - now_ < kRingCycles) {
+    // The tail of a bucket is its latest insertion for that cycle (far
+    // events at the same cycle all run before it), so extending a tail
+    // batch puts `m` exactly where a fresh event would go.
+    Node* tail = ring_[static_cast<std::size_t>(at & kRingMask)].tail;
+    if (tail != nullptr) {
+      if (Batch* batch = tail->fn.target<Batch>()) {
+        batch->tail->next = &m;
+        batch->tail = &m;
+        return;
+      }
+    }
+  }
+  ScheduleAt(at, Batch{&m, &m});
+}
+
 void Engine::Park(Slot& slot, Cycle period) {
   GLB_CHECK(!slot.linked_) << "parking a slot that is already linked";
   GLB_CHECK(period >= 1 && period < kRingCycles) << "slot period " << period;

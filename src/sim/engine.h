@@ -20,6 +20,14 @@
 // bucket to bucket without running anything, so a core that polls an
 // unchanging cached value costs one relink per poll instead of one
 // event, and event order stays exactly what the poll events gave.
+//
+// A batch is one event that runs a list of intrusive Members in order
+// (docs/PERFORMANCE.md §11). JoinAt appends a member to the batch at
+// the tail of its cycle's bucket, and starts a new batch there when the
+// tail is anything else. So a batch only ever replaces a run of events
+// that no other insertion separates, and the order stays exact: the
+// notify and resume hops of a whole G-line release, and the line
+// flushes among them, cost one event instead of one per core.
 #pragma once
 
 #include <cstddef>
@@ -77,6 +85,23 @@ class Engine {
   /// same-cycle events).
   void ScheduleIn(Cycle delta, Callback fn) { ScheduleAt(now_ + delta, std::move(fn)); }
 
+  /// One member of a batch: an intrusive link and an entry point,
+  /// embedded in its owner (a core's barrier waiter, a G-line's pending
+  /// batch). A member sits in at most one batch at a time, must outlive
+  /// its run, and may join again from inside its own `run`.
+  struct Member {
+    Member* next = nullptr;
+    void (*run)(Member&) = nullptr;
+  };
+
+  /// Runs `m->run` at cycle `at` (>= Now()), in exactly the place
+  /// ScheduleAt(at, ...) would give it. When the tail of that cycle's
+  /// bucket is a batch that has not started to run, `m` joins it and
+  /// costs no event; otherwise `m` starts a new batch there. A batch
+  /// being dispatched has left its bucket, so it takes no new member.
+  void JoinAt(Cycle at, Member& m);
+  void JoinIn(Cycle delta, Member& m) { JoinAt(now_ + delta, m); }
+
   /// Links `slot` at the tail of the bucket `period` cycles ahead,
   /// armed: exactly where an event that re-issues a `period`-cycle
   /// operation would append its successor if scheduled now. Until it is
@@ -131,6 +156,20 @@ class Engine {
   struct Node {
     Node* next = nullptr;
     Task fn;
+  };
+
+  /// The callable of a batch event: its members, in join order.
+  struct Batch {
+    Member* head;
+    Member* tail;
+    void operator()() const {
+      for (Member* m = head; m != nullptr;) {
+        // Read the link first: a member's run may free or re-join it.
+        Member* next = m->next;
+        m->run(*m);
+        m = next;
+      }
+    }
   };
 
  public:

@@ -66,6 +66,14 @@ class Task {
   /// for tests; a false return means a heap box was needed).
   bool stored_inline() const noexcept { return ops_ != nullptr && ops_->inline_storage; }
 
+  /// The stored callable if it is a `D` held inline, else null (the
+  /// engine recognises its own batch events this way).
+  template <typename D>
+  D* target() noexcept {
+    if (ops_ != &kInlineOps<D>) return nullptr;
+    return std::launder(reinterpret_cast<D*>(storage_));
+  }
+
   template <typename D>
   static constexpr bool FitsInline() {
     return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&

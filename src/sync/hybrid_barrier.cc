@@ -1,5 +1,7 @@
 #include "sync/hybrid_barrier.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "core/timebreak.h"
 
@@ -9,7 +11,7 @@ HybridBarrierUnit::HybridBarrierUnit(noc::Mesh& mesh, CoreId home_tile,
                                      std::uint32_t num_cores, StatSet& stats,
                                      const std::string& stat_prefix)
     : mesh_(mesh), home_(home_tile), num_cores_(num_cores),
-      expected_(num_cores), release_cb_(num_cores) {
+      expected_(num_cores), waiters_(num_cores, nullptr) {
   GLB_CHECK(home_tile < mesh.config().num_nodes()) << "unit tile out of range";
   GLB_CHECK(num_cores <= mesh.config().num_nodes()) << "more cores than tiles";
   episodes_ = stats.GetCounter(stat_prefix + ".episodes");
@@ -22,11 +24,11 @@ void HybridBarrierUnit::SetExpected(std::uint32_t expected) {
   expected_ = expected;
 }
 
-void HybridBarrierUnit::Arrive(CoreId core, std::function<void()> on_release) {
+void HybridBarrierUnit::Arrive(CoreId core, core::BarrierWaiter& waiter) {
   GLB_CHECK(core < num_cores_) << "bad core " << core;
-  GLB_CHECK(release_cb_[core] == nullptr)
+  GLB_CHECK(waiters_[core] == nullptr)
       << "core " << core << " arrived twice at the hybrid barrier";
-  release_cb_[core] = std::move(on_release);
+  waiters_[core] = &waiter;
   // The memory-mapped arrival store: one uncached control packet to the
   // unit's tile, on the request network.
   noc::Packet pkt;
@@ -40,7 +42,7 @@ void HybridBarrierUnit::Arrive(CoreId core, std::function<void()> on_release) {
 }
 
 void HybridBarrierUnit::OnArrivalPacket(CoreId core) {
-  GLB_CHECK(release_cb_[core] != nullptr) << "arrival packet without arrival";
+  GLB_CHECK(waiters_[core] != nullptr) << "arrival packet without arrival";
   if (++arrived_ < expected_) return;
   // All present: one release packet per participant (fan-out through
   // the mesh — this is the hot-spot the G-line network avoids; the
@@ -48,7 +50,7 @@ void HybridBarrierUnit::OnArrivalPacket(CoreId core) {
   arrived_ = 0;
   episodes_->Inc();
   for (CoreId c = 0; c < num_cores_; ++c) {
-    if (release_cb_[c] == nullptr) continue;  // not a participant this episode
+    if (waiters_[c] == nullptr) continue;  // not a participant this episode
     noc::Packet pkt;
     pkt.src = home_;
     pkt.dst = c;
@@ -56,10 +58,9 @@ void HybridBarrierUnit::OnArrivalPacket(CoreId core) {
     pkt.traffic = noc::TrafficClass::kReply;
     pkt.bytes = kCtlBytes;
     pkt.deliver = [this, c]() {
-      auto cb = std::move(release_cb_[c]);
-      release_cb_[c] = nullptr;
-      GLB_CHECK(cb != nullptr) << "release without waiter";
-      cb();
+      core::BarrierWaiter* w = std::exchange(waiters_[c], nullptr);
+      GLB_CHECK(w != nullptr) << "release without waiter";
+      w->Release();
     };
     mesh_.Send(std::move(pkt));
   }
@@ -71,11 +72,7 @@ core::Task HybridBarrier::Wait(core::Core& core) {
   // Issue the memory-mapped store (1 cycle) and block until the release
   // packet lands.
   co_await core.Compute(1);
-  HybridBarrierUnit* unit = unit_.get();
-  const CoreId id = core.id();
-  co_await core.WaitFor(
-      [unit, id](std::function<void()> resume) { unit->Arrive(id, std::move(resume)); },
-      core::TimeCat::kBarrier);
+  co_await core.WaitOn(*unit_, core::TimeCat::kBarrier);
 }
 
 }  // namespace glb::sync

@@ -14,19 +14,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "core/barrier_device.h"
 #include "noc/mesh.h"
 #include "sync/barrier.h"
 
 namespace glb::sync {
 
-/// The barrier unit (one per chip, at `home_tile`).
-class HybridBarrierUnit {
+/// The barrier unit (one per chip, at `home_tile`): a barrier device
+/// whose arrivals and releases travel the NoC.
+class HybridBarrierUnit final : public core::BarrierDevice {
  public:
   /// `stat_prefix` roots the unit's episode counter
   /// ("<prefix>.episodes"); tenants pass their own prefix so concurrent
@@ -37,9 +38,10 @@ class HybridBarrierUnit {
   HybridBarrierUnit(const HybridBarrierUnit&) = delete;
   HybridBarrierUnit& operator=(const HybridBarrierUnit&) = delete;
 
+  using core::BarrierDevice::Arrive;
   /// Core-side arrival: sends the memory-mapped store packet; the unit
-  /// runs `on_release` when its release packet arrives back at the core.
-  void Arrive(CoreId core, std::function<void()> on_release);
+  /// releases `waiter` when its release packet arrives back at the core.
+  void Arrive(CoreId core, core::BarrierWaiter& waiter) override;
 
   /// Reprograms the unit's participant count (memory-mapped config
   /// register), for a HYB barrier over fewer participants than the
@@ -60,7 +62,8 @@ class HybridBarrierUnit {
   const std::uint32_t num_cores_;
   std::uint32_t expected_;
   std::uint32_t arrived_ = 0;
-  std::vector<std::function<void()>> release_cb_;
+  /// Per core: the waiter of its outstanding arrival, else null.
+  std::vector<core::BarrierWaiter*> waiters_;
   Counter* episodes_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "sync/sw_barrier.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.h"
 #include "coherence/protocol.h"
@@ -106,8 +107,10 @@ Task TreeBarrier::Wait(Core& core) {
   local_sense_[core.rank()] = my_sense;
 
   // Ascend: keep climbing while we are the node's last arriver,
-  // remembering the nodes we now own the release of.
-  std::vector<std::uint32_t> owned;
+  // remembering the nodes we now own the release of. A fan-in of at
+  // least 2 bounds the depth by 32, so they fit on the frame.
+  std::array<std::uint32_t, 32> owned;
+  std::size_t num_owned = 0;
   std::uint32_t node = leaf_of_core_[core.rank()];
   while (true) {
     const Word prior = co_await core.Amo(nodes_[node].count_addr, AmoOp::kFetchAdd, 1);
@@ -124,15 +127,16 @@ Task TreeBarrier::Wait(Core& core) {
       co_await core.Store(nodes_[node].release_addr, my_sense);
       break;
     }
-    owned.push_back(node);
+    owned[num_owned++] = node;
     node = nodes_[node].parent;
   }
 
   // Descend: release every node we won on the way up (their waiters are
   // spinning on the release words).
-  for (auto it = owned.rbegin(); it != owned.rend(); ++it) {
-    co_await core.Store(nodes_[*it].count_addr, 0);
-    co_await core.Store(nodes_[*it].release_addr, my_sense);
+  while (num_owned > 0) {
+    const std::uint32_t won = owned[--num_owned];
+    co_await core.Store(nodes_[won].count_addr, 0);
+    co_await core.Store(nodes_[won].release_addr, my_sense);
   }
 }
 

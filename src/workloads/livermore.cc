@@ -19,8 +19,13 @@ double ZInit(std::uint64_t k) { return 1.0 - 0.002 * static_cast<double>(k % 53)
 // ===========================================================================
 
 Kernel2::Kernel2(std::uint32_t n, std::uint32_t iterations)
-    : n_(n), iterations_(iterations) {
-  GLB_CHECK(n >= 4 && (n & (n - 1)) == 0) << "Kernel2 needs a power-of-two n";
+    : n_(n), iterations_(iterations) {}
+
+std::string Kernel2::ValidateConfig(std::uint32_t) const {
+  if (n_ < 4 || (n_ & (n_ - 1)) != 0) {
+    return "--k2-n " + std::to_string(n_) + " is not a power of two of at least 4";
+  }
+  return "";
 }
 
 std::string Kernel2::input_desc() const {
@@ -35,6 +40,7 @@ std::uint32_t Kernel2::levels() const {
 }
 
 void Kernel2::Init(cmp::CmpSystem& sys) {
+  GLB_CHECK(ValidateConfig(0).empty()) << ValidateConfig(0);
   num_cores_ = Participants(sys);
   const std::uint64_t len = 2 * static_cast<std::uint64_t>(n_) + 4;
   x_ = sys.allocator().AllocWords(len);
@@ -120,8 +126,11 @@ std::string Kernel2::Validate(cmp::CmpSystem& sys) {
 // ===========================================================================
 
 Kernel3::Kernel3(std::uint32_t n, std::uint32_t iterations)
-    : n_(n), iterations_(iterations) {
-  GLB_CHECK(n > 0) << "empty inner product";
+    : n_(n), iterations_(iterations) {}
+
+std::string Kernel3::ValidateConfig(std::uint32_t) const {
+  if (n_ == 0) return "--k3-n 0 is an empty inner product (need at least 1 element)";
+  return "";
 }
 
 std::string Kernel3::input_desc() const {
@@ -138,6 +147,7 @@ Addr Kernel3::PartialSlot(std::uint32_t parity, CoreId c) const {
 }
 
 void Kernel3::Init(cmp::CmpSystem& sys) {
+  GLB_CHECK(ValidateConfig(0).empty()) << ValidateConfig(0);
   num_cores_ = Participants(sys);
   x_ = sys.allocator().AllocWords(n_);
   z_ = sys.allocator().AllocWords(n_);
@@ -200,8 +210,14 @@ std::string Kernel3::Validate(cmp::CmpSystem& sys) {
 // ===========================================================================
 
 Kernel6::Kernel6(std::uint32_t n, std::uint32_t iterations)
-    : n_(n), iterations_(iterations) {
-  GLB_CHECK(n >= 2) << "recurrence needs at least two elements";
+    : n_(n), iterations_(iterations) {}
+
+std::string Kernel6::ValidateConfig(std::uint32_t) const {
+  if (n_ < 2) {
+    return "--k6-n " + std::to_string(n_) +
+           " is too short a recurrence (need at least 2 elements)";
+  }
+  return "";
 }
 
 std::string Kernel6::input_desc() const {
@@ -228,6 +244,7 @@ Addr Kernel6::PartialSlot(std::uint32_t parity, CoreId c) const {
 }
 
 void Kernel6::Init(cmp::CmpSystem& sys) {
+  GLB_CHECK(ValidateConfig(0).empty()) << ValidateConfig(0);
   num_cores_ = Participants(sys);
   b_ = sys.allocator().AllocWords(static_cast<std::uint64_t>(n_) * n_);
   const std::uint64_t stride =

@@ -29,6 +29,7 @@ class Kernel2 final : public Workload {
 
   const char* name() const override { return "Kernel2"; }
   std::string input_desc() const override;
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;
@@ -54,6 +55,7 @@ class Kernel3 final : public Workload {
 
   const char* name() const override { return "Kernel3"; }
   std::string input_desc() const override;
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;
@@ -82,6 +84,7 @@ class Kernel6 final : public Workload {
 
   const char* name() const override { return "Kernel6"; }
   std::string input_desc() const override;
+  std::string ValidateConfig(std::uint32_t cores) const override;
   void Init(cmp::CmpSystem& sys) override;
   core::Task Body(core::Core& core, CoreId id, sync::Barrier& barrier) override;
   std::string Validate(cmp::CmpSystem& sys) override;

@@ -2,7 +2,9 @@
 // run-control semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -283,6 +285,141 @@ TEST(Engine, LinkedSlotIsPendingAndSettledOnCutOff) {
   EXPECT_EQ(slot.fired, 1);
   EXPECT_EQ(e.Now(), 102u);
   EXPECT_EQ(e.events_processed(), 2u);
+}
+
+// --- batches (Engine::JoinAt) -------------------------------------------
+
+/// A batch member that logs its id and the cycle it ran at.
+struct LogMember : Engine::Member {
+  LogMember(int member_id, std::vector<std::pair<int, Cycle>>* out, Engine* eng)
+      : id(member_id), log(out), e(eng) {
+    run = [](Engine::Member& m) {
+      auto& self = static_cast<LogMember&>(m);
+      self.log->emplace_back(self.id, self.e->Now());
+    };
+  }
+  int id;
+  std::vector<std::pair<int, Cycle>>* log;
+  Engine* e;
+};
+
+TEST(EngineBatch, MembersJoinTheTailBatchAsOneEvent) {
+  Engine e;
+  std::vector<std::pair<int, Cycle>> log;
+  std::vector<std::unique_ptr<LogMember>> members;
+  for (int i = 0; i < 5; ++i) members.push_back(std::make_unique<LogMember>(i, &log, &e));
+  for (auto& m : members) e.JoinAt(7, *m);
+  EXPECT_EQ(e.pending_events(), 1u) << "every join extended the tail batch";
+  ASSERT_TRUE(e.RunUntilIdle());
+  EXPECT_EQ(e.events_processed(), 1u);
+  const std::vector<std::pair<int, Cycle>> want = {{0, 7}, {1, 7}, {2, 7}, {3, 7}, {4, 7}};
+  EXPECT_EQ(log, want) << "members run in join order";
+}
+
+TEST(EngineBatch, AnInterleavedEventEndsTheBatch) {
+  Engine e;
+  std::vector<std::pair<int, Cycle>> log;
+  LogMember a(1, &log, &e), b(2, &log, &e), c(4, &log, &e), d(5, &log, &e),
+      next(0, &log, &e);
+  e.JoinAt(3, a);
+  e.JoinAt(3, b);
+  e.ScheduleAt(3, [&] { log.emplace_back(3, e.Now()); });
+  e.JoinAt(3, c);  // the event is the tail now: a new batch starts
+  e.JoinAt(3, d);
+  e.JoinAt(4, next);
+  EXPECT_EQ(e.pending_events(), 4u);
+  ASSERT_TRUE(e.RunUntilIdle());
+  EXPECT_EQ(e.events_processed(), 4u);
+  const std::vector<std::pair<int, Cycle>> want = {{1, 3}, {2, 3}, {3, 3}, {4, 3}, {5, 3},
+                                                   {0, 4}};
+  EXPECT_EQ(log, want);
+}
+
+TEST(EngineBatch, ADispatchingBatchTakesNoNewMember) {
+  Engine e;
+  std::vector<std::pair<int, Cycle>> log;
+  LogMember late(3, &log, &e), b(2, &log, &e);
+  // The first member joins another one at its own cycle while its batch
+  // runs: that join starts a new batch, which runs after the rest of
+  // the running one, exactly where a ScheduleIn(0) event would run.
+  struct Rejoin : Engine::Member {
+    Engine* e;
+    Engine::Member* other;
+    std::vector<std::pair<int, Cycle>>* log;
+  } first;
+  first.e = &e;
+  first.other = &late;
+  first.log = &log;
+  first.run = [](Engine::Member& m) {
+    auto& self = static_cast<Rejoin&>(m);
+    self.log->emplace_back(1, self.e->Now());
+    self.e->JoinIn(0, *self.other);
+  };
+  e.JoinAt(9, first);
+  e.JoinAt(9, b);
+  ASSERT_TRUE(e.RunUntilIdle());
+  const std::vector<std::pair<int, Cycle>> want = {{1, 9}, {2, 9}, {3, 9}};
+  EXPECT_EQ(log, want);
+  EXPECT_EQ(e.events_processed(), 2u) << "the late join was an event of its own";
+}
+
+/// A member that runs a closure (the soup below).
+struct ClosureMember : Engine::Member {
+  explicit ClosureMember(std::function<void()> fn) : body(std::move(fn)) {
+    run = [](Engine::Member& m) { static_cast<ClosureMember&>(m).body(); };
+  }
+  std::function<void()> body;
+};
+
+/// Random soups of events and members, once with every member joined
+/// and once with each as an event of its own: the same run order.
+TEST(EngineBatch, BatchedRunOrderEqualsOneEventPerMember) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    auto run = [seed](bool batched, std::uint64_t* events) {
+      Engine e;
+      std::mt19937_64 rng(seed);
+      std::vector<int> order;
+      std::vector<std::unique_ptr<ClosureMember>> members;
+      int next_id = 0;
+      std::function<void(int)> spawn = [&](int depth) {
+        const int children = static_cast<int>(rng() % 3) + (depth < 4 ? 1 : 0);
+        for (int i = 0; i < children && depth < 10 && next_id < 2000; ++i) {
+          const int id = next_id++;
+          const Cycle delay = std::array<Cycle, 4>{0, 1, 1, 2}[rng() % 4];
+          if (rng() % 3 != 0) {
+            auto m = std::make_unique<ClosureMember>([&order, &spawn, id, depth] {
+              order.push_back(id);
+              spawn(depth + 1);
+            });
+            if (batched) {
+              e.JoinIn(delay, *m);
+            } else {
+              e.ScheduleIn(delay, [raw = m.get()] { raw->run(*raw); });
+            }
+            members.push_back(std::move(m));
+          } else {
+            e.ScheduleIn(delay, [&order, &spawn, id, depth] {
+              order.push_back(id);
+              spawn(depth + 1);
+            });
+          }
+        }
+      };
+      e.ScheduleAt(0, [&] {
+        for (int root = 0; root < 8; ++root) spawn(0);
+      });
+      EXPECT_TRUE(e.RunUntilIdle());
+      *events = e.events_processed();
+      return order;
+    };
+    std::uint64_t batched_events = 0, plain_events = 0;
+    const std::vector<int> batched = run(true, &batched_events);
+    const std::vector<int> plain = run(false, &plain_events);
+    ASSERT_GT(plain.size(), 200u);
+    EXPECT_EQ(batched, plain);
+    EXPECT_LT(batched_events, plain_events) << "some members shared an event";
+  }
 }
 
 #if GLB_DCHECK_ENABLED

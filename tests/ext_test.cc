@@ -1,5 +1,5 @@
 // Tests for the extension layer: energy model, the memory-mapped hybrid
-// barrier, and the generic Core::WaitFor suspension.
+// barrier, and the generic Core::WaitOn device suspension.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -137,34 +137,44 @@ TEST(HybridBarrier, FasterThanSoftwareSlowerBusierThanGl) {
 }
 
 // ---------------------------------------------------------------------------
-// Core::WaitFor
+// Core::WaitOn
 // ---------------------------------------------------------------------------
 
-TEST(WaitFor, SuspendsUntilArmedCallback) {
+/// A device that releases every arrival `delay` cycles later.
+class DelayDevice final : public core::BarrierDevice {
+ public:
+  DelayDevice(sim::Engine& engine, Cycle delay) : engine_(engine), delay_(delay) {}
+  using core::BarrierDevice::Arrive;
+  void Arrive(CoreId, core::BarrierWaiter& waiter) override {
+    engine_.ScheduleIn(delay_, [w = &waiter] { w->Release(); });
+  }
+
+ private:
+  sim::Engine& engine_;
+  Cycle delay_;
+};
+
+TEST(WaitOn, SuspendsUntilDeviceRelease) {
   CmpSystem sys(CmpConfig::WithCores(4));
+  DelayDevice dev(sys.engine(), 123);
   Cycle resumed_at = 0;
-  auto body = [](Core& c, Cycle* out) -> Task {
-    co_await c.WaitFor([&c](std::function<void()> resume) {
-      c.engine().ScheduleIn(123, std::move(resume));
-    });
+  auto body = [](Core& c, core::BarrierDevice& d, Cycle* out) -> Task {
+    co_await c.WaitOn(d);
     *out = c.engine().Now();
   };
-  sys.core(0).Run(body(sys.core(0), &resumed_at));
+  sys.core(0).Run(body(sys.core(0), dev, &resumed_at));
   ASSERT_TRUE(sys.engine().RunUntilIdle(10'000));
   EXPECT_EQ(resumed_at, 123u);
   EXPECT_EQ(sys.core(0).breakdown()[core::TimeCat::kBusy], 123u);
 }
 
-TEST(WaitFor, AttributesToRequestedCategory) {
+TEST(WaitOn, AttributesToRequestedCategory) {
   CmpSystem sys(CmpConfig::WithCores(4));
-  auto body = [](Core& c) -> Task {
-    co_await c.WaitFor(
-        [&c](std::function<void()> resume) {
-          c.engine().ScheduleIn(40, std::move(resume));
-        },
-        core::TimeCat::kLock);
+  DelayDevice dev(sys.engine(), 40);
+  auto body = [](Core& c, core::BarrierDevice& d) -> Task {
+    co_await c.WaitOn(d, core::TimeCat::kLock);
   };
-  sys.core(1).Run(body(sys.core(1)));
+  sys.core(1).Run(body(sys.core(1), dev));
   ASSERT_TRUE(sys.engine().RunUntilIdle(10'000));
   EXPECT_EQ(sys.core(1).breakdown()[core::TimeCat::kLock], 40u);
 }

@@ -94,8 +94,8 @@ TEST(GLineWire, MultipleReceiversAllObserve) {
   EXPECT_EQ(calls, 3);
 }
 
-// In-flight Flush events capture the line's `this`: a moved-from GLine
-// would leave those events dangling. The type is pinned in place
+// In-flight flushes point into the line: a moved-from GLine would
+// leave them dangling. The type is pinned in place
 // (containers must hold it through std::unique_ptr).
 static_assert(!std::is_move_constructible_v<GLine>);
 static_assert(!std::is_move_assignable_v<GLine>);

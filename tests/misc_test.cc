@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "cmp/cmp_system.h"
 #include "coherence/protocol.h"
@@ -164,6 +166,32 @@ TEST(GLineCancel, LineIsUsableAfterCancel) {
   });
   e.RunUntilIdle();
   EXPECT_EQ(got, 2u) << "post-cancel assertions deliver normally";
+}
+
+TEST(GLineCancel, ReassertInTheCancelledCycleDeliversOnlyTheNewBatch) {
+  // The cancelled batch's flush is still queued for cycle 2 when cycle
+  // 1 asserts again: the new batch flushes once, with its own count,
+  // behind what was scheduled before it; the slot serves cycle 3 again.
+  sim::Engine e;
+  gline::GLine line(e, "t", 3, 6, gline::TxPolicy::kReject, nullptr);
+  std::vector<std::pair<Cycle, std::uint32_t>> got;
+  std::vector<int> order;
+  line.AddReceiver([&](std::uint32_t c) {
+    got.emplace_back(e.Now(), c);
+    order.push_back(2);
+  });
+  e.ScheduleAt(1, [&]() {
+    line.Assert();
+    line.CancelPending();
+    e.ScheduleIn(1, [&] { order.push_back(1); });
+    line.Assert();
+    line.Assert();
+  });
+  e.ScheduleAt(3, [&]() { line.Assert(); });
+  e.RunUntilIdle();
+  const std::vector<std::pair<Cycle, std::uint32_t>> want = {{2, 2}, {4, 1}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 2}));
 }
 
 

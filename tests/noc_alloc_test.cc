@@ -11,6 +11,7 @@
 
 #include "cmp/cmp_system.h"
 #include "common/stats.h"
+#include "core/task.h"
 #include "harness/experiment.h"
 #include "harness/spec.h"
 #include "noc/mesh.h"
@@ -112,20 +113,26 @@ TEST(NocAlloc, WarmMeshCarriesPacketsWithoutAllocating) {
 // A whole 16-core EM3D run on the G-line hierarchy: set-up, remote
 // graph reads over the NoC, coherence replies and barriers. Before the
 // in-flight slab, the message pool, recycled payloads and inline
-// directory continuations, this run made 1,464,202 allocations; now it
-// makes 51,674, most of them one transaction-table node per directory
-// request. The budget is that with 10% headroom.
+// directory continuations, this run made 1,464,202 allocations; with
+// them, 51,674, most of them one transaction-table node per directory
+// request. With recycled table nodes and coroutine frames it makes
+// 2,133, mostly set-up. The budget is that with 10% headroom. Builds
+// that bypass the coroutine-frame cache (sanitizers) allocate every
+// frame; those frames are not counted.
 TEST(NocAlloc, Em3dGlh16CoreRunUnderBudget) {
-  constexpr std::uint64_t kBudget = 56'800;
+  constexpr std::uint64_t kBudget = 2'350;
   cmp::CmpConfig cfg = cmp::CmpConfig::WithCores(16);
   cfg.hier.enabled = true;
   const harness::WorkloadFactory factory =
       harness::MakeWorkloadFactory("EM3D", harness::Scale::ForCores(16));
   ASSERT_NE(factory, nullptr);
   const std::uint64_t before = g_allocs.load();
+  const std::uint64_t frames_before = core::FrameAllocations();
   const harness::RunMetrics m =
       harness::RunExperiment(factory, harness::BarrierKind::kGLH, cfg);
-  const std::uint64_t allocs = g_allocs.load() - before;
+  const std::uint64_t uncached_frames =
+      core::FrameCacheEnabled() ? 0 : core::FrameAllocations() - frames_before;
+  const std::uint64_t allocs = g_allocs.load() - before - uncached_frames;
   ASSERT_TRUE(m.completed) << m.stall;
   EXPECT_EQ(m.validation, "");
   EXPECT_GT(m.msgs_request + m.msgs_reply + m.msgs_coherence, 10'000u);
